@@ -33,7 +33,6 @@ from .simulate import (
     SimConfig,
     estimate_content_outage,
     estimate_physical,
-    recommended_window_radius,
 )
 from .sweep import (
     Axis,
@@ -134,9 +133,8 @@ def cmd_analytic(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     mode = Mode(args.mode)
-    window = args.window if args.window is not None else recommended_window_radius(params)
     cfg = SimConfig(
-        trials=args.trials, master_seed=args.seed, window_radius=window, mode=mode
+        trials=args.trials, master_seed=args.seed, window_radius=args.window, mode=mode
     )
     analytic_value = content_outage(params)
     if mode is Mode.PHYSICAL:
@@ -149,7 +147,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "mode": mode.value,
         "trials": cfg.trials,
         "master_seed": cfg.master_seed,
-        "window_radius": window,
+        "window_radius": estimate.window_radius,
         "analytic_content_outage": analytic_value,
         "estimate": {
             "mean": estimate.mean,
@@ -168,7 +166,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         [
             ("mode", mode.value),
             ("trials", str(cfg.trials)),
-            ("window radius", window),
+            ("window radius", estimate.window_radius),
             ("analytic outage", analytic_value),
             ("simulated mean", estimate.mean),
             (

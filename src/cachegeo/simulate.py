@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _SEED_SPACE = 2**64
+_MAX_POINTS_PER_TRIAL = 5 * 10**7  # mean field size; ~400 MB per float64 array
 
 
 class Mode(str, Enum):
@@ -101,7 +102,8 @@ class Estimate:
     """Binomial Monte Carlo estimate with a Wilson confidence interval.
 
     ``n`` is the effective sample size; ``n_discarded`` counts trials
-    dropped by a conditioning event (physical mode only).
+    dropped by a conditioning event (physical mode only);
+    ``window_radius`` is the radius of the disc the fields were sampled on.
     """
 
     mean: float
@@ -110,6 +112,7 @@ class Estimate:
     confidence: float
     n: int
     n_discarded: int = 0
+    window_radius: float | None = None
 
     def contains(self, value: float) -> bool:
         return self.ci_low <= value <= self.ci_high
@@ -117,18 +120,22 @@ class Estimate:
 
 @dataclass(frozen=True)
 class PointSet:
-    """Planar points on an origin-centered disc of radius ``window_radius``."""
+    """Points on an origin-centered disc of radius ``window_radius``, kept as distances.
 
-    xy: np.ndarray  # shape (n, 2), meters
+    Interference and association depend on where the points are only
+    through their distances from the origin, so no angles are kept.
+    """
+
+    r: np.ndarray  # shape (n,), meters
     window_radius: float
 
     @property
     def n(self) -> int:
-        return self.xy.shape[0]
+        return self.r.shape[0]
 
     def radii(self) -> np.ndarray:
         """Distances of all points from the origin."""
-        return np.hypot(self.xy[:, 0], self.xy[:, 1])
+        return self.r
 
 
 def trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -146,18 +153,25 @@ def sample_ppp(lambda_s: float, window_radius: float, rng: np.random.Generator) 
     """One realization of a homogeneous Poisson field on the disc.
 
     The count is Poisson with mean lambda_s * pi * window_radius**2 and
-    positions are i.i.d. uniform on the disc (radius via sqrt of a
-    uniform draw).
+    positions are i.i.d. uniform on the disc, so each distance is
+    window_radius times the sqrt of a uniform draw. Raises ParameterError,
+    before any draw, when the mean count exceeds the per-trial point cap.
     """
     if lambda_s <= 0:
         raise ParameterError("lambda_s", f"lambda_s must be positive, got {lambda_s}")
     if window_radius <= 0:
         raise ParameterError("window_radius", f"window_radius must be positive, got {window_radius}")
-    n = int(rng.poisson(lambda_s * math.pi * window_radius**2))
+    mean = lambda_s * math.pi * window_radius**2
+    if mean > _MAX_POINTS_PER_TRIAL:
+        raise ParameterError(
+            "window_radius",
+            f"window_radius {window_radius:g} m at lambda_s {lambda_s:g} holds {mean:.3g} "
+            f"points per trial on average, above the cap of {_MAX_POINTS_PER_TRIAL:.0e}",
+        )
+    n = int(rng.poisson(mean))
     r = window_radius * np.sqrt(rng.random(n))
-    theta = rng.random(n) * (2.0 * math.pi)
-    xy = np.column_stack((r * np.cos(theta), r * np.sin(theta)))
-    return PointSet(xy=xy, window_radius=float(window_radius))
+    rng.random(n)  # the angles: drawn and dropped to keep every trial's stream layout
+    return PointSet(r=r, window_radius=float(window_radius))
 
 
 def draw_serving_distance(
@@ -231,12 +245,16 @@ def recommended_window_radius(params: SystemParams, tail_fraction: float = 1e-3)
     window is below ``tail_fraction`` of the in-window mean. The in-window
     mean needs a near-field scale to be finite; it is cut at the mean
     nearest-interferer distance 1/(2*sqrt(lambda_s)). Never below ten
-    threshold distances.
+    threshold distances; inf when alpha is so close to 2 that the radius
+    overflows a float.
     """
     if tail_fraction <= 0:
         raise ParameterError("tail_fraction", f"tail_fraction must be positive, got {tail_fraction}")
     near = 1.0 / (2.0 * math.sqrt(params.lambda_s))
-    growth = ((1.0 + tail_fraction) / tail_fraction) ** (1.0 / (params.alpha - 2.0))
+    try:
+        growth = ((1.0 + tail_fraction) / tail_fraction) ** (1.0 / (params.alpha - 2.0))
+    except OverflowError:
+        return math.inf
     return max(10.0 * params.r_th, near * growth)
 
 
@@ -301,6 +319,10 @@ def content_outage_trials(params: SystemParams, cfg: SimConfig):
     :func:`estimate_content_outage` aggregates them, and callers can bin
     them by distance for conditional checks.
     """
+    return _outage_trials(params, cfg)[1:]
+
+
+def _outage_trials(params: SystemParams, cfg: SimConfig):
     if cfg.mode is not Mode.EMULATED:
         raise ParameterError("mode", f"emulated association required, got mode={cfg.mode.value}")
     if params.pc <= 0.0:
@@ -319,13 +341,13 @@ def content_outage_trials(params: SystemParams, cfg: SimConfig):
     results = _map_trials(cfg.trials, one)
     distances = np.array([r for r, _ in results])
     outages = np.array([o for _, o in results], dtype=bool)
-    return distances, outages
+    return window, distances, outages
 
 
 def estimate_content_outage(params: SystemParams, cfg: SimConfig) -> Estimate:
     """Binomial estimate of the content outage fraction over ``cfg.trials`` realizations."""
-    _, outages = content_outage_trials(params, cfg)
-    return _binomial_estimate(int(outages.sum()), cfg.trials)
+    window, _, outages = _outage_trials(params, cfg)
+    return _binomial_estimate(int(outages.sum()), cfg.trials, window_radius=window)
 
 
 def estimate_cache_hit(params: SystemParams, cfg: SimConfig) -> Estimate:
@@ -343,30 +365,7 @@ def estimate_cache_hit(params: SystemParams, cfg: SimConfig) -> Estimate:
         return bool((rng.random(field.n) < params.pc).any())
 
     hits = _map_trials(cfg.trials, one)
-    return _binomial_estimate(sum(hits), cfg.trials)
-
-
-def _cache_holds_requested(
-    n_sbs: int, cache_size: int, library_size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Whether each SBS's uniformly drawn cache includes the requested content.
-
-    Each SBS caches ``cache_size`` distinct contents drawn uniformly from
-    the library, materialized as the smallest keys of an i.i.d. draw; the
-    request targets content index 0 (uniform popularity makes the index
-    irrelevant).
-    """
-    if cache_size == 0 or n_sbs == 0:
-        return np.zeros(n_sbs, dtype=bool)
-    if cache_size == library_size:
-        return np.ones(n_sbs, dtype=bool)
-    holds = np.empty(n_sbs, dtype=bool)
-    rows = max(1, int(2_000_000 // library_size))  # bound the key matrix to ~16 MB
-    for lo in range(0, n_sbs, rows):
-        keys = rng.random((min(rows, n_sbs - lo), library_size))
-        subset = np.argpartition(keys, cache_size - 1, axis=1)[:, :cache_size]
-        holds[lo : lo + keys.shape[0]] = (subset == 0).any(axis=1)
-    return holds
+    return _binomial_estimate(sum(hits), cfg.trials, window_radius=params.r_th)
 
 
 def estimate_physical(params: SystemParams, cfg: SimConfig) -> Estimate:
@@ -377,7 +376,9 @@ def estimate_physical(params: SystemParams, cfg: SimConfig) -> Estimate:
     down, dominant when the hit event is near-certain, e.g. pc = 1 at high
     density), while conditioning on a hit size-biases the field upward
     (pushing outage up, dominant at small pc). Trials with no caching SBS
-    within r_th are discarded and counted in ``n_discarded``.
+    within r_th are discarded and counted in ``n_discarded``. Each SBS
+    within r_th caches the content independently with probability pc, as
+    in :func:`estimate_cache_hit`.
 
     Raises :class:`DegenerateSampleError` when no trial survives the
     conditioning.
@@ -389,15 +390,13 @@ def estimate_physical(params: SystemParams, cfg: SimConfig) -> Estimate:
     def one(i: int):
         rng = trial_stream(cfg.master_seed, i)
         field = sample_ppp(params.lambda_s, window, rng)
-        holds = _cache_holds_requested(
-            field.n, params.cache_size_d, params.library_size, rng
-        )
         radii = field.radii()
-        h = rng.exponential(size=field.n)
-        candidates = holds & (radii <= params.r_th)
-        if not candidates.any():
+        in_range = np.flatnonzero(radii <= params.r_th)
+        caching = in_range[rng.random(in_range.size) < params.pc]
+        if caching.size == 0:
             return None
-        serving = int(np.argmin(np.where(candidates, radii, np.inf)))
+        serving = int(caching[np.argmin(radii[caching])])
+        h = rng.exponential(size=field.n)
         with np.errstate(divide="ignore"):
             power = h * radii**-params.alpha
         signal = float(power[serving])
@@ -414,7 +413,9 @@ def estimate_physical(params: SystemParams, cfg: SimConfig) -> Estimate:
             f"no caching SBS within r_th={params.r_th} in any of {cfg.trials} trials "
             "(effective sample size 0)"
         )
-    return _binomial_estimate(sum(effective), len(effective), n_discarded=n_discarded)
+    return _binomial_estimate(
+        sum(effective), len(effective), n_discarded=n_discarded, window_radius=window
+    )
 
 
 def binomial_ci(successes: int, n: int, confidence: float = 0.99) -> tuple[float, float]:
@@ -441,7 +442,8 @@ def binomial_ci(successes: int, n: int, confidence: float = 0.99) -> tuple[float
 
 
 def _binomial_estimate(
-    successes: int, n: int, confidence: float = 0.99, n_discarded: int = 0
+    successes: int, n: int, confidence: float = 0.99, n_discarded: int = 0,
+    window_radius: float | None = None,
 ) -> Estimate:
     low, high = binomial_ci(successes, n, confidence)
     return Estimate(
@@ -451,4 +453,5 @@ def _binomial_estimate(
         confidence=confidence,
         n=n,
         n_discarded=n_discarded,
+        window_radius=window_radius,
     )

@@ -199,6 +199,17 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     return SweepTable(rows=rows, metadata=_metadata(spec))
 
 
+def _sim_to_dict(sim: SimConfig | None) -> dict | None:
+    if sim is None:
+        return None
+    return {
+        "trials": sim.trials,
+        "master_seed": sim.master_seed,
+        "window_radius": sim.window_radius,
+        "mode": sim.mode.value,
+    }
+
+
 def _metadata(spec: SweepSpec) -> dict:
     return {
         "tool": "cachegeo",
@@ -208,14 +219,7 @@ def _metadata(spec: SweepSpec) -> dict:
         "axis": spec.axis.value,
         "series_axis": spec.series_axis.value if spec.series_axis else None,
         "base_params": asdict(spec.base),
-        "sim": None
-        if spec.sim is None
-        else {
-            "trials": spec.sim.trials,
-            "master_seed": spec.sim.master_seed,
-            "window_radius": spec.sim.window_radius,
-            "mode": spec.sim.mode.value,
-        },
+        "sim": _sim_to_dict(spec.sim),
         "note": spec.note,
     }
 
@@ -229,14 +233,7 @@ def spec_to_dict(spec: SweepSpec) -> dict:
         "quantity": spec.quantity.value,
         "series_axis": spec.series_axis.value if spec.series_axis else None,
         "series_values": list(spec.series_values) if spec.series_values else None,
-        "sim": None
-        if spec.sim is None
-        else {
-            "trials": spec.sim.trials,
-            "master_seed": spec.sim.master_seed,
-            "window_radius": spec.sim.window_radius,
-            "mode": spec.sim.mode.value,
-        },
+        "sim": _sim_to_dict(spec.sim),
         "label": spec.label,
         "note": spec.note,
     }

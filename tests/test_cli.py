@@ -138,6 +138,16 @@ def test_simulate_degenerate_physical_exits_3(capsys):
     assert "effective sample size 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["2.005", "2.1", "2.5"])
+def test_simulate_unbounded_default_window_exits_2(alpha, capsys):
+    # near alpha = 2 the default window overflows or holds 1e11 points and more
+    # per trial; each is refused before any field is drawn
+    rc = main(["simulate", "--lambda", "0.1", "--alpha", alpha, "--gamma-db", "-10",
+               "--rth", "5", "--d", "2", "--library", "100", "--trials", "5"])
+    assert rc == 2
+    assert "(field: window_radius)" in capsys.readouterr().err
+
+
 # -- sweep and figure -----------------------------------------------------------
 
 
@@ -150,6 +160,17 @@ def test_sweep_writes_requested_grid(tmp_path, capsys):
     table = read_json(tmp_path / "demo_0.json")
     assert len(table.rows) == 41
     assert [r.axis_value for r in table.rows][:3] == [-20.0, -19.0, -18.0]
+
+
+def test_sweep_records_oversized_fields_as_row_errors(tmp_path, capsys):
+    rc = main(["sweep", "--quantity", "hit", "--axis", "pc", "--from", "0.02", "--to", "1",
+               "--steps", "3", "--lambda", "1", "--alpha", "3", "--gamma-db", "-10",
+               "--rth", "100000", "--d", "2", "--library", "100", "--trials", "10",
+               "--out", str(tmp_path), "--name", "huge"])
+    assert rc == 0
+    assert "3 cell(s) recorded errors" in capsys.readouterr().err
+    rows = read_json(tmp_path / "huge_0.json").rows
+    assert all("window_radius" in row.error and row.sim_mean is None for row in rows)
 
 
 def test_sweep_invalid_grid_exits_2(tmp_path):
