@@ -29,7 +29,6 @@ from .analytic import (
 from .model import ParameterError, SystemParams, db_to_linear, validate
 from .simulate import (
     DegenerateSampleError,
-    Mode,
     SimConfig,
     estimate_content_outage,
     estimate_physical,
@@ -55,6 +54,11 @@ _QUANTITY_NAMES = {
     "outage": Quantity.CONTENT_OUTAGE,
     "hit": Quantity.CACHE_HIT,
     "density": Quantity.OPTIMAL_DENSITY,
+}
+
+_MODE_ESTIMATORS = {
+    "emulated": estimate_content_outage,
+    "physical": estimate_physical,
 }
 
 _AXIS_NAMES = {
@@ -132,19 +136,13 @@ def cmd_analytic(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
-    mode = Mode(args.mode)
-    cfg = SimConfig(
-        trials=args.trials, master_seed=args.seed, window_radius=args.window, mode=mode
-    )
+    cfg = SimConfig(trials=args.trials, master_seed=args.seed, window_radius=args.window)
     analytic_value = content_outage(params)
-    if mode is Mode.PHYSICAL:
-        estimate = estimate_physical(params, cfg)
-    else:
-        estimate = estimate_content_outage(params, cfg)
+    estimate = _MODE_ESTIMATORS[args.mode](params, cfg)
     verdict = "PASS" if estimate.contains(analytic_value) else "FAIL"
     out = {
         "params": {**asdict(params), "pc": params.pc},
-        "mode": mode.value,
+        "mode": args.mode,
         "trials": cfg.trials,
         "master_seed": cfg.master_seed,
         "window_radius": estimate.window_radius,
@@ -164,7 +162,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return EXIT_OK
     _print_block(
         [
-            ("mode", mode.value),
+            ("mode", args.mode),
             ("trials", str(cfg.trials)),
             ("window radius", estimate.window_radius),
             ("analytic outage", analytic_value),
@@ -350,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p)
     p.add_argument("--trials", type=int, default=5000, help="Monte Carlo trials (default 5000)")
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--mode", choices=[m.value for m in Mode], default=Mode.EMULATED.value)
+    p.add_argument("--mode", choices=list(_MODE_ESTIMATORS), default="emulated")
     p.add_argument("--window", type=float, default=None,
                    help="interference window radius [m] (default: recommended truncation radius)")
     p.add_argument("--json", action="store_true", help="machine-readable output")

@@ -13,9 +13,7 @@ from fractions import Fraction
 __all__ = [
     "ParameterError",
     "SystemParams",
-    "ReplicationRatio",
     "validate",
-    "replication_ratio",
     "db_to_linear",
     "with_replication_ratio",
 ]
@@ -48,26 +46,6 @@ class SystemParams:
     def pc(self) -> float:
         """Replication ratio: fraction of the library each SBS caches."""
         return self.cache_size_d / self.library_size
-
-
-@dataclass(frozen=True)
-class ReplicationRatio:
-    """Fraction of the library stored per SBS.
-
-    Under uniform content popularity this equals the probability that any
-    given content sits in a given SBS cache.
-    """
-
-    value: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.value <= 1.0):
-            raise ParameterError(
-                "pc", f"replication ratio must lie in [0, 1], got {self.value}"
-            )
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def validate(params: SystemParams) -> SystemParams:
@@ -110,11 +88,6 @@ def validate(params: SystemParams) -> SystemParams:
             f"cache exceeds library: d={params.cache_size_d} > |C|={params.library_size}",
         )
     return params
-
-
-def replication_ratio(params: SystemParams) -> ReplicationRatio:
-    """Replication ratio d / |C| of validated params, exact for integer inputs."""
-    return ReplicationRatio(params.cache_size_d / params.library_size)
 
 
 def db_to_linear(x_db: float) -> float:

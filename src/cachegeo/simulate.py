@@ -14,7 +14,6 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 from statistics import NormalDist
 
 import numpy as np
@@ -22,7 +21,6 @@ import numpy as np
 from .model import ParameterError, SystemParams
 
 __all__ = [
-    "Mode",
     "SimConfig",
     "Estimate",
     "PointSet",
@@ -44,20 +42,7 @@ __all__ = [
 
 _SEED_SPACE = 2**64
 _MAX_POINTS_PER_TRIAL = 5 * 10**7  # mean field size; ~400 MB per float64 array
-
-
-class Mode(str, Enum):
-    """Association mode for outage estimation.
-
-    EMULATED draws the serving distance from the conditional
-    nearest-caching-SBS law while the whole sampled field interferes (the
-    serving link is an extra point, not excluded from the interference).
-    PHYSICAL serves from the actual nearest caching SBS in the realization
-    and lets every other SBS interfere.
-    """
-
-    EMULATED = "emulated"
-    PHYSICAL = "physical"
+_TAIL_FRACTION = 1e-3  # discarded tail / in-window mean interference, default window
 
 
 class TruncationWindowWarning(UserWarning):
@@ -80,7 +65,6 @@ class SimConfig:
     trials: int = 5000
     master_seed: int = 0
     window_radius: float | None = None
-    mode: Mode = Mode.EMULATED
 
     def __post_init__(self):
         if not isinstance(self.trials, int) or self.trials < 1:
@@ -238,21 +222,19 @@ def interference_tail_mean(lambda_s: float, alpha: float, radius: float) -> floa
     return 2.0 * math.pi * lambda_s * radius ** (2.0 - alpha) / (alpha - 2.0)
 
 
-def recommended_window_radius(params: SystemParams, tail_fraction: float = 1e-3) -> float:
+def recommended_window_radius(params: SystemParams) -> float:
     """Window radius keeping the discarded interference tail small.
 
     Chooses the radius at which the mean interference from beyond the
-    window is below ``tail_fraction`` of the in-window mean. The in-window
-    mean needs a near-field scale to be finite; it is cut at the mean
-    nearest-interferer distance 1/(2*sqrt(lambda_s)). Never below ten
+    window is below ``_TAIL_FRACTION`` (0.1%) of the in-window mean. The
+    in-window mean needs a near-field scale to be finite; it is cut at the
+    mean nearest-interferer distance 1/(2*sqrt(lambda_s)). Never below ten
     threshold distances; inf when alpha is so close to 2 that the radius
     overflows a float.
     """
-    if tail_fraction <= 0:
-        raise ParameterError("tail_fraction", f"tail_fraction must be positive, got {tail_fraction}")
     near = 1.0 / (2.0 * math.sqrt(params.lambda_s))
     try:
-        growth = ((1.0 + tail_fraction) / tail_fraction) ** (1.0 / (params.alpha - 2.0))
+        growth = ((1.0 + _TAIL_FRACTION) / _TAIL_FRACTION) ** (1.0 / (params.alpha - 2.0))
     except OverflowError:
         return math.inf
     return max(10.0 * params.r_th, near * growth)
@@ -323,8 +305,6 @@ def content_outage_trials(params: SystemParams, cfg: SimConfig):
 
 
 def _outage_trials(params: SystemParams, cfg: SimConfig):
-    if cfg.mode is not Mode.EMULATED:
-        raise ParameterError("mode", f"emulated association required, got mode={cfg.mode.value}")
     if params.pc <= 0.0:
         raise ParameterError(
             "cache_size_d",
@@ -378,13 +358,12 @@ def estimate_physical(params: SystemParams, cfg: SimConfig) -> Estimate:
     (pushing outage up, dominant at small pc). Trials with no caching SBS
     within r_th are discarded and counted in ``n_discarded``. Each SBS
     within r_th caches the content independently with probability pc, as
-    in :func:`estimate_cache_hit`.
+    in :func:`estimate_cache_hit`; the SIR is :func:`sir_sample` with the
+    serving SBS taken out of the field.
 
     Raises :class:`DegenerateSampleError` when no trial survives the
     conditioning.
     """
-    if cfg.mode is not Mode.PHYSICAL:
-        raise ParameterError("mode", f"physical association required, got mode={cfg.mode.value}")
     window = _resolve_window(params, cfg)
 
     def one(i: int):
@@ -396,14 +375,8 @@ def estimate_physical(params: SystemParams, cfg: SimConfig) -> Estimate:
         if caching.size == 0:
             return None
         serving = int(caching[np.argmin(radii[caching])])
-        h = rng.exponential(size=field.n)
-        with np.errstate(divide="ignore"):
-            power = h * radii**-params.alpha
-        signal = float(power[serving])
-        interference = float(power.sum() - power[serving])
-        if interference == 0.0:
-            return False  # lone SBS in the window: infinite SIR, coverage
-        return bool(signal / interference < params.gamma)
+        others = PointSet(r=np.delete(radii, serving), window_radius=window)
+        return sir_sample(float(radii[serving]), others, params.alpha, rng) < params.gamma
 
     results = _map_trials(cfg.trials, one)
     effective = [r for r in results if r is not None]

@@ -25,7 +25,6 @@ from .model import (
 )
 from .simulate import (
     DegenerateSampleError,
-    Mode,
     SimConfig,
     estimate_cache_hit,
     estimate_content_outage,
@@ -206,7 +205,6 @@ def _sim_to_dict(sim: SimConfig | None) -> dict | None:
         "trials": sim.trials,
         "master_seed": sim.master_seed,
         "window_radius": sim.window_radius,
-        "mode": sim.mode.value,
     }
 
 
@@ -240,7 +238,10 @@ def spec_to_dict(spec: SweepSpec) -> dict:
 
 
 def spec_from_dict(data: dict) -> SweepSpec:
-    """Inverse of :func:`spec_to_dict`; raises ParameterError on bad fields."""
+    """Inverse of :func:`spec_to_dict`; raises ParameterError on bad fields.
+
+    Sweeps are emulated: a ``sim.mode`` other than ``"emulated"`` is refused.
+    """
     try:
         base = SystemParams(
             lambda_s=float(data["base"]["lambda_s"]),
@@ -251,6 +252,8 @@ def spec_from_dict(data: dict) -> SweepSpec:
             library_size=int(data["base"]["library_size"]),
         )
         sim = data.get("sim")
+        if sim is not None and sim.get("mode", "emulated") != "emulated":
+            raise ParameterError("mode", f"sweeps are emulated only, got mode={sim['mode']!r}")
         return SweepSpec(
             base=base,
             axis=Axis(data["axis"]),
@@ -268,7 +271,6 @@ def spec_from_dict(data: dict) -> SweepSpec:
                 window_radius=None
                 if sim.get("window_radius") is None
                 else float(sim["window_radius"]),
-                mode=Mode(sim.get("mode", Mode.EMULATED.value)),
             ),
             label=str(data.get("label", "sweep")),
             note=str(data.get("note", "")),

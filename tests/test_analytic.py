@@ -6,6 +6,7 @@ Frozen reference values were computed with a 40-digit gamma/log evaluation
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from cachegeo.analytic import (
 )
 from cachegeo.model import (
     ParameterError,
-    ReplicationRatio,
     SystemParams,
     validate,
 )
@@ -175,7 +175,7 @@ def test_min_density_area_reference_values():
 
 
 def test_min_density_area_accepts_replication_ratio_type():
-    assert min_density_area_for_target(ReplicationRatio(0.1), 0.9) == pytest.approx(
+    assert min_density_area_for_target(Fraction(1, 10), 0.9) == pytest.approx(
         MIN_AREA_01_09, rel=1e-12
     )
 

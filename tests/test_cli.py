@@ -204,6 +204,35 @@ def test_sweep_config_file_with_flag_override(tmp_path, capsys):
     assert len(read_json(tmp_path / "cfg5_0.json").rows) == 5
 
 
+def _sim_config(tmp_path, **sim):
+    config = tmp_path / "spec.json"
+    config.write_text(json.dumps({
+        "base": {"lambda_s": 0.1, "alpha": 3.0, "gamma": 0.1, "r_th": 5.0,
+                 "cache_size_d": 2, "library_size": 100},
+        "axis": "gamma_db", "values": [-10.0, 0.0], "label": "mc",
+        "sim": {"trials": 20, "master_seed": 3, "window_radius": 50.0, **sim},
+    }), encoding="utf-8")
+    return config
+
+
+@pytest.mark.parametrize("mode", [{}, {"mode": "emulated"}], ids=["absent", "emulated"])
+def test_sweep_config_replays_emulated_or_modeless_sim(mode, tmp_path, capsys):
+    rc = main(["sweep", "--config", str(_sim_config(tmp_path, **mode)),
+               "--out", str(tmp_path)])
+    assert rc == 0
+    table = read_json(tmp_path / "mc_3.json")
+    assert all(row.sim_mean is not None for row in table.rows)
+    assert table.metadata["sim"] == {"trials": 20, "master_seed": 3, "window_radius": 50.0}
+
+
+def test_sweep_config_physical_mode_exits_2(tmp_path, capsys):
+    config = _sim_config(tmp_path, mode="physical")
+    rc = main(["sweep", "--config", str(config), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "(field: mode)" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config]  # no table written
+
+
 def test_figure_preset_writes_named_files(tmp_path, capsys):
     rc = main(["figure", "--fig", "2", "--seed", "7", "--out", str(tmp_path)])
     assert rc == 0

@@ -7,10 +7,8 @@ import pytest
 
 from cachegeo.model import (
     ParameterError,
-    ReplicationRatio,
     SystemParams,
     db_to_linear,
-    replication_ratio,
     validate,
     with_replication_ratio,
 )
@@ -67,32 +65,6 @@ def test_each_invariant_raises_naming_its_field(field, value):
 def test_validate_is_idempotent():
     p = make_params()
     assert validate(validate(p)) is p
-
-
-def test_replication_ratio_is_exact_quotient():
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        library = int(rng.integers(1, 10_000))
-        d = int(rng.integers(0, library + 1))
-        ratio = replication_ratio(make_params(cache_size_d=d, library_size=library))
-        assert ratio.value == d / library
-        assert 0.0 <= ratio.value <= 1.0
-
-
-def test_replication_ratio_extremes():
-    assert replication_ratio(make_params(cache_size_d=100)).value == 1.0
-    assert replication_ratio(make_params(cache_size_d=0)).value == 0.0
-
-
-def test_replication_ratio_rejects_out_of_range():
-    with pytest.raises(ParameterError):
-        ReplicationRatio(1.5)
-    with pytest.raises(ParameterError):
-        ReplicationRatio(-0.1)
-
-
-def test_replication_ratio_coerces_to_float():
-    assert float(ReplicationRatio(0.25)) == 0.25
 
 
 def test_db_to_linear_reference_points():
