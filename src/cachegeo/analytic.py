@@ -218,6 +218,18 @@ def content_outage_quadrature(params: SystemParams, rel_tol: float = 1e-10) -> f
     """
     if not (math.isfinite(rel_tol) and rel_tol > 0):
         raise ParameterError("rel_tol", f"tolerance must be positive, got {rel_tol}")
+    return _serving_distance_expectation(
+        params, lambda r: outage_at_distance(params, r), rel_tol
+    )
+
+
+def _serving_distance_expectation(params: SystemParams, fn, rel_tol: float) -> float:
+    """E[fn(r0)] over the serving-distance law, by adaptive quadrature on [0, r_th].
+
+    Integrates fn(r) * serving_distance_pdf(r) with both absolute and
+    relative tolerance ``rel_tol``; raises :class:`QuadratureError` when
+    the integrator's error estimate exceeds it.
+    """
     pc = params.pc
     if pc <= 0.0:
         raise ParameterError(
@@ -225,24 +237,21 @@ def content_outage_quadrature(params: SystemParams, rel_tol: float = 1e-10) -> f
             "content outage is conditioned on a cache hit, impossible at pc = 0",
         )
     rate = params.lambda_s * pc * math.pi
-    scale = (
-        params.lambda_s
-        * kappa(params.alpha)
-        * math.pi
-        * params.gamma ** (2.0 / params.alpha)
-    )
     norm = -math.expm1(-rate * params.r_th**2)
 
     def integrand(r: float) -> float:
-        outage = -math.expm1(-scale * r * r)
         pdf = 2.0 * rate * r * math.exp(-rate * r * r) / norm
-        return outage * pdf
+        return fn(r) * pdf
 
-    # hint the pdf's mode and effective support edge so a sharply peaked
-    # integrand on a wide interval is not missed by the first panels
-    mode = 1.0 / math.sqrt(2.0 * rate)
-    cutoff = math.sqrt(40.0 / rate)
-    breakpoints = sorted(p for p in (mode, cutoff) if 0.0 < p < params.r_th)
+    # hint the pdf's mode and effective support edge, and the distances over
+    # which the outage at distance r rises, so a sharply peaked integrand on
+    # a wide interval is not missed by the first panels
+    scale = params.lambda_s * kappa(params.alpha) * math.pi * params.gamma ** (2.0 / params.alpha)
+    hints = (
+        1.0 / math.sqrt(2.0 * rate), math.sqrt(40.0 / rate),
+        1.0 / math.sqrt(scale), math.sqrt(40.0 / scale),
+    )
+    breakpoints = sorted(p for p in hints if 0.0 < p < params.r_th)
     value, abserr = quad(
         integrand,
         0.0,

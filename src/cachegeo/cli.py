@@ -146,6 +146,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "trials": cfg.trials,
         "master_seed": cfg.master_seed,
         "window_radius": estimate.window_radius,
+        "truncation_bias": estimate.truncation_bias,
         "analytic_content_outage": analytic_value,
         "estimate": {
             "mean": estimate.mean,
@@ -165,6 +166,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             ("mode", args.mode),
             ("trials", str(cfg.trials)),
             ("window radius", estimate.window_radius),
+            ("truncation bias", "n/a" if estimate.truncation_bias is None
+             else estimate.truncation_bias),
             ("analytic outage", analytic_value),
             ("simulated mean", estimate.mean),
             (
@@ -226,7 +229,11 @@ def _write_table(spec: SweepSpec, out_dir: str, name: str, seed: int) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.config:
-        spec = spec_from_dict(json.loads(Path(args.config).read_text(encoding="utf-8")))
+        try:
+            data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ParameterError("config", f"{args.config} is not a JSON file: {exc}") from exc
+        spec = spec_from_dict(data)
     else:
         required = ("axis", "start", "stop", "steps", "lambda_s", "alpha",
                     "gamma_db", "rth", "cache_size_d", "library_size")
@@ -350,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--mode", choices=list(_MODE_ESTIMATORS), default="emulated")
     p.add_argument("--window", type=float, default=None,
-                   help="interference window radius [m] (default: recommended truncation radius)")
+                   help="interference window radius [m] (default: smallest radius whose "
+                   "truncation bias is within a quarter of the 99%% half-width)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_simulate)
 

@@ -2,22 +2,27 @@
 
 Every trial owns a counter-based RNG stream derived from the master seed
 and the trial index, so estimates are bit-identical for a given
-configuration no matter how many workers run the trials. The worker count
-is capped by the ``CACHEGEO_THREADS`` environment variable (0 or unset
-means auto) and never affects results.
+configuration. Trials run serially, in index order.
+
+Interferers are sampled on a finite disc, which lowers the emulated outage
+below its infinite-plane value by an exactly computable truncation bias
+(:func:`truncation_bias`). The default disc is the smallest one whose bias
+fits a quarter of the run's 99% confidence half-width, and every emulated
+estimate reports the bias of the disc it used.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
+from scipy.optimize import brentq
+from scipy.special import hyp2f1
 
+from .analytic import _serving_distance_expectation, content_outage
 from .model import ParameterError, SystemParams
 
 __all__ = [
@@ -31,22 +36,23 @@ __all__ = [
     "draw_serving_distance",
     "sir_sample",
     "interference_tail_mean",
+    "interference_tail_exponent",
+    "truncation_bias",
     "recommended_window_radius",
     "content_outage_trials",
     "estimate_content_outage",
     "estimate_cache_hit",
     "estimate_physical",
     "binomial_ci",
-    "worker_count",
 ]
 
 _SEED_SPACE = 2**64
 _MAX_POINTS_PER_TRIAL = 5 * 10**7  # mean field size; ~400 MB per float64 array
-_TAIL_FRACTION = 1e-3  # discarded tail / in-window mean interference, default window
+_WINDOW_RTOL = 1e-6  # relative accuracy of the default window's root find
 
 
 class TruncationWindowWarning(UserWarning):
-    """Interference window smaller than the recommended truncation radius."""
+    """Interference window whose truncation bias exceeds the run's budget."""
 
 
 class DegenerateSampleError(RuntimeError):
@@ -59,7 +65,7 @@ class SimConfig:
 
     ``window_radius`` is the radius of the disc on which interferers are
     sampled; None resolves to :func:`recommended_window_radius` for the
-    parameters of the run.
+    parameters and the trial count of the run.
     """
 
     trials: int = 5000
@@ -87,7 +93,11 @@ class Estimate:
 
     ``n`` is the effective sample size; ``n_discarded`` counts trials
     dropped by a conditioning event (physical mode only);
-    ``window_radius`` is the radius of the disc the fields were sampled on.
+    ``window_radius`` is the radius of the disc the fields were sampled on;
+    ``truncation_bias`` is how far that disc lowers the expected outage
+    below its infinite-plane value (:func:`truncation_bias`): 0.0 for the
+    cache hit, whose field on r_th is exact, and None in physical mode,
+    for which no formula is derived.
     """
 
     mean: float
@@ -97,6 +107,7 @@ class Estimate:
     n: int
     n_discarded: int = 0
     window_radius: float | None = None
+    truncation_bias: float | None = None
 
     def contains(self, value: float) -> bool:
         return self.ci_low <= value <= self.ci_high
@@ -222,74 +233,128 @@ def interference_tail_mean(lambda_s: float, alpha: float, radius: float) -> floa
     return 2.0 * math.pi * lambda_s * radius ** (2.0 - alpha) / (alpha - 2.0)
 
 
-def recommended_window_radius(params: SystemParams) -> float:
-    """Window radius keeping the discarded interference tail small.
+def interference_tail_exponent(lambda_s: float, alpha: float, s: float, radius: float) -> float:
+    """-ln of the Laplace transform at ``s`` of the faded interference from beyond ``radius``.
 
-    Chooses the radius at which the mean interference from beyond the
-    window is below ``_TAIL_FRACTION`` (0.1%) of the in-window mean. The
-    in-window mean needs a near-field scale to be finite; it is cut at the
-    mean nearest-interferer distance 1/(2*sqrt(lambda_s)). Never below ten
-    threshold distances; inf when alpha is so close to 2 that the radius
-    overflows a float.
+    The probability generating functional of the Poisson field with
+    unit-mean exponential fading gives
+    T_R(s) = 2*pi*lambda_s * s * R**(2-alpha) / (alpha - 2)
+             * 2F1(1, 1 - 2/alpha; 2 - 2/alpha; -s * R**-alpha),
+    the Euler-integral form of 2*pi*lambda_s * int_R^inf r / (1 + r**alpha / s) dr.
     """
-    near = 1.0 / (2.0 * math.sqrt(params.lambda_s))
-    try:
-        growth = ((1.0 + _TAIL_FRACTION) / _TAIL_FRACTION) ** (1.0 / (params.alpha - 2.0))
-    except OverflowError:
-        return math.inf
-    return max(10.0 * params.r_th, near * growth)
+    if alpha <= 2:
+        raise ParameterError("alpha", f"alpha must exceed 2, got {alpha}")
+    if radius <= 0:
+        raise ParameterError("window_radius", f"radius must be positive, got {radius}")
+    delta = 2.0 / alpha
+    return (
+        2.0 * math.pi * lambda_s * s * radius ** (2.0 - alpha) / (alpha - 2.0)
+        * hyp2f1(1.0, 1.0 - delta, 2.0 - delta, -s * radius**-alpha)
+    )
 
 
-def worker_count() -> int:
-    """Worker cap from ``CACHEGEO_THREADS`` (0 or unset means auto)."""
-    raw = os.environ.get("CACHEGEO_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
+def truncation_bias(params: SystemParams, radius: float) -> float:
+    """How far a window of ``radius`` lowers the expected emulated outage.
+
+    Given the serving distance r0, a trial covers with probability L(s),
+    the Laplace transform of its interference at s = gamma*r0**alpha. The
+    field inside the window gives L_R(s) = exp(-pi*lambda_s*R**2 *
+    2F1(1, 2/alpha; 1 + 2/alpha; -R**alpha/s)); the infinite plane gives
+    L_inf(s) = L_R(s)*exp(-T_R(s)), with T_R from
+    :func:`interference_tail_exponent`. The bias is E[L_R - L_inf] =
+    E[L_R*(1 - exp(-T_R))] over the serving-distance law: nonnegative,
+    falling in ``radius``, and free of the cancellation that subtracting
+    two near-equal exponents would bring near alpha = 2.
+    """
+    if radius < params.r_th:
         raise ParameterError(
-            "CACHEGEO_THREADS", f"CACHEGEO_THREADS must be an integer, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise ParameterError(
-            "CACHEGEO_THREADS", f"CACHEGEO_THREADS must be nonnegative, got {value}"
+            "window_radius",
+            f"window_radius {radius} must cover the threshold distance {params.r_th}",
         )
-    if value == 0:
-        return min(os.cpu_count() or 1, 8)
-    return value
+    delta = 2.0 / params.alpha
+    area = radius * radius
+
+    def excess_coverage(r0: float) -> float:
+        # both exponents are R**2 times a function of v = s*R**-alpha alone;
+        # r0 <= r_th <= R keeps v <= gamma, so no power overflows
+        v = params.gamma * (r0 / radius) ** params.alpha
+        if v == 0.0:
+            return 0.0  # nothing beyond the window reaches the serving link
+        inside = math.pi * params.lambda_s * hyp2f1(1.0, delta, 1.0 + delta, -1.0 / v)
+        tail = interference_tail_exponent(params.lambda_s, params.alpha, v, 1.0)
+        return math.exp(-area * inside) * -math.expm1(-area * tail)
+
+    return _serving_distance_expectation(params, excess_coverage, 1e-10)
+
+
+def _bias_budget(params: SystemParams, trials: int) -> float:
+    """A quarter of the Wilson 99% half-width at the closed-form outage over ``trials`` samples.
+
+    The Wilson half-width stays positive where the outage is 0 or 1.
+    """
+    low, high = binomial_ci(content_outage(params) * trials, trials)
+    return (high - low) / 8.0
+
+
+def recommended_window_radius(params: SystemParams, trials: int) -> float:
+    """Default window: the smallest radius whose truncation bias fits the budget.
+
+    The budget is a quarter of the 99% Wilson half-width that ``trials``
+    samples give at the closed-form outage. Returns max(10*r_th, R*),
+    where R* is the smallest radius whose :func:`truncation_bias` is
+    within the budget; the bias falls monotonically in the radius, so R*
+    is bracketed by doubling and found by a root search. Returns inf when
+    R* lies beyond the per-trial point cap.
+    """
+    budget = _bias_budget(params, trials)
+
+    def excess(radius: float) -> float:
+        return truncation_bias(params, radius) - budget
+
+    cap = math.sqrt(_MAX_POINTS_PER_TRIAL / (params.lambda_s * math.pi))
+    floor = 10.0 * params.r_th
+    lo = hi = floor
+    while excess(hi) > 0.0:
+        if hi >= cap:
+            return math.inf
+        lo, hi = hi, min(2.0 * hi, cap)
+    if hi == floor:
+        return floor
+    root = brentq(excess, lo, hi, xtol=_WINDOW_RTOL * lo, rtol=_WINDOW_RTOL)
+    # brentq puts R* within 2*_WINDOW_RTOL*root of root; the step up lands
+    # on the side whose bias meets the budget
+    return min(hi, root * (1.0 + 2.0 * _WINDOW_RTOL))
 
 
 def _map_trials(n_trials: int, fn):
-    """Apply ``fn`` to every trial index, combining in index order.
-
-    The per-trial RNG streams make results independent of the partition,
-    so any worker count returns the same list.
-    """
-    workers = worker_count()
-    if workers <= 1 or n_trials < 64:
-        return [fn(i) for i in range(n_trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, n_trials // (workers * 4))
-        return list(pool.map(fn, range(n_trials), chunksize=chunk))
+    """Apply ``fn`` to every trial index, in index order."""
+    return [fn(i) for i in range(n_trials)]
 
 
-def _resolve_window(params: SystemParams, cfg: SimConfig) -> float:
-    recommended = recommended_window_radius(params)
-    window = cfg.window_radius if cfg.window_radius is not None else recommended
-    if window < params.r_th:
-        raise ParameterError(
-            "window_radius",
-            f"window_radius {window} must cover the threshold distance {params.r_th}",
-        )
-    if window < recommended:
-        tail = interference_tail_mean(params.lambda_s, params.alpha, window)
+def _resolve_window(params: SystemParams, cfg: SimConfig) -> tuple[float, float]:
+    """The run's window radius and the truncation bias of the emulated outage on it."""
+    if cfg.window_radius is None:
+        window = recommended_window_radius(params, cfg.trials)
+        if window == math.inf:
+            raise ParameterError(
+                "window_radius",
+                f"no window of at most {_MAX_POINTS_PER_TRIAL:.0e} points per trial keeps "
+                f"the truncation bias at alpha {params.alpha:g} within a quarter of the 99% "
+                f"half-width of {cfg.trials} trials; pass a window to accept a larger bias",
+            )
+        return window, truncation_bias(params, window)
+    window = cfg.window_radius
+    bias = truncation_bias(params, window)
+    budget = _bias_budget(params, cfg.trials)
+    if bias > budget:
         warnings.warn(
-            f"window_radius {window:g} m is below the recommended truncation radius "
-            f"{recommended:g} m; mean interference of {tail:.3g} from beyond the window "
-            "is being discarded",
+            f"window_radius {window:g} m lowers the expected outage by {bias:.3g}, above "
+            f"the budget of {budget:.3g} (a quarter of the 99% half-width of "
+            f"{cfg.trials} trials)",
             TruncationWindowWarning,
             stacklevel=3,
         )
-    return window
+    return window, bias
 
 
 def content_outage_trials(params: SystemParams, cfg: SimConfig):
@@ -301,7 +366,7 @@ def content_outage_trials(params: SystemParams, cfg: SimConfig):
     :func:`estimate_content_outage` aggregates them, and callers can bin
     them by distance for conditional checks.
     """
-    return _outage_trials(params, cfg)[1:]
+    return _outage_trials(params, cfg)[2:]
 
 
 def _outage_trials(params: SystemParams, cfg: SimConfig):
@@ -310,7 +375,7 @@ def _outage_trials(params: SystemParams, cfg: SimConfig):
             "cache_size_d",
             "content outage is conditioned on a cache hit, impossible at pc = 0",
         )
-    window = _resolve_window(params, cfg)
+    window, bias = _resolve_window(params, cfg)
 
     def one(i: int):
         rng = trial_stream(cfg.master_seed, i)
@@ -321,13 +386,15 @@ def _outage_trials(params: SystemParams, cfg: SimConfig):
     results = _map_trials(cfg.trials, one)
     distances = np.array([r for r, _ in results])
     outages = np.array([o for _, o in results], dtype=bool)
-    return window, distances, outages
+    return window, bias, distances, outages
 
 
 def estimate_content_outage(params: SystemParams, cfg: SimConfig) -> Estimate:
     """Binomial estimate of the content outage fraction over ``cfg.trials`` realizations."""
-    window, _, outages = _outage_trials(params, cfg)
-    return _binomial_estimate(int(outages.sum()), cfg.trials, window_radius=window)
+    window, bias, _, outages = _outage_trials(params, cfg)
+    return _binomial_estimate(
+        int(outages.sum()), cfg.trials, window_radius=window, truncation_bias=bias
+    )
 
 
 def estimate_cache_hit(params: SystemParams, cfg: SimConfig) -> Estimate:
@@ -345,7 +412,9 @@ def estimate_cache_hit(params: SystemParams, cfg: SimConfig) -> Estimate:
         return bool((rng.random(field.n) < params.pc).any())
 
     hits = _map_trials(cfg.trials, one)
-    return _binomial_estimate(sum(hits), cfg.trials, window_radius=params.r_th)
+    return _binomial_estimate(
+        sum(hits), cfg.trials, window_radius=params.r_th, truncation_bias=0.0
+    )
 
 
 def estimate_physical(params: SystemParams, cfg: SimConfig) -> Estimate:
@@ -364,7 +433,7 @@ def estimate_physical(params: SystemParams, cfg: SimConfig) -> Estimate:
     Raises :class:`DegenerateSampleError` when no trial survives the
     conditioning.
     """
-    window = _resolve_window(params, cfg)
+    window, _ = _resolve_window(params, cfg)
 
     def one(i: int):
         rng = trial_stream(cfg.master_seed, i)
@@ -391,11 +460,12 @@ def estimate_physical(params: SystemParams, cfg: SimConfig) -> Estimate:
     )
 
 
-def binomial_ci(successes: int, n: int, confidence: float = 0.99) -> tuple[float, float]:
+def binomial_ci(successes: float, n: int, confidence: float = 0.99) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion.
 
     Stays inside [0, 1] and always contains the point estimate, also at
     proportions of exactly 0 or 1, which the sweep tails produce.
+    ``successes`` may be an expected count, n times a probability.
     """
     if n <= 0:
         raise ParameterError("n", f"need at least one trial, got n={n}")
@@ -416,7 +486,7 @@ def binomial_ci(successes: int, n: int, confidence: float = 0.99) -> tuple[float
 
 def _binomial_estimate(
     successes: int, n: int, confidence: float = 0.99, n_discarded: int = 0,
-    window_radius: float | None = None,
+    window_radius: float | None = None, truncation_bias: float | None = None,
 ) -> Estimate:
     low, high = binomial_ci(successes, n, confidence)
     return Estimate(
@@ -427,4 +497,5 @@ def _binomial_estimate(
         n=n,
         n_discarded=n_discarded,
         window_radius=window_radius,
+        truncation_bias=truncation_bias,
     )

@@ -242,6 +242,18 @@ def spec_from_dict(data: dict) -> SweepSpec:
 
     Sweeps are emulated: a ``sim.mode`` other than ``"emulated"`` is refused.
     """
+    if not isinstance(data, dict):
+        raise ParameterError(
+            "config", f"malformed sweep spec: expected an object, got {type(data).__name__}"
+        )
+    for key, kind, name in (("base", dict, "object"), ("sim", dict, "object"),
+                            ("values", list, "array")):
+        value = data.get(key)
+        if value is not None and not isinstance(value, kind):
+            raise ParameterError(
+                "config",
+                f"malformed sweep spec: {key} must be an {name}, got {type(value).__name__}",
+            )
     try:
         base = SystemParams(
             lambda_s=float(data["base"]["lambda_s"]),

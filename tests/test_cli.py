@@ -98,18 +98,6 @@ def test_simulate_same_seed_twice_is_byte_identical(capsys):
     assert first == second
 
 
-def test_simulate_independent_of_thread_cap(capsys, monkeypatch):
-    argv = ["simulate", *P_FLAGS, "--trials", "300", "--seed", "12",
-            "--window", "60", "--json"]
-    monkeypatch.setenv("CACHEGEO_THREADS", "1")
-    main(argv)
-    serial = capsys.readouterr().out
-    monkeypatch.setenv("CACHEGEO_THREADS", "2")
-    main(argv)
-    threaded = capsys.readouterr().out
-    assert serial == threaded
-
-
 def test_simulate_emulated_agrees_with_closed_form(capsys):
     rc = main(["simulate", *P_FLAGS, "--trials", "2000", "--seed", "3",
                "--window", "100", "--json"])
@@ -138,14 +126,25 @@ def test_simulate_degenerate_physical_exits_3(capsys):
     assert "effective sample size 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("alpha", ["2.005", "2.1", "2.5"])
+@pytest.mark.parametrize("alpha", ["2.005", "2.1", "2.3"])
 def test_simulate_unbounded_default_window_exits_2(alpha, capsys):
-    # near alpha = 2 the default window overflows or holds 1e11 points and more
-    # per trial; each is refused before any field is drawn
+    # below alpha ~ 2.41 no window of at most 5e7 points per trial meets the
+    # truncation-bias budget of the default 5000 trials; each run is refused
+    # before any field is drawn
     rc = main(["simulate", "--lambda", "0.1", "--alpha", alpha, "--gamma-db", "-10",
-               "--rth", "5", "--d", "2", "--library", "100", "--trials", "5"])
+               "--rth", "5", "--d", "2", "--library", "100"])
     assert rc == 2
     assert "(field: window_radius)" in capsys.readouterr().err
+
+
+def test_simulate_near_pole_default_window_fits_a_small_run(capsys):
+    # five trials have a loose budget: alpha = 2.5 runs at the 50 m floor
+    rc = main(["simulate", "--lambda", "0.1", "--alpha", "2.5", "--gamma-db", "-10",
+               "--rth", "5", "--d", "2", "--library", "100", "--trials", "5", "--json"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["window_radius"] == 50.0
+    assert 0.0 < payload["truncation_bias"] < 0.1
 
 
 # -- sweep and figure -----------------------------------------------------------
@@ -233,6 +232,29 @@ def test_sweep_config_physical_mode_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [config]  # no table written
 
 
+def test_sweep_config_that_is_not_json_exits_2(tmp_path, capsys):
+    config = tmp_path / "spec.json"
+    config.write_text("{", encoding="utf-8")
+    rc = main(["sweep", "--config", str(config), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "(field: config)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda c: [c], lambda c: {**c, "sim": 5}, lambda c: {**c, "base": [1]},
+     lambda c: {**c, "values": "12"}],
+    ids=["top-level-list", "sim-number", "base-list", "values-string"],
+)
+def test_sweep_config_with_non_object_fields_exits_2(edit, tmp_path, capsys):
+    config = _sim_config(tmp_path)
+    config.write_text(json.dumps(edit(json.loads(config.read_text()))), encoding="utf-8")
+    rc = main(["sweep", "--config", str(config), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "(field: config)" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_figure_preset_writes_named_files(tmp_path, capsys):
     rc = main(["figure", "--fig", "2", "--seed", "7", "--out", str(tmp_path)])
     assert rc == 0
@@ -296,9 +318,3 @@ def test_plan_requires_exactly_one_unknown():
         main(["plan", "--epsilon", "0.9", "--rth", "10"])
     assert excinfo.value.code == 2
 
-
-def test_invalid_thread_cap_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("CACHEGEO_THREADS", "lots")
-    rc = main(["simulate", *P_FLAGS, "--trials", "100", "--seed", "0", "--window", "60"])
-    assert rc == 2
-    assert "CACHEGEO_THREADS" in capsys.readouterr().err

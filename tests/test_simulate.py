@@ -1,6 +1,7 @@
 """Monte Carlo engine: sampling laws, SIR draws, estimators, determinism."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from cachegeo.simulate import (
     sample_ppp,
     sir_sample,
     trial_stream,
+    truncation_bias,
 )
 
 WILSON_50_100_95 = (0.403831530366, 0.596168469634)  # direct-formula oracle
@@ -304,9 +306,11 @@ def test_physical_mode_hit_share_follows_cache_hit_law(cache_size_d):
     # so the effective count is binomial in the closed-form hit probability
     p = make_params(cache_size_d=cache_size_d)
     trials = 3000
-    est = estimate_physical(
-        p, SimConfig(trials=trials, master_seed=12, window_radius=20.0)
-    )
+    # the hit law does not depend on the window, so a small one is enough
+    with pytest.warns(TruncationWindowWarning):
+        est = estimate_physical(
+            p, SimConfig(trials=trials, master_seed=12, window_radius=20.0)
+        )
     low, high = stats.binom.interval(1.0 - 1e-6, trials, cache_hit_prob(p))
     assert low <= est.n <= high
 
@@ -348,16 +352,6 @@ def test_wilson_interval_rejects_bad_inputs():
 # -- determinism and configuration ----------------------------------------------------------------
 
 
-def test_estimates_are_bit_identical_across_worker_counts(monkeypatch):
-    p = make_params()
-    cfg = SimConfig(trials=600, master_seed=99, window_radius=80.0)
-    monkeypatch.setenv("CACHEGEO_THREADS", "1")
-    serial = estimate_content_outage(p, cfg)
-    monkeypatch.setenv("CACHEGEO_THREADS", "3")
-    threaded = estimate_content_outage(p, cfg)
-    assert serial == threaded
-
-
 def test_trial_stream_layout_is_pinned():
     # exact outputs for fixed seeds: a refactor that shifts any trial's
     # draws changes these numbers, while the tests above would still pass
@@ -389,13 +383,6 @@ def test_estimate_repeats_bit_identically():
     assert estimate_content_outage(p, cfg) == estimate_content_outage(p, cfg)
 
 
-def test_invalid_thread_cap_rejected(monkeypatch):
-    monkeypatch.setenv("CACHEGEO_THREADS", "many")
-    p = make_params()
-    with pytest.raises(ParameterError):
-        estimate_cache_hit(p, SimConfig(trials=100, master_seed=0))
-
-
 def test_sim_config_validation():
     with pytest.raises(ParameterError):
         SimConfig(trials=0)
@@ -417,18 +404,27 @@ def test_estimate_interval_brackets_mean():
 
 
 def test_recommended_window_covers_ten_thresholds():
-    p = make_params(alpha=6.0)
-    assert recommended_window_radius(p) >= 10.0 * p.r_th
+    # the budget of 64 trials is met at 9.2 m, and that of 5000 trials at
+    # alpha = 6 closer still; both windows stay at the floor
+    assert recommended_window_radius(make_params(), 64) == 50.0
+    assert recommended_window_radius(make_params(alpha=6.0), 5000) == 50.0
 
 
 def test_recommended_window_grows_toward_the_pole():
-    near_pole = recommended_window_radius(make_params(alpha=2.5))
-    far = recommended_window_radius(make_params(alpha=5.0))
-    assert near_pole > far
+    # 68.2 m at alpha = 3 and 2.6 km at alpha = 2.5 for 5000 trials, the
+    # reference windows quoted in the README
+    near_pole = recommended_window_radius(make_params(alpha=2.5), 5000)
+    far = recommended_window_radius(make_params(alpha=3.0), 5000)
+    assert far == pytest.approx(68.2, abs=0.05)
+    assert near_pole == pytest.approx(2589.3, abs=0.5)
 
 
 def test_recommended_window_is_infinite_when_it_overflows():
-    assert recommended_window_radius(make_params(alpha=2.005)) == math.inf
+    # below alpha ~ 2.41 no window within the point cap meets the budget of
+    # 5000 trials, while the looser budget of 5 trials is met at the floor
+    p = make_params(alpha=2.3)
+    assert recommended_window_radius(p, 5000) == math.inf
+    assert recommended_window_radius(p, 5) == 10.0 * p.r_th
 
 
 def test_tail_mean_formula():
@@ -439,10 +435,16 @@ def test_tail_mean_formula():
 
 
 def test_small_window_emits_truncation_warning():
+    # a 10 m window lowers the outage by 0.031: above the budget of 500
+    # trials (0.012), within that of 8 trials (0.078)
     p = make_params()
-    cfg = SimConfig(trials=8, master_seed=0, window_radius=p.r_th * 2)
+    cfg = SimConfig(trials=500, master_seed=0, window_radius=p.r_th * 2)
     with pytest.warns(TruncationWindowWarning):
-        estimate_content_outage(p, cfg)
+        est = estimate_content_outage(p, cfg)
+    assert est.truncation_bias == truncation_bias(p, p.r_th * 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWindowWarning)
+        estimate_content_outage(p, SimConfig(trials=8, master_seed=0, window_radius=p.r_th * 2))
 
 
 def test_window_below_threshold_distance_rejected():
