@@ -1,8 +1,10 @@
 """Monte Carlo engine: Poisson fields, conditional serving distances, SIR draws.
 
-Every trial owns a counter-based RNG stream derived from the master seed
-and the trial index, so estimates are bit-identical for a given
-configuration. Trials run serially, in index order.
+Trials run in consecutive blocks, vectorised within each block. Every
+block owns a counter-based RNG stream derived from the master seed and
+the block index, and the block size follows from the mean field size, so
+estimates are a function of (params, config, seed) and bit-identical
+across runs.
 
 Interferers are sampled on a finite disc, which lowers the emulated outage
 below its infinite-plane value by an exactly computable truncation bias
@@ -49,6 +51,8 @@ __all__ = [
 _SEED_SPACE = 2**64
 _MAX_POINTS_PER_TRIAL = 5 * 10**7  # mean field size; ~400 MB per float64 array
 _WINDOW_RTOL = 1e-6  # relative accuracy of the default window's root find
+_BLOCK_POINTS = 2**16  # mean points sampled per block of trials
+_BLOCK_TRIALS = 4096  # most trials per block, reached on fields of few points
 
 
 class TruncationWindowWarning(UserWarning):
@@ -115,42 +119,55 @@ class Estimate:
 
 @dataclass(frozen=True)
 class PointSet:
-    """Points on an origin-centered disc of radius ``window_radius``, kept as distances.
+    """The fields of one block of trials, kept as distances from the origin.
 
-    Interference and association depend on where the points are only
-    through their distances from the origin, so no angles are kept.
+    ``r`` holds every field's distances, field after field, and
+    ``counts[k]`` is the number of points of field k. Interference and
+    association depend on where the points are only through their
+    distances from the origin, so no angles are kept.
     """
 
-    r: np.ndarray  # shape (n,), meters
-    window_radius: float
+    r: np.ndarray  # shape (n,), meters, grouped by field
+    counts: np.ndarray  # shape (fields,), points per field
 
     @property
     def n(self) -> int:
+        """Points over all fields."""
         return self.r.shape[0]
 
     def radii(self) -> np.ndarray:
         """Distances of all points from the origin."""
         return self.r
 
+    def owners(self) -> np.ndarray:
+        """Index of the field that holds each point."""
+        return np.repeat(np.arange(self.counts.size), self.counts)
 
-def trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Independent counter-based RNG stream for one trial.
+
+def trial_stream(master_seed: int, block_index: int) -> np.random.Generator:
+    """Counter-based RNG stream for one block of trials.
 
     All streams share the Philox key ``master_seed`` and are separated by
-    the 128-bit counter block ``trial_index``, so any subset of trials can
-    run in any order, serially or in parallel, with identical draws.
+    the 128-bit counter block ``block_index`` (Salmon et al., SC 2011).
+    The trials of a run fill consecutive blocks whose size follows the
+    mean field size, so results are a function of (params, config, seed).
     """
-    bitgen = np.random.Philox(key=master_seed, counter=trial_index << 128)
+    bitgen = np.random.Philox(key=master_seed, counter=block_index << 128)
     return np.random.Generator(bitgen)
 
 
-def sample_ppp(lambda_s: float, window_radius: float, rng: np.random.Generator) -> PointSet:
-    """One realization of a homogeneous Poisson field on the disc.
+def sample_ppp(
+    lambda_s: float, window_radius: float, rng: np.random.Generator, size: int
+) -> PointSet:
+    """``size`` independent realizations of a homogeneous Poisson field on the disc.
 
-    The count is Poisson with mean lambda_s * pi * window_radius**2 and
-    positions are i.i.d. uniform on the disc, so each distance is
-    window_radius times the sqrt of a uniform draw. Raises ParameterError,
-    before any draw, when the mean count exceeds the per-trial point cap.
+    Each field's count is Poisson with mean lambda_s * pi * window_radius**2
+    and its points are i.i.d. uniform on the disc, so each distance is
+    window_radius times the sqrt of a uniform draw; no angle is drawn.
+    Raises ParameterError, before any draw, when the mean count of a field
+    exceeds the per-trial point cap. The estimators pass their block's
+    stream and size, about 2**16 points' worth of fields, so the draws are
+    a function of (params, config, seed).
     """
     if lambda_s <= 0:
         raise ParameterError("lambda_s", f"lambda_s must be positive, got {lambda_s}")
@@ -163,10 +180,9 @@ def sample_ppp(lambda_s: float, window_radius: float, rng: np.random.Generator) 
             f"window_radius {window_radius:g} m at lambda_s {lambda_s:g} holds {mean:.3g} "
             f"points per trial on average, above the cap of {_MAX_POINTS_PER_TRIAL:.0e}",
         )
-    n = int(rng.poisson(mean))
-    r = window_radius * np.sqrt(rng.random(n))
-    rng.random(n)  # the angles: drawn and dropped to keep every trial's stream layout
-    return PointSet(r=r, window_radius=float(window_radius))
+    counts = rng.poisson(mean, size)
+    r = window_radius * np.sqrt(rng.random(int(counts.sum())))
+    return PointSet(r=r, counts=counts)
 
 
 def draw_serving_distance(
@@ -193,31 +209,28 @@ def draw_serving_distance(
 
 
 def sir_sample(
-    serving_r: float,
+    serving_r: np.ndarray,
     interferers: PointSet,
     alpha: float,
     rng: np.random.Generator,
-) -> float:
-    """One SIR draw for a serving link at ``serving_r`` against a faded field.
+) -> np.ndarray:
+    """One SIR draw per field of a block: h0 / sum_i h_i * (r0 / r_i)**alpha.
 
-    The serving link is an extra point: every member of ``interferers``
-    contributes to the denominator, the serving SBS is not excluded. All
-    fading gains are exponential with mean 1. Returns inf when the
-    interference sum is zero (empty field), which callers count as
-    coverage.
+    Field k is served over a link at ``serving_r[k]`` and every point of
+    field k interferes; the serving link is not one of them. All fading
+    gains are exponential with mean 1. Dividing the path gains by the
+    serving one keeps every factor free of r0**-alpha: an empty field or
+    r0 = 0 gives inf, which callers count as coverage, and a term too large
+    for a float gives inf and so an SIR of 0, the limit of the exact value.
+    The fades come from ``rng``, the block's stream after its fields and
+    serving distances, so the SIRs are a function of (params, config, seed).
     """
-    h0 = float(rng.exponential())
-    if interferers.n == 0:
-        return math.inf
-    radii = interferers.radii()
+    h0 = rng.exponential(size=interferers.counts.size)
+    owner = interferers.owners()
     h = rng.exponential(size=interferers.n)
-    with np.errstate(divide="ignore"):
-        interference = float(np.sum(h * radii**-alpha))
-    if serving_r <= 0.0:
-        return math.inf  # zero-distance serving link dominates any finite interference
-    if interference == 0.0:
-        return math.inf
-    return h0 * serving_r**-alpha / interference
+    with np.errstate(over="ignore", divide="ignore"):
+        relative = h * (serving_r[owner] / interferers.radii()) ** alpha
+        return h0 / np.bincount(owner, weights=relative, minlength=interferers.counts.size)
 
 
 def interference_tail_mean(lambda_s: float, alpha: float, radius: float) -> float:
@@ -326,9 +339,16 @@ def recommended_window_radius(params: SystemParams, trials: int) -> float:
     return min(hi, root * (1.0 + 2.0 * _WINDOW_RTOL))
 
 
-def _map_trials(n_trials: int, fn):
-    """Apply ``fn`` to every trial index, in index order."""
-    return [fn(i) for i in range(n_trials)]
+def _blocks(cfg: SimConfig, lambda_s: float, window_radius: float):
+    """Yield the stream and the trial count of each consecutive block of the run.
+
+    A block holds about _BLOCK_POINTS points on average, and between one
+    and _BLOCK_TRIALS trials; its stream's counter is its index.
+    """
+    mean = lambda_s * math.pi * window_radius**2
+    per_block = int(min(_BLOCK_TRIALS, max(1.0, _BLOCK_POINTS / mean)))
+    for index, start in enumerate(range(0, cfg.trials, per_block)):
+        yield trial_stream(cfg.master_seed, index), min(per_block, cfg.trials - start)
 
 
 def _resolve_window(params: SystemParams, cfg: SimConfig) -> tuple[float, float]:
@@ -376,17 +396,13 @@ def _outage_trials(params: SystemParams, cfg: SimConfig):
             "content outage is conditioned on a cache hit, impossible at pc = 0",
         )
     window, bias = _resolve_window(params, cfg)
-
-    def one(i: int):
-        rng = trial_stream(cfg.master_seed, i)
-        field = sample_ppp(params.lambda_s, window, rng)
-        r0 = draw_serving_distance(params, rng)
-        return r0, sir_sample(r0, field, params.alpha, rng) < params.gamma
-
-    results = _map_trials(cfg.trials, one)
-    distances = np.array([r for r, _ in results])
-    outages = np.array([o for _, o in results], dtype=bool)
-    return window, bias, distances, outages
+    distances, outages = [], []
+    for rng, size in _blocks(cfg, params.lambda_s, window):
+        field = sample_ppp(params.lambda_s, window, rng, size)
+        r0 = draw_serving_distance(params, rng, size)
+        distances.append(r0)
+        outages.append(sir_sample(r0, field, params.alpha, rng) < params.gamma)
+    return window, bias, np.concatenate(distances), np.concatenate(outages)
 
 
 def estimate_content_outage(params: SystemParams, cfg: SimConfig) -> Estimate:
@@ -404,17 +420,13 @@ def estimate_cache_hit(params: SystemParams, cfg: SimConfig) -> Estimate:
     SBS as holding the requested content independently with probability
     pc; under uniform popularity this is exactly drawing d of |C| contents
     without replacement and checking membership. A hit is at least one
-    marked SBS.
+    marked SBS, so the marked count of a field is Binomial(count, pc).
     """
-    def one(i: int) -> bool:
-        rng = trial_stream(cfg.master_seed, i)
-        field = sample_ppp(params.lambda_s, params.r_th, rng)
-        return bool((rng.random(field.n) < params.pc).any())
-
-    hits = _map_trials(cfg.trials, one)
-    return _binomial_estimate(
-        sum(hits), cfg.trials, window_radius=params.r_th, truncation_bias=0.0
-    )
+    hits = 0
+    for rng, size in _blocks(cfg, params.lambda_s, params.r_th):
+        field = sample_ppp(params.lambda_s, params.r_th, rng, size)
+        hits += int(np.count_nonzero(rng.binomial(field.counts, params.pc)))
+    return _binomial_estimate(hits, cfg.trials, window_radius=params.r_th, truncation_bias=0.0)
 
 
 def estimate_physical(params: SystemParams, cfg: SimConfig) -> Estimate:
@@ -428,35 +440,38 @@ def estimate_physical(params: SystemParams, cfg: SimConfig) -> Estimate:
     within r_th are discarded and counted in ``n_discarded``. Each SBS
     within r_th caches the content independently with probability pc, as
     in :func:`estimate_cache_hit`; the SIR is :func:`sir_sample` with the
-    serving SBS taken out of the field.
+    serving SBS taken out of its field.
 
     Raises :class:`DegenerateSampleError` when no trial survives the
     conditioning.
     """
     window, _ = _resolve_window(params, cfg)
-
-    def one(i: int):
-        rng = trial_stream(cfg.master_seed, i)
-        field = sample_ppp(params.lambda_s, window, rng)
-        radii = field.radii()
+    outages = effective = 0
+    for rng, size in _blocks(cfg, params.lambda_s, window):
+        field = sample_ppp(params.lambda_s, window, rng, size)
+        radii, owner = field.radii(), field.owners()
         in_range = np.flatnonzero(radii <= params.r_th)
         caching = in_range[rng.random(in_range.size) < params.pc]
-        if caching.size == 0:
-            return None
-        serving = int(caching[np.argmin(radii[caching])])
-        others = PointSet(r=np.delete(radii, serving), window_radius=window)
-        return sir_sample(float(radii[serving]), others, params.alpha, rng) < params.gamma
-
-    results = _map_trials(cfg.trials, one)
-    effective = [r for r in results if r is not None]
-    n_discarded = cfg.trials - len(effective)
-    if not effective:
+        serving = caching[np.argsort(radii[caching])]
+        # np.unique keeps each field's first, so nearest, caching point: one
+        # server per field with a hit, also where two share a distance
+        served, first = np.unique(owner[serving], return_index=True)
+        serving = serving[first]
+        hit = np.zeros(size, dtype=bool)
+        hit[served] = True
+        keep = hit[owner]
+        keep[serving] = False
+        others = PointSet(r=radii[keep], counts=field.counts[served] - 1)
+        sir = sir_sample(radii[serving], others, params.alpha, rng)
+        outages += int(np.count_nonzero(sir < params.gamma))
+        effective += served.size
+    if effective == 0:
         raise DegenerateSampleError(
             f"no caching SBS within r_th={params.r_th} in any of {cfg.trials} trials "
             "(effective sample size 0)"
         )
     return _binomial_estimate(
-        sum(effective), len(effective), n_discarded=n_discarded, window_radius=window
+        outages, effective, n_discarded=cfg.trials - effective, window_radius=window
     )
 
 

@@ -2,12 +2,16 @@
 
 import json
 import math
+import warnings
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cachegeo.analytic import cache_hit_prob, content_outage, kappa, optimal_density
 from cachegeo.cli import build_parser, main
-from cachegeo.model import SystemParams, db_to_linear, validate
+from cachegeo.model import ParameterError, SystemParams, db_to_linear, validate
+from cachegeo.simulate import TruncationWindowWarning, recommended_window_radius
 from cachegeo.sweep import read_json
 
 P_FLAGS = [
@@ -145,6 +149,66 @@ def test_simulate_near_pole_default_window_fits_a_small_run(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["window_radius"] == 50.0
     assert 0.0 < payload["truncation_bias"] < 0.1
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--alpha", "400"],
+     ["--alpha", "400", "--mode", "physical", "--window", "60"],
+     ["--alpha", "500", "--mode", "physical", "--window", "60"]],
+    ids=["emulated-400", "physical-400", "physical-500"],
+)
+def test_simulate_at_huge_alpha_runs_cleanly(extra, capsys):
+    # an interferer much nearer than the server makes its path gain
+    # overflow a float at these exponents; the run must neither raise nor warn
+    argv = ["simulate", "--lambda", "0.1", "--gamma-db", "-10", "--rth", "5", "--d", "2",
+            "--library", "100", "--trials", "5000", *extra]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+
+
+_FIELD_POINT_LIMIT = 2e5  # largest mean field a generated run may sample
+
+
+@st.composite
+def simulate_argv(draw):
+    library = draw(st.integers(1, 1000))
+    gamma_db = draw(st.floats(-60.0, 80.0))
+    params = validate(SystemParams(
+        lambda_s=10.0 ** draw(st.floats(-4.0, 0.0)),
+        alpha=draw(st.floats(2.05, 1000.0, exclude_min=True)),
+        gamma=db_to_linear(gamma_db),
+        r_th=10.0 ** draw(st.floats(-2.0, math.log10(20.0))),
+        cache_size_d=draw(st.integers(0, library)),
+        library_size=library,
+    ))
+    trials = draw(st.integers(1, 200))
+    window = draw(st.none() | st.floats(0.5, 50.0).map(lambda k: k * params.r_th))
+    try:
+        radius = window or recommended_window_radius(params, trials)
+    except ParameterError:
+        radius = 0.0  # the run exits 2 before drawing a field
+    assume(params.lambda_s * math.pi * radius**2 <= _FIELD_POINT_LIMIT)
+    argv = ["simulate", "--lambda", repr(params.lambda_s), "--alpha", repr(params.alpha),
+            f"--gamma-db={gamma_db!r}", "--rth", repr(params.r_th),
+            "--d", str(params.cache_size_d), "--library", str(library),
+            "--trials", str(trials), "--seed", str(draw(st.integers(0, 2**64 - 1))),
+            "--mode", draw(st.sampled_from(["emulated", "physical"]))]
+    return argv if window is None else [*argv, "--window", repr(window)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=simulate_argv())
+def test_simulate_exits_with_a_named_code(argv):
+    # every documented input ends in success, a validation error, a
+    # degenerate sample or an infeasible target, never an exception; a
+    # RuntimeWarning is an error here too (pyproject.toml)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWindowWarning)  # narrow explicit windows
+        assert main(argv) in (0, 2, 3, 4)
 
 
 # -- sweep and figure -----------------------------------------------------------

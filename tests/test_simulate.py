@@ -78,20 +78,17 @@ def test_ppp_mean_count_matches_intensity():
     rng = trial_stream(1, 0)
     draws = 10_000
     expected = 0.1 * math.pi * 400.0  # 125.66...
-    total = sum(sample_ppp(0.1, 20.0, rng).n for _ in range(draws))
+    fields = sample_ppp(0.1, 20.0, rng, draws)
+    total = fields.n
+    assert fields.counts.shape == (draws,) and fields.counts.sum() == total
     sigma = math.sqrt(expected / draws)
     assert abs(total / draws - expected) <= 3.0 * sigma
 
 
 def test_ppp_points_stay_inside_window_and_fill_it_uniformly():
     rng = trial_stream(2, 0)
-    pooled = []
-    for _ in range(200):
-        ps = sample_ppp(0.2, 15.0, rng)
-        radii = ps.radii()
-        assert (radii <= 15.0 + 1e-9).all()
-        pooled.append(radii)
-    radii = np.concatenate(pooled)
+    radii = sample_ppp(0.2, 15.0, rng, 200).radii()
+    assert (radii <= 15.0 + 1e-9).all()
     # uniform on the disc: (r/R)^2 is uniform on [0, 1]
     result = stats.kstest((radii / 15.0) ** 2, "uniform")
     assert result.statistic < stats.kstwobign.ppf(0.99) / math.sqrt(radii.size)
@@ -100,7 +97,7 @@ def test_ppp_points_stay_inside_window_and_fill_it_uniformly():
 def test_ppp_count_distribution_is_poisson():
     rng = trial_stream(3, 0)
     mu = 0.1 * math.pi * 25.0
-    counts = np.array([sample_ppp(0.1, 5.0, rng).n for _ in range(10_000)])
+    counts = sample_ppp(0.1, 5.0, rng, 10_000).counts
     # merge bins until every expected count is at least 5
     kmax = int(counts.max())
     observed = np.bincount(counts, minlength=kmax + 1).astype(float)
@@ -121,15 +118,15 @@ def test_ppp_count_distribution_is_poisson():
 def test_ppp_rejects_bad_arguments():
     rng = trial_stream(0, 0)
     with pytest.raises(ParameterError):
-        sample_ppp(0.0, 10.0, rng)
+        sample_ppp(0.0, 10.0, rng, 1)
     with pytest.raises(ParameterError):
-        sample_ppp(0.1, 0.0, rng)
+        sample_ppp(0.1, 0.0, rng, 1)
 
 
 def test_ppp_point_cap_rejects_before_any_draw():
     rng = trial_stream(0, 0)
     with pytest.raises(ParameterError) as excinfo:
-        sample_ppp(0.1, 1e5, rng)  # ~3.1e9 points per trial on average
+        sample_ppp(0.1, 1e5, rng, 1)  # ~3.1e9 points per trial on average
     assert excinfo.value.field == "window_radius"
     assert rng.random() == trial_stream(0, 0).random()
 
@@ -169,15 +166,27 @@ def test_serving_distance_matches_quadrature_cdf():
 # -- SIR draws --------------------------------------------------------------------------
 
 
-def test_sir_is_one_for_symmetric_single_interferer():
-    interferer = PointSet(r=np.array([3.0]), window_radius=10.0)
+def test_sir_per_field_symmetric_interferer_and_empty_field():
+    # one block of two fields: a single interferer at the serving distance
+    # gives SIR 1, and the empty second field must not see that interferer
+    block = PointSet(r=np.array([3.0]), counts=np.array([1, 0]))
     rng = FakeRng(exponential_value=1.0)
-    assert sir_sample(3.0, interferer, 3.0, rng) == 1.0
+    assert sir_sample(np.array([3.0, 2.0]), block, 3.0, rng).tolist() == [1.0, math.inf]
 
 
-def test_sir_with_no_interferers_is_infinite():
-    empty = PointSet(r=np.empty(0), window_radius=10.0)
-    assert sir_sample(2.0, empty, 3.0, trial_stream(5, 0)) == math.inf
+def test_sir_block_matches_per_field_loop():
+    # reference: each field's SIR from the absolute path gains, one field at a time
+    rng = trial_stream(9, 0)
+    block = sample_ppp(0.05, 12.0, rng, 50)
+    r0 = draw_serving_distance(make_params(), rng, 50)
+    sir = sir_sample(r0, block, 3.5, trial_stream(9, 1))
+    fades = trial_stream(9, 1)
+    h0 = fades.exponential(size=50)
+    h = np.split(fades.exponential(size=block.n), np.cumsum(block.counts)[:-1])
+    radii = np.split(block.radii(), np.cumsum(block.counts)[:-1])
+    for k in range(50):
+        reference = h0[k] * r0[k] ** -3.5 / np.sum(h[k] * radii[k] ** -3.5)
+        assert sir[k] == pytest.approx(reference, rel=1e-12)
 
 
 def test_sir_outage_fraction_matches_fixed_distance_law():
@@ -185,11 +194,9 @@ def test_sir_outage_fraction_matches_fixed_distance_law():
     # statistical resolution of the check
     lam, alpha, gamma_lin, r0, window = 0.01, 4.0, 1.0, 3.0, 60.0
     trials = 20_000
-    outages = 0
-    for i in range(trials):
-        rng = trial_stream(6, i)
-        field = sample_ppp(lam, window, rng)
-        outages += sir_sample(r0, field, alpha, rng) < gamma_lin
+    rng = trial_stream(6, 0)
+    fields = sample_ppp(lam, window, rng, trials)
+    outages = int((sir_sample(np.full(trials, r0), fields, alpha, rng) < gamma_lin).sum())
     p_ref = outage_at_distance(
         make_params(lambda_s=lam, alpha=alpha, gamma=gamma_lin, r_th=10.0), r0
     )
@@ -315,6 +322,21 @@ def test_physical_mode_hit_share_follows_cache_hit_law(cache_size_d):
     assert low <= est.n <= high
 
 
+def test_physical_mode_outage_follows_nearest_server_law():
+    # at pc = 1 the nearest SBS serves, and at alpha = 4 its outage given a
+    # server within r_th is 1 - (1 - exp(-a(1 + rho))) / ((1 + rho)(1 - exp(-a)))
+    # with a = pi*lambda*r_th^2 and rho = sqrt(gamma)*(pi/2 - arctan(1/sqrt(gamma)))
+    # (Andrews, Baccelli & Ganti 2011); the 80 m window lowers it by about 1e-3
+    p = make_params(lambda_s=0.1, alpha=4.0, gamma=1.0, r_th=5.0,
+                    cache_size_d=10, library_size=10)
+    rho = math.sqrt(p.gamma) * (math.pi / 2.0 - math.atan(1.0 / math.sqrt(p.gamma)))
+    a = math.pi * p.lambda_s * p.r_th**2
+    law = 1.0 - math.expm1(-a * (1.0 + rho)) / ((1.0 + rho) * math.expm1(-a))
+    est = estimate_physical(p, SimConfig(trials=20_000, master_seed=3, window_radius=80.0))
+    low, high = stats.binom.interval(1.0 - 1e-6, est.n, law)
+    assert low <= est.mean * est.n <= high
+
+
 # -- Wilson interval -----------------------------------------------------------------------------
 
 
@@ -359,13 +381,13 @@ def test_trial_stream_layout_is_pinned():
     distances, outages = content_outage_trials(
         p, SimConfig(trials=1000, master_seed=7, window_radius=100.0)
     )
-    assert int(outages.sum()) == 754
+    assert int(outages.sum()) == 751
     assert distances[:4].tolist() == [
-        4.625814326917505, 2.518804182722152, 3.5609580412374644, 1.2394342840489228
+        4.060763844383746, 3.5278156803130822, 3.82701127922573, 3.115512118106012
     ]
     hit = estimate_cache_hit(p, SimConfig(trials=3000, master_seed=8))
-    assert (hit.mean, hit.n, hit.n_discarded) == (443 / 3000, 3000, 0)
-    assert (hit.ci_low, hit.ci_high) == (0.13176038465547285, 0.16512797302644538)
+    assert (hit.mean, hit.n, hit.n_discarded) == (452 / 3000, 3000, 0)
+    assert (hit.ci_low, hit.ci_high) == (0.13461543179189994, 0.16825968537995467)
 
 
 def test_physical_trial_stream_is_pinned():
@@ -374,7 +396,7 @@ def test_physical_trial_stream_is_pinned():
     est = estimate_physical(
         make_params(), SimConfig(trials=2000, master_seed=8, window_radius=100.0)
     )
-    assert (est.mean, est.n, est.n_discarded) == (212 / 281, 281, 1719)
+    assert (est.mean, est.n, est.n_discarded) == (200 / 271, 271, 1729)
 
 
 def test_estimate_repeats_bit_identically():
