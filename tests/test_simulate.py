@@ -166,6 +166,17 @@ def test_serving_distance_matches_quadrature_cdf():
 # -- SIR draws --------------------------------------------------------------------------
 
 
+def test_sir_is_one_for_symmetric_single_interferer():
+    interferer = PointSet(r=np.array([3.0]), counts=np.array([1]))
+    rng = FakeRng(exponential_value=1.0)
+    assert sir_sample(np.array([3.0]), interferer, 3.0, rng).tolist() == [1.0]
+
+
+def test_sir_with_no_interferers_is_infinite():
+    empty = PointSet(r=np.empty(0), counts=np.array([0]))
+    assert sir_sample(np.array([2.0]), empty, 3.0, trial_stream(5, 0)).tolist() == [math.inf]
+
+
 def test_sir_per_field_symmetric_interferer_and_empty_field():
     # one block of two fields: a single interferer at the serving distance
     # gives SIR 1, and the empty second field must not see that interferer
