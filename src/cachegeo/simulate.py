@@ -2,9 +2,9 @@
 
 Trials run in consecutive blocks, vectorised within each block. Every
 block owns a counter-based RNG stream derived from the master seed and
-the block index, and the block size follows from the mean field size, so
-estimates are a function of (params, config, seed) and bit-identical
-across runs.
+the block index, and the block size follows from the mean number of points
+a trial samples, so estimates are a function of (params, config, seed) and
+bit-identical across runs.
 
 Interferers are sampled on a finite disc, which lowers the emulated outage
 below its infinite-plane value by an exactly computable truncation bias
@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import hyp2f1
 
-from .analytic import _serving_distance_expectation, content_outage
+from .analytic import _serving_distance_expectation, cache_hit_prob, content_outage
 from .model import ParameterError, SystemParams
 
 __all__ = [
@@ -169,6 +169,13 @@ def sample_ppp(
     stream and size, about 2**16 points' worth of fields, so the draws are
     a function of (params, config, seed).
     """
+    counts = rng.poisson(_field_mean(lambda_s, window_radius), size)
+    r = window_radius * np.sqrt(rng.random(int(counts.sum())))
+    return PointSet(r=r, counts=counts)
+
+
+def _field_mean(lambda_s: float, window_radius: float) -> float:
+    """Mean point count of a field on the disc; ParameterError above the per-trial cap."""
     if lambda_s <= 0:
         raise ParameterError("lambda_s", f"lambda_s must be positive, got {lambda_s}")
     if window_radius <= 0:
@@ -180,9 +187,7 @@ def sample_ppp(
             f"window_radius {window_radius:g} m at lambda_s {lambda_s:g} holds {mean:.3g} "
             f"points per trial on average, above the cap of {_MAX_POINTS_PER_TRIAL:.0e}",
         )
-    counts = rng.poisson(mean, size)
-    r = window_radius * np.sqrt(rng.random(int(counts.sum())))
-    return PointSet(r=r, counts=counts)
+    return mean
 
 
 def draw_serving_distance(
@@ -339,14 +344,14 @@ def recommended_window_radius(params: SystemParams, trials: int) -> float:
     return min(hi, root * (1.0 + 2.0 * _WINDOW_RTOL))
 
 
-def _blocks(cfg: SimConfig, lambda_s: float, window_radius: float):
+def _blocks(cfg: SimConfig, points_per_trial: float):
     """Yield the stream and the trial count of each consecutive block of the run.
 
-    A block holds about _BLOCK_POINTS points on average, and between one
-    and _BLOCK_TRIALS trials; its stream's counter is its index.
+    ``points_per_trial`` is the mean number of points a trial samples. A
+    block holds about _BLOCK_POINTS points on average, and between one and
+    _BLOCK_TRIALS trials; its stream's counter is its index.
     """
-    mean = lambda_s * math.pi * window_radius**2
-    per_block = int(min(_BLOCK_TRIALS, max(1.0, _BLOCK_POINTS / mean)))
+    per_block = int(min(_BLOCK_TRIALS, max(1.0, _BLOCK_POINTS / points_per_trial)))
     for index, start in enumerate(range(0, cfg.trials, per_block)):
         yield trial_stream(cfg.master_seed, index), min(per_block, cfg.trials - start)
 
@@ -397,7 +402,7 @@ def _outage_trials(params: SystemParams, cfg: SimConfig):
         )
     window, bias = _resolve_window(params, cfg)
     distances, outages = [], []
-    for rng, size in _blocks(cfg, params.lambda_s, window):
+    for rng, size in _blocks(cfg, _field_mean(params.lambda_s, window)):
         field = sample_ppp(params.lambda_s, window, rng, size)
         r0 = draw_serving_distance(params, rng, size)
         distances.append(r0)
@@ -423,7 +428,7 @@ def estimate_cache_hit(params: SystemParams, cfg: SimConfig) -> Estimate:
     marked SBS, so the marked count of a field is Binomial(count, pc).
     """
     hits = 0
-    for rng, size in _blocks(cfg, params.lambda_s, params.r_th):
+    for rng, size in _blocks(cfg, _field_mean(params.lambda_s, params.r_th)):
         field = sample_ppp(params.lambda_s, params.r_th, rng, size)
         hits += int(np.count_nonzero(rng.binomial(field.counts, params.pc)))
     return _binomial_estimate(hits, cfg.trials, window_radius=params.r_th, truncation_bias=0.0)
@@ -442,16 +447,25 @@ def estimate_physical(params: SystemParams, cfg: SimConfig) -> Estimate:
     in :func:`estimate_cache_hit`; the SIR is :func:`sir_sample` with the
     serving SBS taken out of its field.
 
+    A trial first samples its field on the disc of radius r_th and marks
+    the caches there; only a trial with a hit goes on to sample the
+    annulus out to the window. The Poisson field on the disc and the one
+    on the annulus are independent, so this is the whole-window field
+    exactly in distribution, and ``n`` is Binomial(trials, hit
+    probability) as before. The window's mean point count is checked
+    against the per-trial cap before any draw.
+
     Raises :class:`DegenerateSampleError` when no trial survives the
     conditioning.
     """
     window, _ = _resolve_window(params, cfg)
+    disc_mean = _field_mean(params.lambda_s, params.r_th)
+    annulus_mean = _field_mean(params.lambda_s, window) - disc_mean
     outages = effective = 0
-    for rng, size in _blocks(cfg, params.lambda_s, window):
-        field = sample_ppp(params.lambda_s, window, rng, size)
-        radii, owner = field.radii(), field.owners()
-        in_range = np.flatnonzero(radii <= params.r_th)
-        caching = in_range[rng.random(in_range.size) < params.pc]
+    for rng, size in _blocks(cfg, disc_mean + cache_hit_prob(params) * annulus_mean):
+        disc = sample_ppp(params.lambda_s, params.r_th, rng, size)
+        radii, owner = disc.radii(), disc.owners()
+        caching = np.flatnonzero(rng.random(disc.n) < params.pc)
         serving = caching[np.argsort(radii[caching])]
         # np.unique keeps each field's first, so nearest, caching point: one
         # server per field with a hit, also where two share a distance
@@ -461,7 +475,8 @@ def estimate_physical(params: SystemParams, cfg: SimConfig) -> Estimate:
         hit[served] = True
         keep = hit[owner]
         keep[serving] = False
-        others = PointSet(r=radii[keep], counts=field.counts[served] - 1)
+        inner = PointSet(r=radii[keep], counts=disc.counts[served] - 1)
+        others = _join_annulus(inner, annulus_mean, params.r_th, window, rng)
         sir = sir_sample(radii[serving], others, params.alpha, rng)
         outages += int(np.count_nonzero(sir < params.gamma))
         effective += served.size
@@ -473,6 +488,23 @@ def estimate_physical(params: SystemParams, cfg: SimConfig) -> Estimate:
     return _binomial_estimate(
         outages, effective, n_discarded=cfg.trials - effective, window_radius=window
     )
+
+
+def _join_annulus(
+    inner: PointSet, mean: float, r_th: float, window_radius: float, rng: np.random.Generator
+) -> PointSet:
+    """Each field of ``inner`` joined by its own Poisson field on the annulus r_th < r <= window.
+
+    An annulus holds a Poisson count of mean ``mean``, at distances
+    sqrt(r_th**2 + (window**2 - r_th**2) * u) for u uniform on [0, 1).
+    Each field's disc points go in just before its annulus points, at the
+    field's offset in the annulus array: one O(n) pass, no sort of the
+    joined points.
+    """
+    counts = rng.poisson(mean, inner.counts.size)
+    outer = np.sqrt(r_th**2 + (window_radius**2 - r_th**2) * rng.random(int(counts.sum())))
+    r = np.insert(outer, np.repeat(np.cumsum(counts) - counts, inner.counts), inner.r)
+    return PointSet(r=r, counts=inner.counts + counts)
 
 
 def binomial_ci(successes: float, n: int, confidence: float = 0.99) -> tuple[float, float]:

@@ -130,6 +130,19 @@ def test_simulate_degenerate_physical_exits_3(capsys):
     assert "effective sample size 0" in capsys.readouterr().err
 
 
+def test_simulate_physical_oversized_window_exits_2_before_any_draw(monkeypatch, capsys):
+    # a 20 km window holds 1.26e8 points per trial on average; physical mode
+    # draws the r_th disc first, so the cap must hold the whole window to
+    # account before any block opens its stream
+    def no_draw(*args):
+        raise AssertionError("a block stream was opened")
+
+    monkeypatch.setattr("cachegeo.simulate.trial_stream", no_draw)
+    rc = main(["simulate", *P_FLAGS, "--mode", "physical", "--window", "20000"])
+    assert rc == 2
+    assert "(field: window_radius)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("alpha", ["2.005", "2.1", "2.3"])
 def test_simulate_unbounded_default_window_exits_2(alpha, capsys):
     # below alpha ~ 2.41 no window of at most 5e7 points per trial meets the

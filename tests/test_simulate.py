@@ -348,6 +348,51 @@ def test_physical_mode_outage_follows_nearest_server_law():
     assert low <= est.mean * est.n <= high
 
 
+def _full_window_physical(p, window, trials, rng):
+    """Reference: whole-window fields, one trial at a time; (outages, hits)."""
+    outages = hits = 0
+    for _ in range(trials):
+        r = window * np.sqrt(rng.random(rng.poisson(p.lambda_s * math.pi * window**2)))
+        caching = np.flatnonzero((r <= p.r_th) & (rng.random(r.size) < p.pc))
+        if caching.size == 0:
+            continue
+        hits += 1
+        server = caching[np.argmin(r[caching])]
+        gains = rng.exponential(size=r.size) * r**-p.alpha
+        # SIR < gamma, written without dividing by an empty interference sum
+        outages += gains[server] < p.gamma * (gains.sum() - gains[server])
+    return outages, hits
+
+
+def _two_proportion_z(k1, n1, k2, n2):
+    pooled = (k1 + k2) / (n1 + n2)
+    return (k1 / n1 - k2 / n2) / math.sqrt(pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2))
+
+
+def test_physical_mode_matches_full_window_reference():
+    # the disc-first draw must give the whole-window field's law; both
+    # samplers use the same 20 m window, so its truncation bias cancels
+    p = make_params(cache_size_d=30)  # pc = 0.3, hit probability 0.905
+    trials, window = 20_000, 20.0
+    with pytest.warns(TruncationWindowWarning):
+        est = estimate_physical(
+            p, SimConfig(trials=trials, master_seed=31, window_radius=window)
+        )
+    outages, hits = _full_window_physical(p, window, trials, np.random.default_rng(32))
+    assert abs(_two_proportion_z(est.n, trials, hits, trials)) <= 4.5
+    assert abs(_two_proportion_z(round(est.mean * est.n), est.n, outages, hits)) <= 4.5
+
+
+def test_physical_mode_runs_on_an_empty_annulus():
+    # window == r_th: every interferer lies in the disc drawn first
+    p = make_params(cache_size_d=30)
+    with pytest.warns(TruncationWindowWarning):
+        est = estimate_physical(p, SimConfig(trials=500, master_seed=6, window_radius=p.r_th))
+    assert est.window_radius == p.r_th
+    assert est.n + est.n_discarded == 500
+    assert est.n > 0 and 0.0 <= est.mean <= 1.0
+
+
 # -- Wilson interval -----------------------------------------------------------------------------
 
 
@@ -402,12 +447,13 @@ def test_trial_stream_layout_is_pinned():
 
 
 def test_physical_trial_stream_is_pinned():
-    # exact outputs for a fixed seed: the cache marks come before any fade,
-    # so a change to the fading draws moves the outage count but not n
+    # exact outputs for a fixed seed: a block draws its r_th discs, their
+    # cache marks, the annuli of its hit fields, then the fades, so a change
+    # to the annulus or fading draws moves the outage count but not n
     est = estimate_physical(
         make_params(), SimConfig(trials=2000, master_seed=8, window_radius=100.0)
     )
-    assert (est.mean, est.n, est.n_discarded) == (200 / 271, 271, 1729)
+    assert (est.mean, est.n, est.n_discarded) == (206 / 274, 274, 1726)
 
 
 def test_estimate_repeats_bit_identically():
