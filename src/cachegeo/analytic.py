@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .model import ParameterError, SystemParams
 
 __all__ = [
@@ -230,6 +228,9 @@ def _serving_distance_expectation(params: SystemParams, fn, rel_tol: float) -> f
     relative tolerance ``rel_tol``; raises :class:`QuadratureError` when
     the integrator's error estimate exceeds it.
     """
+    # imported here, not at module level, so the closed forms load without scipy
+    from scipy.integrate import quad
+
     pc = params.pc
     if pc <= 0.0:
         raise ParameterError(

@@ -11,6 +11,10 @@ below its infinite-plane value by an exactly computable truncation bias
 (:func:`truncation_bias`). The default disc is the smallest one whose bias
 fits a quarter of the run's 99% confidence half-width, and every emulated
 estimate reports the bias of the disc it used.
+
+scipy is imported only inside the functions that call it (the bias, its
+tail exponent and the window's root find), so the cache-hit estimate and
+the CLI commands that never solve for a window run without loading it.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import hyp2f1
 
 from .analytic import _serving_distance_expectation, cache_hit_prob, content_outage
 from .model import ParameterError, SystemParams
@@ -264,6 +266,8 @@ def interference_tail_exponent(lambda_s: float, alpha: float, s: float, radius: 
         raise ParameterError("alpha", f"alpha must exceed 2, got {alpha}")
     if radius <= 0:
         raise ParameterError("window_radius", f"radius must be positive, got {radius}")
+    from scipy.special import hyp2f1
+
     delta = 2.0 / alpha
     return (
         2.0 * math.pi * lambda_s * s * radius ** (2.0 - alpha) / (alpha - 2.0)
@@ -289,6 +293,8 @@ def truncation_bias(params: SystemParams, radius: float) -> float:
             "window_radius",
             f"window_radius {radius} must cover the threshold distance {params.r_th}",
         )
+    from scipy.special import hyp2f1
+
     delta = 2.0 / params.alpha
     area = radius * radius
 
@@ -324,6 +330,17 @@ def recommended_window_radius(params: SystemParams, trials: int) -> float:
     is bracketed by doubling and found by a root search. Returns inf when
     R* lies beyond the per-trial point cap.
     """
+    return _recommended_window(params, trials)[0]
+
+
+def _recommended_window(params: SystemParams, trials: int) -> tuple[float, float | None]:
+    """:func:`recommended_window_radius` and the truncation bias on it (None when inf).
+
+    At the floor the search has already evaluated the bias, so it is
+    returned rather than computed again.
+    """
+    from scipy.optimize import brentq
+
     budget = _bias_budget(params, trials)
 
     def excess(radius: float) -> float:
@@ -332,16 +349,17 @@ def recommended_window_radius(params: SystemParams, trials: int) -> float:
     cap = math.sqrt(_MAX_POINTS_PER_TRIAL / (params.lambda_s * math.pi))
     floor = 10.0 * params.r_th
     lo = hi = floor
-    while excess(hi) > 0.0:
+    while (bias := truncation_bias(params, hi)) > budget:
         if hi >= cap:
-            return math.inf
+            return math.inf, None
         lo, hi = hi, min(2.0 * hi, cap)
     if hi == floor:
-        return floor
+        return floor, bias
     root = brentq(excess, lo, hi, xtol=_WINDOW_RTOL * lo, rtol=_WINDOW_RTOL)
     # brentq puts R* within 2*_WINDOW_RTOL*root of root; the step up lands
     # on the side whose bias meets the budget
-    return min(hi, root * (1.0 + 2.0 * _WINDOW_RTOL))
+    window = min(hi, root * (1.0 + 2.0 * _WINDOW_RTOL))
+    return window, truncation_bias(params, window)
 
 
 def _blocks(cfg: SimConfig, points_per_trial: float):
@@ -359,7 +377,7 @@ def _blocks(cfg: SimConfig, points_per_trial: float):
 def _resolve_window(params: SystemParams, cfg: SimConfig) -> tuple[float, float]:
     """The run's window radius and the truncation bias of the emulated outage on it."""
     if cfg.window_radius is None:
-        window = recommended_window_radius(params, cfg.trials)
+        window, bias = _recommended_window(params, cfg.trials)
         if window == math.inf:
             raise ParameterError(
                 "window_radius",
@@ -367,7 +385,7 @@ def _resolve_window(params: SystemParams, cfg: SimConfig) -> tuple[float, float]
                 f"the truncation bias at alpha {params.alpha:g} within a quarter of the 99% "
                 f"half-width of {cfg.trials} trials; pass a window to accept a larger bias",
             )
-        return window, truncation_bias(params, window)
+        return window, bias
     window = cfg.window_radius
     bias = truncation_bias(params, window)
     budget = _bias_budget(params, cfg.trials)
@@ -437,15 +455,19 @@ def estimate_cache_hit(params: SystemParams, cfg: SimConfig) -> Estimate:
 def estimate_physical(params: SystemParams, cfg: SimConfig) -> Estimate:
     """Outage under physical association: nearest caching SBS in range serves.
 
-    Cross-check mode, expected to deviate from the emulated estimate: the
-    serving SBS is excluded from the interference here (pushing outage
-    down, dominant when the hit event is near-certain, e.g. pc = 1 at high
-    density), while conditioning on a hit size-biases the field upward
-    (pushing outage up, dominant at small pc). Trials with no caching SBS
-    within r_th are discarded and counted in ``n_discarded``. Each SBS
-    within r_th caches the content independently with probability pc, as
-    in :func:`estimate_cache_hit`; the SIR is :func:`sir_sample` with the
-    serving SBS taken out of its field.
+    Cross-check mode, whose outage is never above the emulated one on the
+    infinite plane. Given the server at r0, no caching SBS lies nearer and
+    the server does not interfere; the non-caching SBSs and the caching
+    SBSs beyond r0 are the same independent Poisson fields as without the
+    conditioning, so coverage given r0 is
+    exp(-lambda_s*pi*r0**2 * (pc*rho + (1 - pc)*kappa*gamma**(2/alpha)))
+    with rho = 2*gamma/(alpha - 2) * 2F1(1, 1 - 2/alpha; 2 - 2/alpha; -gamma)
+    <= kappa*gamma**(2/alpha), against the emulated
+    exp(-lambda_s*pi*r0**2 * kappa*gamma**(2/alpha)). Trials with no
+    caching SBS within r_th are discarded and counted in ``n_discarded``.
+    Each SBS within r_th caches the content independently with probability
+    pc, as in :func:`estimate_cache_hit`; the SIR is :func:`sir_sample`
+    with the serving SBS taken out of its field.
 
     A trial first samples its field on the disc of radius r_th and marks
     the caches there; only a trial with a hit goes on to sample the

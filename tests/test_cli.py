@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -395,3 +399,48 @@ def test_plan_requires_exactly_one_unknown():
         main(["plan", "--epsilon", "0.9", "--rth", "10"])
     assert excinfo.value.code == 2
 
+
+# -- cold start -------------------------------------------------------------------
+
+# Runs in a fresh interpreter: after each step it records the exit code and
+# whether any scipy module is loaded. Command output goes to a buffer, so the
+# record is all that reaches stdout.
+COLD_START = """
+import contextlib, io, json, sys
+
+def scipy_loaded():
+    return any(name == "scipy" or name.startswith("scipy.") for name in sys.modules)
+
+import cachegeo, cachegeo.cli
+loaded = {"import": scipy_loaded()}
+for label, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cachegeo.cli.main(argv)
+    loaded[label] = (rc, scipy_loaded())
+print(json.dumps(loaded))
+"""
+
+
+def test_only_window_solves_load_scipy(tmp_path):
+    out = str(tmp_path)
+    steps = [
+        ("analytic", ["analytic", *P_FLAGS]),
+        ("plan --pc", ["plan", "--epsilon", "0.5", "--rth", "5", "--pc", "0.02"]),
+        ("plan --lambda", ["plan", "--epsilon", "0.5", "--rth", "5", "--lambda", "0.1"]),
+        ("figure 2", ["figure", "--fig", "2", "--out", out]),
+        ("sweep hit", ["sweep", *P_FLAGS, "--quantity", "hit", "--axis", "pc", "--from", "0.02",
+                       "--to", "1", "--steps", "5", "--trials", "20", "--out", out]),
+        # positive control: the emulated default window is a root find on the bias
+        ("simulate", ["simulate", *P_FLAGS, "--trials", "8"]),
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, "-c", COLD_START, json.dumps(steps)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    loaded = json.loads(result.stdout)
+    assert loaded.pop("import") is False
+    assert loaded.pop("simulate") == [0, True]
+    assert loaded == {label: [0, False] for label, _ in steps[:-1]}
