@@ -147,14 +147,16 @@ def replication_ratio_bounds(lambda_s: float, r_th: float, epsilon: float) -> Fe
         raise ParameterError("r_th", f"r_th must be positive, got {r_th}")
     _check_epsilon(epsilon)
     product = lambda_s * math.pi * r_th**2
-    required = -math.log1p(-epsilon) / product
+    target = -math.log1p(-epsilon)
+    # a product that underflows to 0 leaves a nonzero target out of reach
+    required = target / product if product > 0.0 else (math.inf if target > 0.0 else 0.0)
     # exact-boundary constructions land within a rounding error of 1
     feasible = required <= 1.0 or math.isclose(required, 1.0, rel_tol=1e-12)
     return FeasibilityBound(
         pc_lower=min(required, 1.0),
         pc_upper=1.0,
         pc_required=required,
-        min_density_area_product=-math.log1p(-epsilon),
+        min_density_area_product=target,
         feasible=feasible,
     )
 
@@ -287,4 +289,6 @@ def optimal_density(epsilon: float, pc: float, r_th: float) -> float:
         raise ParameterError(
             "pc", f"replication ratio must be positive to reach a nonzero target, got {pc}"
         )
-    return -math.log1p(-epsilon) / (pc * math.pi * r_th**2)
+    area = pc * math.pi * r_th**2
+    # an area that underflows to 0 needs an unbounded density
+    return -math.log1p(-epsilon) / area if area > 0.0 else math.inf

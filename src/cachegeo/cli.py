@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -43,6 +43,7 @@ from .sweep import (
     figure_preset,
     run_sweep,
     spec_from_dict,
+    spec_to_dict,
 )
 
 EXIT_OK = 0
@@ -70,32 +71,36 @@ _AXIS_NAMES = {
 }
 
 
-def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--lambda", dest="lambda_s", type=float, required=True,
+def _add_param_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
+    parser.add_argument("--lambda", dest="lambda_s", type=float, required=required,
                         help="SBS density [SBS/m^2]")
-    parser.add_argument("--alpha", type=float, required=True,
+    parser.add_argument("--alpha", type=float, required=required,
                         help="path loss exponent (> 2)")
-    parser.add_argument("--gamma-db", dest="gamma_db", type=float, required=True,
+    parser.add_argument("--gamma-db", dest="gamma_db", type=float, required=required,
                         help="SIR threshold [dB]")
-    parser.add_argument("--rth", type=float, required=True,
+    parser.add_argument("--rth", type=float, required=required,
                         help="threshold distance [m]")
-    parser.add_argument("--d", dest="cache_size_d", type=int, required=True,
+    parser.add_argument("--d", dest="cache_size_d", type=int, required=required,
                         help="contents cached per SBS")
-    parser.add_argument("--library", dest="library_size", type=int, required=True,
+    parser.add_argument("--library", dest="library_size", type=int, required=required,
                         help="library size |C|")
 
 
+def _param_fields(args: argparse.Namespace) -> dict:
+    """The model flags given, as SystemParams fields with gamma converted from dB."""
+    fields = {
+        "lambda_s": args.lambda_s,
+        "alpha": args.alpha,
+        "gamma": None if args.gamma_db is None else db_to_linear(args.gamma_db),
+        "r_th": args.rth,
+        "cache_size_d": args.cache_size_d,
+        "library_size": args.library_size,
+    }
+    return {name: value for name, value in fields.items() if value is not None}
+
+
 def _params_from_args(args: argparse.Namespace) -> SystemParams:
-    return validate(
-        SystemParams(
-            lambda_s=args.lambda_s,
-            alpha=args.alpha,
-            gamma=db_to_linear(args.gamma_db),
-            r_th=args.rth,
-            cache_size_d=args.cache_size_d,
-            library_size=args.library_size,
-        )
-    )
+    return validate(SystemParams(**_param_fields(args)))
 
 
 def _print_block(pairs) -> None:
@@ -181,19 +186,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sim_from_flags(args: argparse.Namespace, existing: SimConfig | None) -> SimConfig | None:
-    flagged = args.trials is not None or args.window is not None
-    if existing is None and not flagged:
-        return None
-    base = existing or SimConfig(master_seed=args.seed or 0)
-    updates = {}
-    if args.trials is not None:
-        updates["trials"] = args.trials
-    if args.window is not None:
-        updates["window_radius"] = args.window
-    if args.seed is not None:
-        updates["master_seed"] = args.seed
-    return replace(base, **updates)
+def _overlay_sim(data: dict, args: argparse.Namespace) -> dict:
+    """Spec dict with --trials/--window/--seed applied to its sim block.
+
+    --trials or --window attaches Monte Carlo columns (unset fields take
+    the SimConfig defaults); --seed updates an attached sim block.
+    """
+    if data.get("sim") is None and args.trials is None and args.window is None:
+        return data
+    sim = dict(data.get("sim") or {})
+    for key, value in (("trials", args.trials), ("window_radius", args.window),
+                       ("master_seed", args.seed)):
+        if value is not None:
+            sim[key] = value
+    return {**data, "sim": sim}
 
 
 def _grid_from_flags(args: argparse.Namespace) -> tuple[float, ...]:
@@ -227,13 +233,22 @@ def _write_table(spec: SweepSpec, out_dir: str, name: str, seed: int) -> int:
     return EXIT_OK
 
 
+def _series_values(text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ParameterError(
+            "series", f"--series-values must be comma-separated numbers, got {text!r}"
+        ) from exc
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.config:
         try:
-            data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ParameterError("config", f"{args.config} is not a JSON file: {exc}") from exc
-        spec = spec_from_dict(data)
+        data = spec_to_dict(spec_from_dict(config))
     else:
         required = ("axis", "start", "stop", "steps", "lambda_s", "alpha",
                     "gamma_db", "rth", "cache_size_d", "library_size")
@@ -242,53 +257,28 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ParameterError(
                 missing[0], f"missing flags (or use --config): {', '.join(missing)}"
             )
-        spec = SweepSpec(
-            base=SystemParams(
-                lambda_s=args.lambda_s,
-                alpha=args.alpha,
-                gamma=db_to_linear(args.gamma_db),
-                r_th=args.rth,
-                cache_size_d=args.cache_size_d,
-                library_size=args.library_size,
-            ),
-            axis=_AXIS_NAMES[args.axis],
-            values=(),
-        )
-    # flags override whatever the config file provided
+        data = {"base": {}}
+    # every flag given overrides its field of the config schema
+    data["base"].update(_param_fields(args))
     if args.axis is not None:
-        spec = replace(spec, axis=_AXIS_NAMES[args.axis])
+        data["axis"] = _AXIS_NAMES[args.axis].value
     if args.start is not None or args.stop is not None or args.steps is not None:
         if None in (args.start, args.stop, args.steps):
             raise ParameterError("steps", "grid flags --from/--to/--steps come together")
-        spec = replace(spec, values=_grid_from_flags(args))
+        data["values"] = list(_grid_from_flags(args))
     if args.quantity is not None:
-        spec = replace(spec, quantity=_QUANTITY_NAMES[args.quantity])
-    if args.series_axis is not None or args.series_values is not None:
-        if None in (args.series_axis, args.series_values):
-            raise ParameterError("series", "--series-axis and --series-values come together")
-        spec = replace(
-            spec,
-            series_axis=_AXIS_NAMES[args.series_axis],
-            series_values=tuple(float(v) for v in args.series_values.split(",")),
-        )
-    spec = replace(spec, sim=_sim_from_flags(args, spec.sim))
-    name = args.name or spec.label
-    if args.seed is not None:
-        file_seed = args.seed
-    else:
-        file_seed = spec.sim.master_seed if spec.sim else 0
-    return _write_table(spec, args.out, name, file_seed)
+        data["quantity"] = _QUANTITY_NAMES[args.quantity].value
+    if args.series_axis is not None:
+        data["series_axis"] = _AXIS_NAMES[args.series_axis].value
+    if args.series_values is not None:
+        data["series_values"] = _series_values(args.series_values)
+    spec = spec_from_dict(_overlay_sim(data, args))
+    file_seed = spec.sim.master_seed if spec.sim else args.seed or 0
+    return _write_table(spec, args.out, args.name or spec.label, file_seed)
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    spec = figure_preset(args.fig)
-    if args.trials is not None:
-        spec = replace(
-            spec,
-            sim=SimConfig(
-                trials=args.trials, master_seed=args.seed, window_radius=args.window
-            ),
-        )
+    spec = spec_from_dict(_overlay_sim(spec_to_dict(figure_preset(args.fig)), args))
     return _write_table(spec, args.out, spec.label, args.seed)
 
 
@@ -363,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="run a parameter sweep, write CSV and JSON")
-    p.add_argument("--config", help="JSON sweep spec (flags override its fields)")
+    p.add_argument("--config", help="JSON sweep spec; every flag given overrides "
+                   "its field, and --trials or --window attaches Monte Carlo columns")
     p.add_argument("--axis", choices=sorted(_AXIS_NAMES), help="swept parameter")
     p.add_argument("--from", dest="start", type=float, help="first axis value")
     p.add_argument("--to", dest="stop", type=float, help="last axis value")
@@ -373,12 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series-axis", dest="series_axis", choices=sorted(_AXIS_NAMES))
     p.add_argument("--series-values", dest="series_values",
                    help="comma-separated values, one curve per value")
-    p.add_argument("--lambda", dest="lambda_s", type=float, help="SBS density [SBS/m^2]")
-    p.add_argument("--alpha", type=float, help="path loss exponent (> 2)")
-    p.add_argument("--gamma-db", dest="gamma_db", type=float, help="SIR threshold [dB]")
-    p.add_argument("--rth", type=float, help="threshold distance [m]")
-    p.add_argument("--d", dest="cache_size_d", type=int, help="contents cached per SBS")
-    p.add_argument("--library", dest="library_size", type=int, help="library size |C|")
+    _add_param_flags(p, required=False)
     p.add_argument("--trials", type=int, default=None,
                    help="attach Monte Carlo columns with this many trials")
     p.add_argument("--seed", type=int, default=None,

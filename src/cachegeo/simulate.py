@@ -39,7 +39,6 @@ __all__ = [
     "sample_ppp",
     "draw_serving_distance",
     "sir_sample",
-    "interference_tail_mean",
     "interference_tail_exponent",
     "truncation_bias",
     "recommended_window_radius",
@@ -238,19 +237,6 @@ def sir_sample(
     with np.errstate(over="ignore", divide="ignore"):
         relative = h * (serving_r[owner] / interferers.radii()) ** alpha
         return h0 / np.bincount(owner, weights=relative, minlength=interferers.counts.size)
-
-
-def interference_tail_mean(lambda_s: float, alpha: float, radius: float) -> float:
-    """Mean faded interference power arriving from beyond ``radius``.
-
-    2*pi*lambda_s * radius**(2-alpha) / (alpha - 2) with unit-mean fading;
-    what a finite sampling window discards relative to the infinite plane.
-    """
-    if alpha <= 2:
-        raise ParameterError("alpha", f"alpha must exceed 2, got {alpha}")
-    if radius <= 0:
-        raise ParameterError("window_radius", f"radius must be positive, got {radius}")
-    return 2.0 * math.pi * lambda_s * radius ** (2.0 - alpha) / (alpha - 2.0)
 
 
 def interference_tail_exponent(lambda_s: float, alpha: float, s: float, radius: float) -> float:
@@ -476,6 +462,16 @@ def estimate_physical(params: SystemParams, cfg: SimConfig) -> Estimate:
     exactly in distribution, and ``n`` is Binomial(trials, hit
     probability) as before. The window's mean point count is checked
     against the per-trial cap before any draw.
+
+    The default window, and whether a :class:`TruncationWindowWarning` is
+    raised, follow the emulated :func:`truncation_bias` of the window.
+    That is a lower bound on the physical bias: the far-field exponent
+    T_R is the same, and coverage inside the window is higher, because
+    the server and the nearer caching SBSs do not interfere. By
+    quadrature the physical bias is 0.00556 against the emulated 0.00542
+    at the reference point with a 50 m window, and 0.00486 against
+    0.00191 at pc = 1, alpha = 4 and a 10 m window. A warning is always
+    warranted; its absence proves nothing.
 
     Raises :class:`DegenerateSampleError` when no trial survives the
     conditioning.

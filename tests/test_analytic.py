@@ -192,6 +192,14 @@ def test_ratio_bounds_zero_target():
     assert bound.feasible
 
 
+def test_ratio_bounds_when_the_area_underflows():
+    # lambda_s * pi * r_th**2 rounds to 0: a nonzero target is out of reach
+    bound = replication_ratio_bounds(1.0, 1e-200, 0.5)
+    assert bound.pc_required == math.inf
+    assert not bound.feasible
+    assert replication_ratio_bounds(1.0, 1e-200, 0.0).pc_required == 0.0
+
+
 def test_ratio_bounds_boundary_is_feasible():
     lam = -math.log1p(-0.9) / (math.pi * 25.0)
     bound = replication_ratio_bounds(lam, 5.0, 0.9)
@@ -313,6 +321,10 @@ def test_optimal_density_reference_value():
 
 def test_optimal_density_zero_target():
     assert optimal_density(0.0, 0.1, 10.0) == 0.0
+
+
+def test_optimal_density_when_the_area_underflows():
+    assert optimal_density(0.5, 0.1, 1e-200) == math.inf
 
 
 def test_optimal_density_round_trip_is_exact():

@@ -5,7 +5,9 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,9 +16,15 @@ from hypothesis import strategies as st
 
 from cachegeo.analytic import cache_hit_prob, content_outage, kappa, optimal_density
 from cachegeo.cli import build_parser, main
-from cachegeo.model import ParameterError, SystemParams, db_to_linear, validate
+from cachegeo.model import (
+    ParameterError,
+    SystemParams,
+    db_to_linear,
+    validate,
+    with_replication_ratio,
+)
 from cachegeo.simulate import TruncationWindowWarning, recommended_window_radius
-from cachegeo.sweep import read_json
+from cachegeo.sweep import FIGURE_NUMBERS, Axis, SweepSpec, read_json, spec_to_dict
 
 P_FLAGS = [
     "--lambda", "0.1", "--alpha", "3", "--gamma-db", "-10",
@@ -191,7 +199,8 @@ _FIELD_POINT_LIMIT = 2e5  # largest mean field a generated run may sample
 
 
 @st.composite
-def simulate_argv(draw):
+def model_flags(draw):
+    """A valid parameter point and the six model flags that give it."""
     library = draw(st.integers(1, 1000))
     gamma_db = draw(st.floats(-60.0, 80.0))
     params = validate(SystemParams(
@@ -202,6 +211,15 @@ def simulate_argv(draw):
         cache_size_d=draw(st.integers(0, library)),
         library_size=library,
     ))
+    flags = ["--lambda", repr(params.lambda_s), "--alpha", repr(params.alpha),
+             f"--gamma-db={gamma_db!r}", "--rth", repr(params.r_th),
+             "--d", str(params.cache_size_d), "--library", str(library)]
+    return params, flags
+
+
+@st.composite
+def simulate_argv(draw):
+    params, flags = draw(model_flags())
     trials = draw(st.integers(1, 200))
     window = draw(st.none() | st.floats(0.5, 50.0).map(lambda k: k * params.r_th))
     try:
@@ -209,10 +227,8 @@ def simulate_argv(draw):
     except ParameterError:
         radius = 0.0  # the run exits 2 before drawing a field
     assume(params.lambda_s * math.pi * radius**2 <= _FIELD_POINT_LIMIT)
-    argv = ["simulate", "--lambda", repr(params.lambda_s), "--alpha", repr(params.alpha),
-            f"--gamma-db={gamma_db!r}", "--rth", repr(params.r_th),
-            "--d", str(params.cache_size_d), "--library", str(library),
-            "--trials", str(trials), "--seed", str(draw(st.integers(0, 2**64 - 1))),
+    argv = ["simulate", *flags, "--trials", str(trials),
+            "--seed", str(draw(st.integers(0, 2**64 - 1))),
             "--mode", draw(st.sampled_from(["emulated", "physical"]))]
     return argv if window is None else [*argv, "--window", repr(window)]
 
@@ -265,14 +281,17 @@ def test_sweep_missing_flags_exit_2(tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
-def test_sweep_config_file_with_flag_override(tmp_path, capsys):
-    from cachegeo.sweep import Axis, SweepSpec, spec_to_dict
+def _write_config(tmp_path, spec):
+    config = tmp_path / "spec.json"
+    config.write_text(json.dumps(spec_to_dict(spec)), encoding="utf-8")
+    return config
 
+
+def test_sweep_config_file_with_flag_override(tmp_path, capsys):
     spec = SweepSpec(
         base=REFERENCE, axis=Axis.GAMMA_DB, values=(-10.0, 0.0), label="cfg"
     )
-    config = tmp_path / "spec.json"
-    config.write_text(json.dumps(spec_to_dict(spec)), encoding="utf-8")
+    config = _write_config(tmp_path, spec)
     rc = main(["sweep", "--config", str(config), "--out", str(tmp_path)])
     assert rc == 0
     capsys.readouterr()
@@ -282,6 +301,37 @@ def test_sweep_config_file_with_flag_override(tmp_path, capsys):
                "--steps", "5", "--out", str(tmp_path), "--name", "cfg5"])
     assert rc == 0
     assert len(read_json(tmp_path / "cfg5_0.json").rows) == 5
+
+
+def test_sweep_model_flags_override_the_config_base(tmp_path, capsys):
+    spec = SweepSpec(base=REFERENCE, axis=Axis.GAMMA_DB, values=(-10.0, 0.0), label="cfg")
+    rc = main(["sweep", "--config", str(_write_config(tmp_path, spec)),
+               "--lambda", "0.5", "--rth", "9", "--out", str(tmp_path)])
+    assert rc == 0
+    base = read_json(tmp_path / "cfg_0.json").metadata["base_params"]
+    assert (base["lambda_s"], base["r_th"]) == (0.5, 9.0)
+    assert base["alpha"] == 3.0  # a field without a flag keeps its config value
+
+
+def test_sweep_series_axis_flag_overrides_only_the_axis(tmp_path, capsys):
+    spec = SweepSpec(base=REFERENCE, axis=Axis.GAMMA_DB, values=(-10.0, 0.0),
+                     series_axis=Axis.PC, series_values=(0.02, 0.5), label="cfg")
+    rc = main(["sweep", "--config", str(_write_config(tmp_path, spec)),
+               "--series-axis", "rth", "--out", str(tmp_path)])
+    assert rc == 0
+    table = read_json(tmp_path / "cfg_0.json")
+    assert table.metadata["series_axis"] == "r_th"
+    assert sorted({row.series_value for row in table.rows}) == [0.02, 0.5]
+
+
+@pytest.mark.parametrize("values", ["0.1,abc", ""])
+def test_sweep_non_numeric_series_values_exit_2(values, tmp_path, capsys):
+    rc = main(["sweep", "--axis", "gamma-db", "--from", "-20", "--to", "20", "--steps", "3",
+               *P_FLAGS, "--series-axis", "pc", "--series-values", values,
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "(field: series)" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def _sim_config(tmp_path, **sim):
@@ -359,6 +409,126 @@ def test_figure_eight_has_no_sim_columns(tmp_path, capsys):
 def test_figure_preset_with_trials_attaches_sim(tmp_path, capsys):
     rc = main(["figure", "--fig", "8", "--trials", "10", "--out", str(tmp_path)])
     assert rc == 2  # density presets have no Monte Carlo counterpart
+
+
+def test_figure_preset_with_window_alone_attaches_sim(tmp_path, capsys):
+    # --window attaches Monte Carlo columns as --trials does
+    rc = main(["figure", "--fig", "8", "--window", "100", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "(field: sim)" in capsys.readouterr().err
+
+
+_SWEEP_POINT_LIMIT = 4e6  # most points a generated sweep may sample over all its cells
+
+# flag value -> (range the generator draws from, the cell parameters it sets)
+_SWEEP_AXES = {
+    "lambda-s": (st.floats(1e-4, 1.0), lambda p, v: replace(p, lambda_s=v)),
+    "pc": (st.floats(0.0, 1.0), with_replication_ratio),
+    "rth": (st.floats(0.01, 20.0), lambda p, v: replace(p, r_th=v)),
+    "gamma-db": (st.floats(-60.0, 80.0), lambda p, v: replace(p, gamma=db_to_linear(v))),
+    "epsilon": (st.floats(0.0, 0.99), lambda p, v: p),
+}
+
+
+def _cell_points(params, trials, window):
+    """Mean points a Monte Carlo cell samples; 0 where the cell is refused before any draw."""
+    try:
+        params = validate(params)
+        radius = window or recommended_window_radius(params, trials)
+    except ParameterError:
+        return 0.0
+    # a cache-hit cell samples the r_th disc even where the outage window is refused
+    radius = max(radius if math.isfinite(radius) else 0.0, params.r_th)
+    return trials * params.lambda_s * math.pi * radius**2
+
+
+@st.composite
+def sweep_argv(draw):
+    params, flags = draw(model_flags())
+    axis = draw(st.sampled_from(sorted(_SWEEP_AXES)))
+    axis_range, set_axis = _SWEEP_AXES[axis]
+    start, stop = sorted(draw(st.lists(axis_range, min_size=2, max_size=2)))
+    steps, log = draw(st.integers(1, 4)), draw(st.booleans())
+    quantity = draw(st.sampled_from(["density"] if axis == "epsilon" else ["outage", "hit"])
+                    | st.sampled_from(["outage", "hit", "density"]))
+    # the NAME=VALUE form keeps a value such as -1e-05 from reading as a flag
+    argv = ["sweep", *flags, "--axis", axis, f"--from={start!r}", f"--to={stop!r}",
+            "--steps", str(steps), "--quantity", quantity, *(["--log"] if log else [])]
+    curves = [params]
+    if draw(st.booleans()):
+        series_axis = draw(st.sampled_from(sorted(_SWEEP_AXES)))
+        series_range, set_series = _SWEEP_AXES[series_axis]
+        series = draw(st.lists(series_range, min_size=1, max_size=3))
+        text = draw(st.just(",".join(map(repr, series)))
+                    | st.sampled_from(["", "abc", "0.1,abc"]))
+        argv += ["--series-axis", series_axis, f"--series-values={text}"]
+        curves = [set_series(params, v) for v in series]
+    trials = draw(st.none() | st.integers(1, 20))
+    window = draw(st.none() | st.floats(0.5, 50.0).map(lambda k: k * params.r_th))
+    seed = draw(st.none() | st.integers(0, 2**64 - 1))
+    argv += [*(["--trials", str(trials)] if trials else []),
+             *(["--window", repr(window)] if window else []),
+             *(["--seed", str(seed)] if seed is not None else [])]
+    if (trials or window) and not (log and start <= 0.0):
+        # --window alone attaches Monte Carlo columns at the default 5000 trials
+        if steps == 1:
+            values = [start]
+        elif log:
+            lo, hi = math.log10(start), math.log10(stop)
+            values = [10 ** (lo + (hi - lo) * i / (steps - 1)) for i in range(steps)]
+        else:
+            values = [start + (stop - start) * i / (steps - 1) for i in range(steps)]
+        points = 0.0
+        for curve in curves:
+            for value in values:
+                try:
+                    cell = set_axis(curve, value)
+                except ParameterError:
+                    continue
+                points += _cell_points(cell, trials or 5000, window)
+        assume(points <= _SWEEP_POINT_LIMIT)
+    return argv
+
+
+@st.composite
+def figure_argv(draw):
+    fig = draw(st.sampled_from(FIGURE_NUMBERS))
+    argv = ["figure", "--fig", str(fig), "--seed", str(draw(st.integers(0, 2**64 - 1)))]
+    trials = draw(st.none() | st.integers(1, 2))
+    if trials is not None:
+        argv += ["--trials", str(trials)]
+    # a window alone would attach 5000 trials per cell; the density presets refuse it
+    if trials is not None or fig in (8, 9):
+        window = draw(st.none() | st.floats(0.5, 100.0))
+        argv += [] if window is None else ["--window", repr(window)]
+    return argv
+
+
+@st.composite
+def plan_argv(draw):
+    numbers = st.floats(-0.5, 1.5) | st.sampled_from([0.0, 1.0, math.inf, math.nan])
+    unknown = draw(st.sampled_from(["--pc", "--lambda"]))
+    return ["plan", f"--epsilon={draw(numbers)!r}", f"--rth={100.0 * draw(numbers)!r}",
+            f"{unknown}={draw(numbers)!r}", *(["--json"] if draw(st.booleans()) else [])]
+
+
+@st.composite
+def analytic_argv(draw):
+    _, flags = draw(model_flags())
+    epsilon = draw(st.none() | st.floats(-0.5, 1.5))
+    return ["analytic", *flags, *([] if epsilon is None else [f"--epsilon={epsilon!r}"]),
+            *(["--json"] if draw(st.booleans()) else [])]
+
+
+@settings(max_examples=40, deadline=None)
+@given(argv=sweep_argv() | figure_argv() | plan_argv() | analytic_argv())
+def test_sweep_figure_plan_analytic_exit_with_a_named_code(argv):
+    # as for simulate: a named exit code for every generated input, never an
+    # exception or a RuntimeWarning
+    with warnings.catch_warnings(), tempfile.TemporaryDirectory() as out:
+        warnings.simplefilter("ignore", TruncationWindowWarning)
+        out_flags = ["--out", out] if argv[0] in ("sweep", "figure") else []
+        assert main([*argv, *out_flags]) in (0, 2, 3, 4)
 
 
 # -- plan -------------------------------------------------------------------------

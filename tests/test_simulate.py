@@ -21,7 +21,6 @@ from cachegeo.simulate import (
     estimate_cache_hit,
     estimate_content_outage,
     estimate_physical,
-    interference_tail_mean,
     recommended_window_radius,
     sample_ppp,
     sir_sample,
@@ -504,13 +503,6 @@ def test_recommended_window_is_infinite_when_it_overflows():
     p = make_params(alpha=2.3)
     assert recommended_window_radius(p, 5000) == math.inf
     assert recommended_window_radius(p, 5) == 10.0 * p.r_th
-
-
-def test_tail_mean_formula():
-    # 2*pi*0.1*100^(-1)/1
-    assert interference_tail_mean(0.1, 3.0, 100.0) == pytest.approx(
-        2.0 * math.pi * 0.1 / 100.0, rel=1e-12
-    )
 
 
 def test_small_window_emits_truncation_warning():

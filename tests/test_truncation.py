@@ -12,7 +12,6 @@ from cachegeo.model import SystemParams, db_to_linear, validate
 from cachegeo.simulate import (
     binomial_ci,
     interference_tail_exponent,
-    interference_tail_mean,
     recommended_window_radius,
     truncation_bias,
 )
@@ -91,7 +90,9 @@ def test_truncation_bias_is_below_the_mean_tail_bound(params, scale):
         lambda r: r**params.alpha * serving_distance_pdf(params, r),
         0.0, params.r_th, epsabs=0.0, epsrel=1e-10, limit=200,
     )
-    bound = params.gamma * moment * interference_tail_mean(params.lambda_s, params.alpha, radius)
+    tail_mean = (2.0 * math.pi * params.lambda_s * radius ** (2.0 - params.alpha)
+                 / (params.alpha - 2.0))
+    bound = params.gamma * moment * tail_mean
     assert truncation_bias(params, radius) <= bound * (1.0 + 1e-9) + 1e-12
 
 
