@@ -8,6 +8,7 @@ regimes that sweeps visit do not lose precision.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .model import ParameterError, SystemParams
@@ -104,7 +105,7 @@ def cache_hit_prob(params: SystemParams) -> float:
     thinned Poisson field of intensity lambda_s * pc, and a hit is the
     event that the disc of radius r_th is not empty of them.
     """
-    exponent = params.lambda_s * params.pc * math.pi * params.r_th**2
+    exponent = params.lambda_s * params.pc * math.pi * (params.r_th * params.r_th)
     return -math.expm1(-exponent)
 
 
@@ -114,7 +115,7 @@ def hit_target_feasible(params: SystemParams, epsilon: float) -> bool:
     The condition is pc * lambda_s * pi * r_th**2 >= -ln(1 - epsilon).
     """
     _check_epsilon(epsilon)
-    product = params.pc * params.lambda_s * math.pi * params.r_th**2
+    product = params.pc * params.lambda_s * math.pi * (params.r_th * params.r_th)
     return product >= -math.log1p(-epsilon)
 
 
@@ -146,7 +147,7 @@ def replication_ratio_bounds(lambda_s: float, r_th: float, epsilon: float) -> Fe
     if not (math.isfinite(r_th) and r_th > 0):
         raise ParameterError("r_th", f"r_th must be positive, got {r_th}")
     _check_epsilon(epsilon)
-    product = lambda_s * math.pi * r_th**2
+    product = lambda_s * math.pi * (r_th * r_th)
     target = -math.log1p(-epsilon)
     # a product that underflows to 0 leaves a nonzero target out of reach
     required = target / product if product > 0.0 else (math.inf if target > 0.0 else 0.0)
@@ -179,7 +180,7 @@ def serving_distance_pdf(params: SystemParams, r: float) -> float:
     if not (math.isfinite(r) and 0.0 <= r <= params.r_th):
         raise ParameterError("r", f"distance must lie in [0, r_th={params.r_th}], got {r}")
     rate = params.lambda_s * pc * math.pi
-    norm = -math.expm1(-rate * params.r_th**2)
+    norm = -math.expm1(-rate * (params.r_th * params.r_th))
     return 2.0 * rate * r * math.exp(-rate * r * r) / norm
 
 
@@ -193,7 +194,10 @@ def content_outage(params: SystemParams) -> float:
             / ((1 - exp(-lambda_s*pc*pi*r_th**2)) * (pc + kappa*gamma**(2/alpha)))
 
     Requires pc > 0 (the conditioning hit event must have positive
-    probability).
+    probability). Where lambda_s*pc*pi*r_th**2 is below the smallest
+    normal float, the two expm1 terms have lost their precision; the
+    outage there is kappa*gamma**(2/alpha)*lambda_s*pi*r_th**2 / 2 to first
+    order, a subnormal number, and its limit 0 is returned.
     """
     pc = params.pc
     if pc <= 0.0:
@@ -202,7 +206,9 @@ def content_outage(params: SystemParams) -> float:
             "content outage is conditioned on a cache hit, impossible at pc = 0",
         )
     a = pc + kappa(params.alpha) * params.gamma ** (2.0 / params.alpha)
-    area = params.lambda_s * math.pi * params.r_th**2
+    area = params.lambda_s * math.pi * (params.r_th * params.r_th)
+    if pc * area < sys.float_info.min:
+        return 0.0
     ratio = (pc * math.expm1(-a * area)) / (a * math.expm1(-pc * area))
     return 1.0 - ratio
 
@@ -240,7 +246,14 @@ def _serving_distance_expectation(params: SystemParams, fn, rel_tol: float) -> f
             "content outage is conditioned on a cache hit, impossible at pc = 0",
         )
     rate = params.lambda_s * pc * math.pi
-    norm = -math.expm1(-rate * params.r_th**2)
+    norm = -math.expm1(-rate * (params.r_th * params.r_th))
+    if norm < sys.float_info.min:
+        raise ParameterError(
+            "r_th",
+            f"the hit probability lambda_s*pc*pi*r_th**2 = {norm:.3g} at r_th {params.r_th:g} "
+            "is below the smallest normal float, so the serving-distance law has no "
+            "accurate density to integrate",
+        )
 
     def integrand(r: float) -> float:
         pdf = 2.0 * rate * r * math.exp(-rate * r * r) / norm
@@ -289,6 +302,6 @@ def optimal_density(epsilon: float, pc: float, r_th: float) -> float:
         raise ParameterError(
             "pc", f"replication ratio must be positive to reach a nonzero target, got {pc}"
         )
-    area = pc * math.pi * r_th**2
+    area = pc * math.pi * (r_th * r_th)
     # an area that underflows to 0 needs an unbounded density
     return -math.log1p(-epsilon) / area if area > 0.0 else math.inf

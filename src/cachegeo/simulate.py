@@ -1,10 +1,10 @@
 """Monte Carlo engine: Poisson fields, conditional serving distances, SIR draws.
 
 Trials run in consecutive blocks, vectorised within each block. Every
-block owns a counter-based RNG stream derived from the master seed and
-the block index, and the block size follows from the mean number of points
-a trial samples, so estimates are a function of (params, config, seed) and
-bit-identical across runs.
+block draws from its own PCG64DXSM stream, seeded by the master seed with
+the block index as its spawn key, and the block size follows from the mean
+number of points a trial samples, so estimates are a function of (params,
+config, seed) and bit-identical across runs.
 
 Interferers are sampled on a finite disc, which lowers the emulated outage
 below its infinite-plane value by an exactly computable truncation bias
@@ -140,21 +140,21 @@ class PointSet:
         """Distances of all points from the origin."""
         return self.r
 
-    def owners(self) -> np.ndarray:
-        """Index of the field that holds each point."""
-        return np.repeat(np.arange(self.counts.size), self.counts)
-
 
 def trial_stream(master_seed: int, block_index: int) -> np.random.Generator:
-    """Counter-based RNG stream for one block of trials.
+    """RNG stream for one block of trials.
 
-    All streams share the Philox key ``master_seed`` and are separated by
-    the 128-bit counter block ``block_index`` (Salmon et al., SC 2011).
-    The trials of a run fill consecutive blocks whose size follows the
-    mean field size, so results are a function of (params, config, seed).
+    A PCG64DXSM generator (O'Neill 2014) seeded by
+    ``SeedSequence(master_seed, spawn_key=(block_index,))``, which is the
+    child ``block_index`` that ``SeedSequence(master_seed).spawn`` would
+    give: the seed sequence hashes the seed and the key into the
+    generator's state, so the blocks of one run, and the runs of distinct
+    seeds, draw from unrelated streams. The trials of a run fill
+    consecutive blocks whose size follows the mean field size, so results
+    are a function of (params, config, seed).
     """
-    bitgen = np.random.Philox(key=master_seed, counter=block_index << 128)
-    return np.random.Generator(bitgen)
+    seed = np.random.SeedSequence(master_seed, spawn_key=(block_index,))
+    return np.random.Generator(np.random.PCG64DXSM(seed))
 
 
 def sample_ppp(
@@ -181,7 +181,7 @@ def _field_mean(lambda_s: float, window_radius: float) -> float:
         raise ParameterError("lambda_s", f"lambda_s must be positive, got {lambda_s}")
     if window_radius <= 0:
         raise ParameterError("window_radius", f"window_radius must be positive, got {window_radius}")
-    mean = lambda_s * math.pi * window_radius**2
+    mean = lambda_s * math.pi * (window_radius * window_radius)
     if mean > _MAX_POINTS_PER_TRIAL:
         raise ParameterError(
             "window_radius",
@@ -208,7 +208,7 @@ def draw_serving_distance(
             "serving distance is conditioned on a cache hit, impossible at pc = 0",
         )
     rate = params.lambda_s * pc * math.pi
-    tail = math.expm1(-rate * params.r_th**2)  # exp(-c) - 1, in (-1, 0)
+    tail = math.expm1(-rate * (params.r_th * params.r_th))  # exp(-c) - 1, in (-1, 0)
     u = rng.random(size)
     r = np.sqrt(np.log1p(u * tail) / -rate)
     return float(r) if size is None else r
@@ -216,27 +216,49 @@ def draw_serving_distance(
 
 def sir_sample(
     serving_r: np.ndarray,
-    interferers: PointSet,
+    interferers: PointSet | tuple[PointSet, ...],
     alpha: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """One SIR draw per field of a block: h0 / sum_i h_i * (r0 / r_i)**alpha.
 
     Field k is served over a link at ``serving_r[k]`` and every point of
-    field k interferes; the serving link is not one of them. All fading
-    gains are exponential with mean 1. Dividing the path gains by the
-    serving one keeps every factor free of r0**-alpha: an empty field or
-    r0 = 0 gives inf, which callers count as coverage, and a term too large
-    for a float gives inf and so an SIR of 0, the limit of the exact value.
-    The fades come from ``rng``, the block's stream after its fields and
+    field k interferes; the serving link is not one of them.
+    ``interferers`` is one :class:`PointSet` or a tuple of them over the
+    same fields, whose points together interfere. All fading gains are
+    exponential with mean 1, drawn as h0 of every field first and then h
+    of every point, set after set. Dividing the path gains by the serving
+    one keeps every factor free of r0**-alpha: an empty field or r0 = 0
+    gives inf, which callers count as coverage, and a term too large for a
+    float gives inf and so an SIR of 0, the limit of the exact value. The
+    fades come from ``rng``, the block's stream after its fields and
     serving distances, so the SIRs are a function of (params, config, seed).
     """
-    h0 = rng.exponential(size=interferers.counts.size)
-    owner = interferers.owners()
-    h = rng.exponential(size=interferers.n)
+    sets = (interferers,) if isinstance(interferers, PointSet) else interferers
+    h0 = rng.exponential(size=sets[0].counts.size)
+    interference = np.zeros(h0.size)
     with np.errstate(over="ignore", divide="ignore"):
-        relative = h * (serving_r[owner] / interferers.radii()) ** alpha
-        return h0 / np.bincount(owner, weights=relative, minlength=interferers.counts.size)
+        for points in sets:
+            relative = np.repeat(serving_r, points.counts)
+            np.divide(relative, points.r, out=relative)
+            np.power(relative, alpha, out=relative)
+            relative *= rng.exponential(size=points.n)
+            interference += _field_sums(relative, points.counts)
+        return np.divide(h0, interference, out=h0)
+
+
+def _field_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sum of each field's run of ``values``, fields back to back; 0 for an empty field.
+
+    ``np.add.reduceat`` sums from each start to the next; it is given the
+    starts of the nonempty fields only, because at an empty field's start
+    it would return the next field's first value rather than 0.
+    """
+    sums = np.zeros(counts.size)
+    filled = counts > 0
+    starts = np.cumsum(counts) - counts
+    sums[filled] = np.add.reduceat(values, starts[filled])
+    return sums
 
 
 def interference_tail_exponent(lambda_s: float, alpha: float, s: float, radius: float) -> float:
@@ -269,7 +291,8 @@ def truncation_bias(params: SystemParams, radius: float) -> float:
     field inside the window gives L_R(s) = exp(-pi*lambda_s*R**2 *
     2F1(1, 2/alpha; 1 + 2/alpha; -R**alpha/s)); the infinite plane gives
     L_inf(s) = L_R(s)*exp(-T_R(s)), with T_R from
-    :func:`interference_tail_exponent`. The bias is E[L_R - L_inf] =
+    :func:`interference_tail_exponent` (evaluated in place at each
+    quadrature node). The bias is E[L_R - L_inf] =
     E[L_R*(1 - exp(-T_R))] over the serving-distance law: nonnegative,
     falling in ``radius``, and free of the cancellation that subtracting
     two near-equal exponents would bring near alpha = 2.
@@ -283,6 +306,8 @@ def truncation_bias(params: SystemParams, radius: float) -> float:
 
     delta = 2.0 / params.alpha
     area = radius * radius
+    disc_rate = math.pi * params.lambda_s
+    tail_rate = 2.0 * math.pi * params.lambda_s
 
     def excess_coverage(r0: float) -> float:
         # both exponents are R**2 times a function of v = s*R**-alpha alone;
@@ -290,8 +315,10 @@ def truncation_bias(params: SystemParams, radius: float) -> float:
         v = params.gamma * (r0 / radius) ** params.alpha
         if v == 0.0:
             return 0.0  # nothing beyond the window reaches the serving link
-        inside = math.pi * params.lambda_s * hyp2f1(1.0, delta, 1.0 + delta, -1.0 / v)
-        tail = interference_tail_exponent(params.lambda_s, params.alpha, v, 1.0)
+        inside = disc_rate * hyp2f1(1.0, delta, 1.0 + delta, -1.0 / v)
+        # interference_tail_exponent(lambda_s, alpha, v, 1.0), whose checks
+        # the arguments here always pass
+        tail = tail_rate * v / (params.alpha - 2.0) * hyp2f1(1.0, 1.0 - delta, 2.0 - delta, -v)
         return math.exp(-area * inside) * -math.expm1(-area * tail)
 
     return _serving_distance_expectation(params, excess_coverage, 1e-10)
@@ -353,7 +380,7 @@ def _blocks(cfg: SimConfig, points_per_trial: float):
 
     ``points_per_trial`` is the mean number of points a trial samples. A
     block holds about _BLOCK_POINTS points on average, and between one and
-    _BLOCK_TRIALS trials; its stream's counter is its index.
+    _BLOCK_TRIALS trials; its stream's spawn key is its index.
     """
     per_block = int(min(_BLOCK_TRIALS, max(1.0, _BLOCK_POINTS / points_per_trial)))
     for index, start in enumerate(range(0, cfg.trials, per_block)):
@@ -479,23 +506,29 @@ def estimate_physical(params: SystemParams, cfg: SimConfig) -> Estimate:
     window, _ = _resolve_window(params, cfg)
     disc_mean = _field_mean(params.lambda_s, params.r_th)
     annulus_mean = _field_mean(params.lambda_s, window) - disc_mean
+    inner_area = params.r_th * params.r_th
+    annulus_area = window * window - inner_area
     outages = effective = 0
     for rng, size in _blocks(cfg, disc_mean + cache_hit_prob(params) * annulus_mean):
         disc = sample_ppp(params.lambda_s, params.r_th, rng, size)
-        radii, owner = disc.radii(), disc.owners()
         caching = np.flatnonzero(rng.random(disc.n) < params.pc)
-        serving = caching[np.argsort(radii[caching])]
+        caching = caching[np.argsort(disc.r[caching])]
         # np.unique keeps each field's first, so nearest, caching point: one
         # server per field with a hit, also where two share a distance
-        served, first = np.unique(owner[serving], return_index=True)
-        serving = serving[first]
+        fields = np.searchsorted(np.cumsum(disc.counts), caching, side="right")
+        served, first = np.unique(fields, return_index=True)
+        serving = caching[first]
         hit = np.zeros(size, dtype=bool)
         hit[served] = True
-        keep = hit[owner]
+        keep = np.repeat(hit, disc.counts)
         keep[serving] = False
-        inner = PointSet(r=radii[keep], counts=disc.counts[served] - 1)
-        others = _join_annulus(inner, annulus_mean, params.r_th, window, rng)
-        sir = sir_sample(radii[serving], others, params.alpha, rng)
+        inner = PointSet(r=disc.r[keep], counts=disc.counts[served] - 1)
+        # each hit field's own Poisson field on the annulus r_th < r <= window,
+        # at distances sqrt(r_th**2 + (window**2 - r_th**2) * u)
+        counts = rng.poisson(annulus_mean, served.size)
+        outer = np.sqrt(inner_area + annulus_area * rng.random(int(counts.sum())))
+        annulus = PointSet(r=outer, counts=counts)
+        sir = sir_sample(disc.r[serving], (inner, annulus), params.alpha, rng)
         outages += int(np.count_nonzero(sir < params.gamma))
         effective += served.size
     if effective == 0:
@@ -506,23 +539,6 @@ def estimate_physical(params: SystemParams, cfg: SimConfig) -> Estimate:
     return _binomial_estimate(
         outages, effective, n_discarded=cfg.trials - effective, window_radius=window
     )
-
-
-def _join_annulus(
-    inner: PointSet, mean: float, r_th: float, window_radius: float, rng: np.random.Generator
-) -> PointSet:
-    """Each field of ``inner`` joined by its own Poisson field on the annulus r_th < r <= window.
-
-    An annulus holds a Poisson count of mean ``mean``, at distances
-    sqrt(r_th**2 + (window**2 - r_th**2) * u) for u uniform on [0, 1).
-    Each field's disc points go in just before its annulus points, at the
-    field's offset in the annulus array: one O(n) pass, no sort of the
-    joined points.
-    """
-    counts = rng.poisson(mean, inner.counts.size)
-    outer = np.sqrt(r_th**2 + (window_radius**2 - r_th**2) * rng.random(int(counts.sum())))
-    r = np.insert(outer, np.repeat(np.cumsum(counts) - counts, inner.counts), inner.r)
-    return PointSet(r=r, counts=inner.counts + counts)
 
 
 def binomial_ci(successes: float, n: int, confidence: float = 0.99) -> tuple[float, float]:

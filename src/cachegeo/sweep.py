@@ -164,7 +164,7 @@ def _cell_row(spec: SweepSpec, with_series: SystemParams, axis_value: float,
     row = SweepRow(float(axis_value), series_value, float(analytic_value))
     if spec.sim is None:
         return row
-    # distinct Philox keys per cell keep the trial streams unrelated
+    # distinct seeds per cell keep the trial streams unrelated
     cfg = replace(spec.sim, master_seed=(spec.sim.master_seed + cell_index) % 2**64)
     try:
         if spec.quantity is Quantity.CACHE_HIT:

@@ -81,6 +81,35 @@ def test_analytic_outage_vanishes_at_tiny_threshold(capsys):
     assert payload["content_outage"] < 1e-9
 
 
+def test_analytic_at_huge_threshold_distance(capsys):
+    # r_th**2 overflows a float here; the hit is then certain and the outage
+    # is its limit pc / (pc + kappa*gamma**(2/alpha))
+    flags = [*P_FLAGS[:6], "--rth", "1e200", *P_FLAGS[8:], "--json"]
+    assert main(["analytic", *flags]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["cache_hit_prob"] == 1.0
+    limit = 1.0 - REFERENCE.pc / (REFERENCE.pc + kappa(3.0) * REFERENCE.gamma ** (2.0 / 3.0))
+    assert payload["content_outage"] == pytest.approx(limit, rel=1e-12)
+
+
+def test_analytic_at_tiny_threshold_distance(capsys):
+    # lambda_s*pi*r_th**2 underflows to 0 here; the outage is its limit 0
+    flags = [*P_FLAGS[:6], "--rth", "1e-200", *P_FLAGS[8:], "--json"]
+    assert main(["analytic", *flags]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["cache_hit_prob"], payload["content_outage"]) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("mode", ["emulated", "physical"])
+def test_simulate_at_tiny_threshold_distance_exits_2(mode, capsys):
+    # the serving-distance law has no density a float can hold here, so the
+    # window's bias cannot be integrated: a named error, not a traceback
+    flags = [*P_FLAGS[:6], "--rth", "1e-200", *P_FLAGS[8:]]
+    assert main(["simulate", *flags, "--trials", "5", "--mode", mode]) == 2
+    err = capsys.readouterr().err
+    assert "(field: r_th)" in err and "Traceback" not in err
+
+
 def test_analytic_validation_failure_exits_2(capsys):
     rc = main(["analytic", "--lambda", "0.1", "--alpha", "2", "--gamma-db", "-10",
                "--rth", "5", "--d", "2", "--library", "100"])
@@ -562,6 +591,17 @@ def test_plan_infeasible_exits_4(capsys):
     captured = capsys.readouterr()
     assert "infeasible" in captured.err
     assert "73.29" in captured.out
+
+
+def test_plan_at_huge_threshold_distance(capsys):
+    # r_th**2 overflows a float here; any replication ratio reaches the target
+    rc = main(["plan", "--epsilon", "0.5", "--lambda", "0.1", "--rth", "1e200", "--json"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["feasible"] is True
+    assert payload["pc_lower"] == 0.0
+    assert main(["plan", "--epsilon", "0.5", "--pc", "0.1", "--rth", "1e200"]) == 0
+    assert repr(0.0) in capsys.readouterr().out
 
 
 def test_plan_requires_exactly_one_unknown():

@@ -199,6 +199,66 @@ def test_sir_block_matches_per_field_loop():
         assert sir[k] == pytest.approx(reference, rel=1e-12)
 
 
+class ScriptedFades:
+    """Stub stream that hands out given exponential arrays in order."""
+
+    def __init__(self, *arrays):
+        self._arrays = list(arrays)
+
+    def exponential(self, size=None):
+        drawn = np.asarray(self._arrays.pop(0), dtype=float)
+        assert drawn.size == size
+        return drawn.copy()
+
+
+def _per_field_sir(r0, h0, fields):
+    """Reference SIRs, one field at a time; ``fields`` pairs radii with fades."""
+    sirs = []
+    for k, (radii, fades) in enumerate(fields):
+        total = float(np.sum(fades * (r0[k] / radii) ** 3.0))
+        sirs.append(math.inf if total == 0.0 else h0[k] / total)
+    return sirs
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [[0, 2, 3], [2, 0, 3], [2, 3, 0], [0, 0, 0], [1, 1, 1], [3, 0, 0, 1, 0]],
+    ids=["empty-first", "empty-middle", "empty-last", "all-empty", "single-points",
+         "runs-of-empties"],
+)
+def test_sir_sums_each_field_alone(counts):
+    # the per-field sums must give an empty field nothing (not its
+    # neighbour's first term) and a one-point field exactly its own term
+    counts = np.array(counts)
+    rng = np.random.default_rng(41)
+    r = rng.uniform(1.0, 9.0, int(counts.sum()))
+    r0 = rng.uniform(0.5, 5.0, counts.size)
+    h0, h = rng.exponential(size=counts.size), rng.exponential(size=r.size)
+    sir = sir_sample(r0, PointSet(r=r, counts=counts), 3.0, ScriptedFades(h0, h))
+    bounds = np.cumsum(counts)[:-1]
+    fields = zip(np.split(r, bounds), np.split(h, bounds))
+    assert sir == pytest.approx(_per_field_sir(r0, h0, fields), rel=1e-12)
+
+
+def test_sir_of_several_point_sets_equals_their_join():
+    # the physical estimator passes a field's disc and annulus points as two
+    # sets; with the same fade on every point that must equal one joined set
+    rng = np.random.default_rng(42)
+    inner = PointSet(r=rng.uniform(0.5, 5.0, 7), counts=np.array([0, 3, 1, 3]))
+    outer = PointSet(r=rng.uniform(5.0, 30.0, 9), counts=np.array([2, 0, 4, 3]))
+    r0 = rng.uniform(0.5, 5.0, 4)
+    h0, h_in, h_out = (rng.exponential(size=n) for n in (4, inner.n, outer.n))
+    split_in, split_out = (np.cumsum(s.counts)[:-1] for s in (inner, outer))
+    joined_r = np.concatenate([np.concatenate(pair) for pair in
+                               zip(np.split(inner.r, split_in), np.split(outer.r, split_out))])
+    joined_h = np.concatenate([np.concatenate(pair) for pair in
+                               zip(np.split(h_in, split_in), np.split(h_out, split_out))])
+    joined = PointSet(r=joined_r, counts=inner.counts + outer.counts)
+    several = sir_sample(r0, (inner, outer), 3.0, ScriptedFades(h0, h_in, h_out))
+    one = sir_sample(r0, joined, 3.0, ScriptedFades(h0, joined_h))
+    assert several == pytest.approx(one, rel=1e-12)
+
+
 def test_sir_outage_fraction_matches_fixed_distance_law():
     # alpha = 4 keeps the discarded interference tail far below the
     # statistical resolution of the check
@@ -436,23 +496,24 @@ def test_trial_stream_layout_is_pinned():
     distances, outages = content_outage_trials(
         p, SimConfig(trials=1000, master_seed=7, window_radius=100.0)
     )
-    assert int(outages.sum()) == 751
+    assert int(outages.sum()) == 774
     assert distances[:4].tolist() == [
-        4.060763844383746, 3.5278156803130822, 3.82701127922573, 3.115512118106012
+        2.187803376821607, 1.7218841485678331, 4.78363608649529, 4.814109907636839
     ]
     hit = estimate_cache_hit(p, SimConfig(trials=3000, master_seed=8))
-    assert (hit.mean, hit.n, hit.n_discarded) == (452 / 3000, 3000, 0)
-    assert (hit.ci_low, hit.ci_high) == (0.13461543179189994, 0.16825968537995467)
+    assert (hit.mean, hit.n, hit.n_discarded) == (434 / 3000, 3000, 0)
+    assert (hit.ci_low, hit.ci_high) == (0.1289076919785731, 0.16199390621340876)
 
 
 def test_physical_trial_stream_is_pinned():
     # exact outputs for a fixed seed: a block draws its r_th discs, their
-    # cache marks, the annuli of its hit fields, then the fades, so a change
-    # to the annulus or fading draws moves the outage count but not n
+    # cache marks, the annuli of its hit fields, then the fades (servers,
+    # disc interferers, annulus interferers), so a change to the annulus or
+    # fading draws moves the outage count but not n
     est = estimate_physical(
         make_params(), SimConfig(trials=2000, master_seed=8, window_radius=100.0)
     )
-    assert (est.mean, est.n, est.n_discarded) == (206 / 274, 274, 1726)
+    assert (est.mean, est.n, est.n_discarded) == (225 / 294, 294, 1706)
 
 
 def test_estimate_repeats_bit_identically():

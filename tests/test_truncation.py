@@ -111,3 +111,19 @@ def test_default_window_is_the_smallest_that_meets_the_budget(params, trials):
     assert truncation_bias(params, window) <= budget
     if window > floor:
         assert truncation_bias(params, window * (1.0 - 1e-4)) > budget
+
+
+@pytest.mark.parametrize(
+    "alpha, trials, window, bias",
+    [(3.0, 64, 50.0, 0.005424175529837598),
+     (3.0, 5000, 68.20934467847547, 0.003945193749369575),
+     (2.5, 5000, 2589.3355282906255, None)],
+)
+def test_default_window_and_its_bias_are_pinned(alpha, trials, window, bias):
+    # exact values at the reference point: a rewrite of the quadrature's
+    # integrand that is not the same arithmetic moves these bits
+    params = validate(SystemParams(lambda_s=0.1, alpha=alpha, gamma=0.1, r_th=5.0,
+                                   cache_size_d=2, library_size=100))
+    assert recommended_window_radius(params, trials) == window
+    if bias is not None:
+        assert truncation_bias(params, window) == bias
