@@ -33,18 +33,15 @@ from .simulate import (
     Estimate,
     PointSet,
     SimConfig,
-    TruncationWindowWarning,
     binomial_ci,
     draw_serving_distance,
     estimate_cache_hit,
     estimate_content_outage,
     estimate_physical,
     interference_tail_exponent,
-    recommended_window_radius,
     sample_ppp,
     sir_sample,
     trial_stream,
-    truncation_bias,
 )
 from .sweep import (
     Axis,
@@ -81,15 +78,12 @@ __all__ = [
     "SimConfig",
     "Estimate",
     "PointSet",
-    "TruncationWindowWarning",
     "DegenerateSampleError",
     "trial_stream",
     "sample_ppp",
     "draw_serving_distance",
     "sir_sample",
     "interference_tail_exponent",
-    "truncation_bias",
-    "recommended_window_radius",
     "estimate_content_outage",
     "estimate_cache_hit",
     "estimate_physical",

@@ -168,20 +168,39 @@ def serving_distance_pdf(params: SystemParams, r: float) -> float:
     f(r) = 2*pi*lambda_s*pc*r * exp(-lambda_s*pc*pi*r**2)
            / (1 - exp(-lambda_s*pc*pi*r_th**2))       for 0 <= r <= r_th.
 
-    Undefined when pc = 0: the conditioning hit event then has probability
-    zero.
+    Undefined when pc = 0, where the conditioning hit event has probability
+    zero, and refused where that probability is below the smallest normal
+    float; both raise :class:`~cachegeo.model.ParameterError`.
     """
-    pc = params.pc
-    if pc <= 0.0:
-        raise ParameterError(
-            "cache_size_d",
-            "serving distance is conditioned on a cache hit, impossible at pc = 0",
-        )
+    rate, norm = _serving_distance_law(params)
     if not (math.isfinite(r) and 0.0 <= r <= params.r_th):
         raise ParameterError("r", f"distance must lie in [0, r_th={params.r_th}], got {r}")
-    rate = params.lambda_s * pc * math.pi
-    norm = -math.expm1(-rate * (params.r_th * params.r_th))
     return 2.0 * rate * r * math.exp(-rate * r * r) / norm
+
+
+def _serving_distance_law(params: SystemParams) -> tuple[float, float]:
+    """The rate lambda_s*pc*pi and the hit probability of the serving-distance law.
+
+    The law is conditioned on a hit within r_th, so it is refused at
+    pc = 0 (``cache_size_d``) and where the hit probability is below the
+    smallest normal float (``r_th``): no density, draw or estimate can
+    then be normalised by it.
+    """
+    if params.pc <= 0.0:
+        raise ParameterError(
+            "cache_size_d",
+            "the serving distance is conditioned on a cache hit, impossible at pc = 0",
+        )
+    rate = params.lambda_s * params.pc * math.pi
+    norm = -math.expm1(-rate * (params.r_th * params.r_th))
+    if norm < sys.float_info.min:
+        raise ParameterError(
+            "r_th",
+            f"the hit probability lambda_s*pc*pi*r_th**2 = {norm:.3g} at r_th {params.r_th:g} "
+            "is below the smallest normal float, so the serving-distance law cannot be "
+            "normalised",
+        )
+    return rate, norm
 
 
 def content_outage(params: SystemParams) -> float:
@@ -194,10 +213,9 @@ def content_outage(params: SystemParams) -> float:
             / ((1 - exp(-lambda_s*pc*pi*r_th**2)) * (pc + kappa*gamma**(2/alpha)))
 
     Requires pc > 0 (the conditioning hit event must have positive
-    probability). Where lambda_s*pc*pi*r_th**2 is below the smallest
-    normal float, the two expm1 terms have lost their precision; the
-    outage there is kappa*gamma**(2/alpha)*lambda_s*pi*r_th**2 / 2 to first
-    order, a subnormal number, and its limit 0 is returned.
+    probability). Below _CANCELLATION_FLOOR the subtraction from 1 has lost
+    digits, so the outage is taken from :func:`_small_outage` instead,
+    which adds only nonnegative terms; it is 0 where r_th**2 underflows.
     """
     pc = params.pc
     if pc <= 0.0:
@@ -205,12 +223,56 @@ def content_outage(params: SystemParams) -> float:
             "cache_size_d",
             "content outage is conditioned on a cache hit, impossible at pc = 0",
         )
-    a = pc + kappa(params.alpha) * params.gamma ** (2.0 / params.alpha)
+    excess = kappa(params.alpha) * params.gamma ** (2.0 / params.alpha)
+    c = pc + excess
     area = params.lambda_s * math.pi * (params.r_th * params.r_th)
-    if pc * area < sys.float_info.min:
-        return 0.0
-    ratio = (pc * math.expm1(-a * area)) / (a * math.expm1(-pc * area))
-    return 1.0 - ratio
+    if pc * area >= sys.float_info.min:
+        outage = 1.0 - (pc * math.expm1(-c * area)) / (c * math.expm1(-pc * area))
+        if outage >= _CANCELLATION_FLOOR:
+            return outage
+    return _small_outage(pc, excess, area)
+
+
+# 1 - ratio is exact to a few units of 1e-16, so above this floor the
+# outage keeps at least 12 significant digits
+_CANCELLATION_FLOOR = 1e-3
+
+
+def _small_outage(pc: float, excess: float, area: float) -> float:
+    """The content outage as a sum of nonnegative terms, for outages that 1 - ratio cancels.
+
+    With c = pc + excess, a = pc*area, b = c*area, delta = b - a and
+    phi(x) = (1 - exp(-x))/x, the outage is 1 - phi(b)/phi(a), which is
+
+        (excess/c) * (1 - exp(-a)*phi(delta)/phi(a))
+      = (excess/c) * (a - (1 + a)*f(a) + exp(-a)*f(delta)) / (1 - f(a)),
+
+    f(x) = 1 - phi(x). The first form keeps its digits for a >= 1/2,
+    where exp(-a)*phi(delta)/phi(a) <= a/(exp(a) - 1) < 0.78; the second
+    for a < 1/2, where every term is nonnegative and f is a series.
+    """
+    a, delta = pc * area, excess * area
+    if a < 0.5:
+        share = (a - (1.0 + a) * _one_minus_phi(a) + math.exp(-a) * _one_minus_phi(delta)) / (
+            1.0 - _one_minus_phi(a)
+        )
+    else:
+        # beyond 745, a*exp(-a) < 1e-320 is far under the last digit of share >= 0.22;
+        # the cap also keeps an infinite area out of a*exp(-a)
+        a = min(a, 745.0)
+        share = 1.0 - math.exp(-a) * (1.0 - _one_minus_phi(delta)) * a / -math.expm1(-a)
+    return excess / (pc + excess) * share
+
+
+def _one_minus_phi(x: float) -> float:
+    """1 - (1 - exp(-x))/x for x >= 0, by its Taylor series x/2 - x**2/6 + ... below 1/2."""
+    if x >= 0.5:
+        return 1.0 + math.expm1(-x) / x
+    term = total = x / 2.0
+    for k in range(3, 20):  # the first term left out, 0.5**19 / 20!, is below 1e-24
+        term *= -x / k
+        total += term
+    return total
 
 
 def content_outage_quadrature(params: SystemParams, rel_tol: float = 1e-10) -> float:
@@ -239,21 +301,7 @@ def _serving_distance_expectation(params: SystemParams, fn, rel_tol: float) -> f
     # imported here, not at module level, so the closed forms load without scipy
     from scipy.integrate import quad
 
-    pc = params.pc
-    if pc <= 0.0:
-        raise ParameterError(
-            "cache_size_d",
-            "content outage is conditioned on a cache hit, impossible at pc = 0",
-        )
-    rate = params.lambda_s * pc * math.pi
-    norm = -math.expm1(-rate * (params.r_th * params.r_th))
-    if norm < sys.float_info.min:
-        raise ParameterError(
-            "r_th",
-            f"the hit probability lambda_s*pc*pi*r_th**2 = {norm:.3g} at r_th {params.r_th:g} "
-            "is below the smallest normal float, so the serving-distance law has no "
-            "accurate density to integrate",
-        )
+    rate, norm = _serving_distance_law(params)
 
     def integrand(r: float) -> float:
         pdf = 2.0 * rate * r * math.exp(-rate * r * r) / norm

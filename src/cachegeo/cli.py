@@ -151,7 +151,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "trials": cfg.trials,
         "master_seed": cfg.master_seed,
         "window_radius": estimate.window_radius,
-        "truncation_bias": estimate.truncation_bias,
         "analytic_content_outage": analytic_value,
         "estimate": {
             "mean": estimate.mean,
@@ -171,8 +170,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             ("mode", args.mode),
             ("trials", str(cfg.trials)),
             ("window radius", estimate.window_radius),
-            ("truncation bias", "n/a" if estimate.truncation_bias is None
-             else estimate.truncation_bias),
             ("analytic outage", analytic_value),
             ("simulated mean", estimate.mean),
             (
@@ -347,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--mode", choices=list(_MODE_ESTIMATORS), default="emulated")
     p.add_argument("--window", type=float, default=None,
-                   help="interference window radius [m] (default: smallest radius whose "
-                   "truncation bias is within a quarter of the 99%% half-width)")
+                   help="radius [m] out to which interferers are sampled one by one; the "
+                   "field beyond is added exactly (default: 10 * rth, at least rth)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_simulate)
 

@@ -6,42 +6,43 @@ the block index as its spawn key, and the block size follows from the mean
 number of points a trial samples, so estimates are a function of (params,
 config, seed) and bit-identical across runs.
 
-Interferers are sampled on a finite disc, which lowers the emulated outage
-below its infinite-plane value by an exactly computable truncation bias
-(:func:`truncation_bias`). The default disc is the smallest one whose bias
-fits a quarter of the run's 99% confidence half-width, and every emulated
-estimate reports the bias of the disc it used.
+Interferers are sampled point by point on a disc of radius R, the window;
+the interference from beyond it is added in closed form. Given the
+serving distance r0 and the sampled sum X = sum_i h_i (r0/r_i)**alpha, the
+Rayleigh serving fade h0 averages the field beyond the window out
+exactly: P(h0 < gamma*X + T_R) = 1 - exp(-gamma*X)*E[exp(-s*I_out)], with
+s = gamma*r0**alpha and T_R = -ln E[exp(-s*I_out)] the tail exponent of
+:func:`interference_tail_exponent`. So each field's interference gains
+T_R/gamma, and the outage estimate is unbiased for the infinite plane at
+every window.
 
-scipy is imported only inside the functions that call it (the bias, its
-tail exponent and the window's root find), so the cache-hit estimate and
-the CLI commands that never solve for a window run without loading it.
+scipy is imported only inside the function that calls it (the tail
+exponent's hypergeometric function, from ``scipy.special``), so the
+cache-hit estimate and the CLI commands without Monte Carlo outage run
+without loading it.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
-from .analytic import _serving_distance_expectation, cache_hit_prob, content_outage
+from .analytic import _serving_distance_law, cache_hit_prob
 from .model import ParameterError, SystemParams
 
 __all__ = [
     "SimConfig",
     "Estimate",
     "PointSet",
-    "TruncationWindowWarning",
     "DegenerateSampleError",
     "trial_stream",
     "sample_ppp",
     "draw_serving_distance",
     "sir_sample",
     "interference_tail_exponent",
-    "truncation_bias",
-    "recommended_window_radius",
     "content_outage_trials",
     "estimate_content_outage",
     "estimate_cache_hit",
@@ -51,13 +52,8 @@ __all__ = [
 
 _SEED_SPACE = 2**64
 _MAX_POINTS_PER_TRIAL = 5 * 10**7  # mean field size; ~400 MB per float64 array
-_WINDOW_RTOL = 1e-6  # relative accuracy of the default window's root find
 _BLOCK_POINTS = 2**16  # mean points sampled per block of trials
 _BLOCK_TRIALS = 4096  # most trials per block, reached on fields of few points
-
-
-class TruncationWindowWarning(UserWarning):
-    """Interference window whose truncation bias exceeds the run's budget."""
 
 
 class DegenerateSampleError(RuntimeError):
@@ -69,8 +65,8 @@ class SimConfig:
     """Monte Carlo controls.
 
     ``window_radius`` is the radius of the disc on which interferers are
-    sampled; None resolves to :func:`recommended_window_radius` for the
-    parameters and the trial count of the run.
+    sampled point by point; the field beyond it enters in closed form. None
+    resolves to 10 * r_th, and a window must cover r_th.
     """
 
     trials: int = 5000
@@ -98,11 +94,8 @@ class Estimate:
 
     ``n`` is the effective sample size; ``n_discarded`` counts trials
     dropped by a conditioning event (physical mode only);
-    ``window_radius`` is the radius of the disc the fields were sampled on;
-    ``truncation_bias`` is how far that disc lowers the expected outage
-    below its infinite-plane value (:func:`truncation_bias`): 0.0 for the
-    cache hit, whose field on r_th is exact, and None in physical mode,
-    for which no formula is derived.
+    ``window_radius`` is the radius of the disc the fields were sampled
+    on point by point.
     """
 
     mean: float
@@ -112,7 +105,6 @@ class Estimate:
     n: int
     n_discarded: int = 0
     window_radius: float | None = None
-    truncation_bias: float | None = None
 
     def contains(self, value: float) -> bool:
         return self.ci_low <= value <= self.ci_high
@@ -201,16 +193,9 @@ def draw_serving_distance(
     for u uniform on [0, 1). Returns a float, or an array when ``size``
     is given.
     """
-    pc = params.pc
-    if pc <= 0.0:
-        raise ParameterError(
-            "cache_size_d",
-            "serving distance is conditioned on a cache hit, impossible at pc = 0",
-        )
-    rate = params.lambda_s * pc * math.pi
-    tail = math.expm1(-rate * (params.r_th * params.r_th))  # exp(-c) - 1, in (-1, 0)
+    rate, norm = _serving_distance_law(params)
     u = rng.random(size)
-    r = np.sqrt(np.log1p(u * tail) / -rate)
+    r = np.sqrt(np.log1p(u * -norm) / -rate)
     return float(r) if size is None else r
 
 
@@ -219,24 +204,28 @@ def sir_sample(
     interferers: PointSet | tuple[PointSet, ...],
     alpha: float,
     rng: np.random.Generator,
+    tail: np.ndarray | float = 0.0,
 ) -> np.ndarray:
-    """One SIR draw per field of a block: h0 / sum_i h_i * (r0 / r_i)**alpha.
+    """One SIR draw per field of a block: h0 / (tail + sum_i h_i * (r0 / r_i)**alpha).
 
     Field k is served over a link at ``serving_r[k]`` and every point of
     field k interferes; the serving link is not one of them.
     ``interferers`` is one :class:`PointSet` or a tuple of them over the
-    same fields, whose points together interfere. All fading gains are
+    same fields, whose points together interfere. ``tail`` is each
+    field's interference from beyond its sampled points, in the same units
+    (:func:`interference_tail_exponent`). All fading gains are
     exponential with mean 1, drawn as h0 of every field first and then h
     of every point, set after set. Dividing the path gains by the serving
-    one keeps every factor free of r0**-alpha: an empty field or r0 = 0
-    gives inf, which callers count as coverage, and a term too large for a
-    float gives inf and so an SIR of 0, the limit of the exact value. The
-    fades come from ``rng``, the block's stream after its fields and
-    serving distances, so the SIRs are a function of (params, config, seed).
+    one keeps every factor free of r0**-alpha: an empty field with no tail
+    or r0 = 0 gives inf, which callers count as coverage, and a term too
+    large for a float gives inf and so an SIR of 0, the limit of the exact
+    value. The fades come from ``rng``, the block's stream after its
+    fields and serving distances, so the SIRs are a function of (params,
+    config, seed).
     """
     sets = (interferers,) if isinstance(interferers, PointSet) else interferers
     h0 = rng.exponential(size=sets[0].counts.size)
-    interference = np.zeros(h0.size)
+    interference = np.zeros(h0.size) + tail
     with np.errstate(over="ignore", divide="ignore"):
         for points in sets:
             relative = np.repeat(serving_r, points.counts)
@@ -261,14 +250,24 @@ def _field_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return sums
 
 
-def interference_tail_exponent(lambda_s: float, alpha: float, s: float, radius: float) -> float:
-    """-ln of the Laplace transform at ``s`` of the faded interference from beyond ``radius``.
+def interference_tail_exponent(
+    lambda_s: float, alpha: float, gamma: float, r0, radius: float
+):
+    """Tail exponent of the faded interference from beyond ``radius``, divided by gamma.
 
     The probability generating functional of the Poisson field with
-    unit-mean exponential fading gives
-    T_R(s) = 2*pi*lambda_s * s * R**(2-alpha) / (alpha - 2)
-             * 2F1(1, 1 - 2/alpha; 2 - 2/alpha; -s * R**-alpha),
-    the Euler-integral form of 2*pi*lambda_s * int_R^inf r / (1 + r**alpha / s) dr.
+    unit-mean exponential fading gives, at s = gamma * r0**alpha,
+    T_R(s) = 2*pi*lambda_s * int_R^inf r / (1 + r**alpha / s) dr
+           = -ln E[exp(-s * I_out)],
+    with I_out the interference from beyond R (Haenggi, *Stochastic
+    Geometry for Wireless Networks*, ch. 5). Returned is T_R(s)/gamma,
+    the far field's share of the interference relative to the serving
+    path gain, in its Euler-integral form
+    2*pi*lambda_s * R**2 * (r0/R)**alpha / (alpha - 2)
+        * 2F1(1, 1 - 2/alpha; 2 - 2/alpha; -v),   v = gamma * (r0/R)**alpha,
+    which stays finite at any alpha and as gamma -> 0, because r0 <= R
+    keeps (r0/R)**alpha <= 1. ``r0`` is a float or an array of serving
+    distances in [0, R]; the result has its shape.
     """
     if alpha <= 2:
         raise ParameterError("alpha", f"alpha must exceed 2, got {alpha}")
@@ -277,102 +276,11 @@ def interference_tail_exponent(lambda_s: float, alpha: float, s: float, radius: 
     from scipy.special import hyp2f1
 
     delta = 2.0 / alpha
+    reach = (np.asarray(r0, dtype=float) / radius) ** alpha
     return (
-        2.0 * math.pi * lambda_s * s * radius ** (2.0 - alpha) / (alpha - 2.0)
-        * hyp2f1(1.0, 1.0 - delta, 2.0 - delta, -s * radius**-alpha)
+        2.0 * math.pi * lambda_s * (radius * radius) * reach / (alpha - 2.0)
+        * hyp2f1(1.0, 1.0 - delta, 2.0 - delta, -gamma * reach)
     )
-
-
-def truncation_bias(params: SystemParams, radius: float) -> float:
-    """How far a window of ``radius`` lowers the expected emulated outage.
-
-    Given the serving distance r0, a trial covers with probability L(s),
-    the Laplace transform of its interference at s = gamma*r0**alpha. The
-    field inside the window gives L_R(s) = exp(-pi*lambda_s*R**2 *
-    2F1(1, 2/alpha; 1 + 2/alpha; -R**alpha/s)); the infinite plane gives
-    L_inf(s) = L_R(s)*exp(-T_R(s)), with T_R from
-    :func:`interference_tail_exponent` (evaluated in place at each
-    quadrature node). The bias is E[L_R - L_inf] =
-    E[L_R*(1 - exp(-T_R))] over the serving-distance law: nonnegative,
-    falling in ``radius``, and free of the cancellation that subtracting
-    two near-equal exponents would bring near alpha = 2.
-    """
-    if radius < params.r_th:
-        raise ParameterError(
-            "window_radius",
-            f"window_radius {radius} must cover the threshold distance {params.r_th}",
-        )
-    from scipy.special import hyp2f1
-
-    delta = 2.0 / params.alpha
-    area = radius * radius
-    disc_rate = math.pi * params.lambda_s
-    tail_rate = 2.0 * math.pi * params.lambda_s
-
-    def excess_coverage(r0: float) -> float:
-        # both exponents are R**2 times a function of v = s*R**-alpha alone;
-        # r0 <= r_th <= R keeps v <= gamma, so no power overflows
-        v = params.gamma * (r0 / radius) ** params.alpha
-        if v == 0.0:
-            return 0.0  # nothing beyond the window reaches the serving link
-        inside = disc_rate * hyp2f1(1.0, delta, 1.0 + delta, -1.0 / v)
-        # interference_tail_exponent(lambda_s, alpha, v, 1.0), whose checks
-        # the arguments here always pass
-        tail = tail_rate * v / (params.alpha - 2.0) * hyp2f1(1.0, 1.0 - delta, 2.0 - delta, -v)
-        return math.exp(-area * inside) * -math.expm1(-area * tail)
-
-    return _serving_distance_expectation(params, excess_coverage, 1e-10)
-
-
-def _bias_budget(params: SystemParams, trials: int) -> float:
-    """A quarter of the Wilson 99% half-width at the closed-form outage over ``trials`` samples.
-
-    The Wilson half-width stays positive where the outage is 0 or 1.
-    """
-    low, high = binomial_ci(content_outage(params) * trials, trials)
-    return (high - low) / 8.0
-
-
-def recommended_window_radius(params: SystemParams, trials: int) -> float:
-    """Default window: the smallest radius whose truncation bias fits the budget.
-
-    The budget is a quarter of the 99% Wilson half-width that ``trials``
-    samples give at the closed-form outage. Returns max(10*r_th, R*),
-    where R* is the smallest radius whose :func:`truncation_bias` is
-    within the budget; the bias falls monotonically in the radius, so R*
-    is bracketed by doubling and found by a root search. Returns inf when
-    R* lies beyond the per-trial point cap.
-    """
-    return _recommended_window(params, trials)[0]
-
-
-def _recommended_window(params: SystemParams, trials: int) -> tuple[float, float | None]:
-    """:func:`recommended_window_radius` and the truncation bias on it (None when inf).
-
-    At the floor the search has already evaluated the bias, so it is
-    returned rather than computed again.
-    """
-    from scipy.optimize import brentq
-
-    budget = _bias_budget(params, trials)
-
-    def excess(radius: float) -> float:
-        return truncation_bias(params, radius) - budget
-
-    cap = math.sqrt(_MAX_POINTS_PER_TRIAL / (params.lambda_s * math.pi))
-    floor = 10.0 * params.r_th
-    lo = hi = floor
-    while (bias := truncation_bias(params, hi)) > budget:
-        if hi >= cap:
-            return math.inf, None
-        lo, hi = hi, min(2.0 * hi, cap)
-    if hi == floor:
-        return floor, bias
-    root = brentq(excess, lo, hi, xtol=_WINDOW_RTOL * lo, rtol=_WINDOW_RTOL)
-    # brentq puts R* within 2*_WINDOW_RTOL*root of root; the step up lands
-    # on the side whose bias meets the budget
-    window = min(hi, root * (1.0 + 2.0 * _WINDOW_RTOL))
-    return window, truncation_bias(params, window)
 
 
 def _blocks(cfg: SimConfig, points_per_trial: float):
@@ -387,66 +295,47 @@ def _blocks(cfg: SimConfig, points_per_trial: float):
         yield trial_stream(cfg.master_seed, index), min(per_block, cfg.trials - start)
 
 
-def _resolve_window(params: SystemParams, cfg: SimConfig) -> tuple[float, float]:
-    """The run's window radius and the truncation bias of the emulated outage on it."""
-    if cfg.window_radius is None:
-        window, bias = _recommended_window(params, cfg.trials)
-        if window == math.inf:
-            raise ParameterError(
-                "window_radius",
-                f"no window of at most {_MAX_POINTS_PER_TRIAL:.0e} points per trial keeps "
-                f"the truncation bias at alpha {params.alpha:g} within a quarter of the 99% "
-                f"half-width of {cfg.trials} trials; pass a window to accept a larger bias",
-            )
-        return window, bias
-    window = cfg.window_radius
-    bias = truncation_bias(params, window)
-    budget = _bias_budget(params, cfg.trials)
-    if bias > budget:
-        warnings.warn(
-            f"window_radius {window:g} m lowers the expected outage by {bias:.3g}, above "
-            f"the budget of {budget:.3g} (a quarter of the 99% half-width of "
-            f"{cfg.trials} trials)",
-            TruncationWindowWarning,
-            stacklevel=3,
+def _resolve_window(params: SystemParams, cfg: SimConfig) -> float:
+    """The run's window radius: ``cfg.window_radius``, by default 10 * r_th; it must cover r_th."""
+    window = 10.0 * params.r_th if cfg.window_radius is None else cfg.window_radius
+    if window < params.r_th:
+        raise ParameterError(
+            "window_radius",
+            f"window_radius {window} must cover the threshold distance {params.r_th}",
         )
-    return window, bias
+    return window
 
 
 def content_outage_trials(params: SystemParams, cfg: SimConfig):
     """Per-trial serving distances and outage indicators, emulated association.
 
-    Each trial samples a fresh interference field, draws an independent
-    serving distance from the conditional law, draws fadings and records
-    the event SIR < gamma. Returned arrays are ordered by trial index;
+    Each trial samples a fresh interference field on the window, draws an
+    independent serving distance from the conditional law, draws fadings,
+    adds the field beyond the window in closed form and records the event
+    SIR < gamma. Returned arrays are ordered by trial index;
     :func:`estimate_content_outage` aggregates them, and callers can bin
     them by distance for conditional checks.
     """
-    return _outage_trials(params, cfg)[2:]
+    return _outage_trials(params, cfg)[1:]
 
 
 def _outage_trials(params: SystemParams, cfg: SimConfig):
-    if params.pc <= 0.0:
-        raise ParameterError(
-            "cache_size_d",
-            "content outage is conditioned on a cache hit, impossible at pc = 0",
-        )
-    window, bias = _resolve_window(params, cfg)
+    _serving_distance_law(params)  # refuses pc = 0 or an underflowing hit before any block
+    window = _resolve_window(params, cfg)
     distances, outages = [], []
     for rng, size in _blocks(cfg, _field_mean(params.lambda_s, window)):
         field = sample_ppp(params.lambda_s, window, rng, size)
         r0 = draw_serving_distance(params, rng, size)
+        tail = interference_tail_exponent(params.lambda_s, params.alpha, params.gamma, r0, window)
         distances.append(r0)
-        outages.append(sir_sample(r0, field, params.alpha, rng) < params.gamma)
-    return window, bias, np.concatenate(distances), np.concatenate(outages)
+        outages.append(sir_sample(r0, field, params.alpha, rng, tail) < params.gamma)
+    return window, np.concatenate(distances), np.concatenate(outages)
 
 
 def estimate_content_outage(params: SystemParams, cfg: SimConfig) -> Estimate:
     """Binomial estimate of the content outage fraction over ``cfg.trials`` realizations."""
-    window, bias, _, outages = _outage_trials(params, cfg)
-    return _binomial_estimate(
-        int(outages.sum()), cfg.trials, window_radius=window, truncation_bias=bias
-    )
+    window, _, outages = _outage_trials(params, cfg)
+    return _binomial_estimate(int(outages.sum()), cfg.trials, window_radius=window)
 
 
 def estimate_cache_hit(params: SystemParams, cfg: SimConfig) -> Estimate:
@@ -462,7 +351,7 @@ def estimate_cache_hit(params: SystemParams, cfg: SimConfig) -> Estimate:
     for rng, size in _blocks(cfg, _field_mean(params.lambda_s, params.r_th)):
         field = sample_ppp(params.lambda_s, params.r_th, rng, size)
         hits += int(np.count_nonzero(rng.binomial(field.counts, params.pc)))
-    return _binomial_estimate(hits, cfg.trials, window_radius=params.r_th, truncation_bias=0.0)
+    return _binomial_estimate(hits, cfg.trials, window_radius=params.r_th)
 
 
 def estimate_physical(params: SystemParams, cfg: SimConfig) -> Estimate:
@@ -488,22 +377,15 @@ def estimate_physical(params: SystemParams, cfg: SimConfig) -> Estimate:
     on the annulus are independent, so this is the whole-window field
     exactly in distribution, and ``n`` is Binomial(trials, hit
     probability) as before. The window's mean point count is checked
-    against the per-trial cap before any draw.
-
-    The default window, and whether a :class:`TruncationWindowWarning` is
-    raised, follow the emulated :func:`truncation_bias` of the window.
-    That is a lower bound on the physical bias: the far-field exponent
-    T_R is the same, and coverage inside the window is higher, because
-    the server and the nearer caching SBSs do not interfere. By
-    quadrature the physical bias is 0.00556 against the emulated 0.00542
-    at the reference point with a 50 m window, and 0.00486 against
-    0.00191 at pc = 1, alpha = 4 and a 10 m window. A warning is always
-    warranted; its absence proves nothing.
+    against the per-trial cap before any draw. Beyond the window, which
+    covers r_th, every SBS interferes at density lambda_s, so the far
+    field is added in closed form exactly as in emulated mode.
 
     Raises :class:`DegenerateSampleError` when no trial survives the
     conditioning.
     """
-    window, _ = _resolve_window(params, cfg)
+    _serving_distance_law(params)  # refuses pc = 0 or an underflowing hit before any block
+    window = _resolve_window(params, cfg)
     disc_mean = _field_mean(params.lambda_s, params.r_th)
     annulus_mean = _field_mean(params.lambda_s, window) - disc_mean
     inner_area = params.r_th * params.r_th
@@ -528,7 +410,9 @@ def estimate_physical(params: SystemParams, cfg: SimConfig) -> Estimate:
         counts = rng.poisson(annulus_mean, served.size)
         outer = np.sqrt(inner_area + annulus_area * rng.random(int(counts.sum())))
         annulus = PointSet(r=outer, counts=counts)
-        sir = sir_sample(disc.r[serving], (inner, annulus), params.alpha, rng)
+        r0 = disc.r[serving]
+        tail = interference_tail_exponent(params.lambda_s, params.alpha, params.gamma, r0, window)
+        sir = sir_sample(r0, (inner, annulus), params.alpha, rng, tail)
         outages += int(np.count_nonzero(sir < params.gamma))
         effective += served.size
     if effective == 0:
@@ -567,7 +451,7 @@ def binomial_ci(successes: float, n: int, confidence: float = 0.99) -> tuple[flo
 
 def _binomial_estimate(
     successes: int, n: int, confidence: float = 0.99, n_discarded: int = 0,
-    window_radius: float | None = None, truncation_bias: float | None = None,
+    window_radius: float | None = None,
 ) -> Estimate:
     low, high = binomial_ci(successes, n, confidence)
     return Estimate(
@@ -578,5 +462,4 @@ def _binomial_estimate(
         n=n,
         n_discarded=n_discarded,
         window_radius=window_radius,
-        truncation_bias=truncation_bias,
     )

@@ -89,9 +89,8 @@ def test_criterion_2_monte_carlo_covers_closed_form_on_figure_grid():
                             library_size=100,
                         )
                     )
-                    # window of 20 threshold distances keeps the truncation
-                    # bias below a quarter of the 99% CI half-width in every
-                    # cell while staying inside the runtime budget
+                    # interferers are sampled out to 20 threshold
+                    # distances and the field beyond is added exactly
                     cfg = SimConfig(
                         trials=5000,
                         master_seed=20_000 + index,

@@ -5,6 +5,7 @@ Frozen reference values were computed with a 40-digit gamma/log evaluation
 """
 
 import math
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from cachegeo.analytic import (
 from cachegeo.model import (
     ParameterError,
     SystemParams,
+    db_to_linear,
     validate,
 )
 
@@ -239,6 +241,13 @@ def test_pdf_domain_errors():
         serving_distance_pdf(make_params(), 5.1)
 
 
+def test_pdf_refuses_an_underflowing_hit_probability():
+    # lambda_s*pc*pi*r_th**2 underflows at r_th = 1e-200: the law cannot be normalised
+    with pytest.raises(ParameterError) as excinfo:
+        serving_distance_pdf(make_params(r_th=1e-200), 0.0)
+    assert excinfo.value.field == "r_th"
+
+
 # -- content outage ------------------------------------------------------------------
 
 
@@ -266,6 +275,42 @@ def test_content_outage_nondecreasing_in_threshold():
         values = [content_outage(replace(p, gamma=float(g))) for g in gammas]
         diffs = np.diff(values)
         assert (diffs >= -1e-12).all()
+
+
+def _outage_by_definition(p, mpmath):
+    # 1 - ratio at 360 digits: an outage down to ~1e-330 keeps 30 of them
+    with mpmath.workdps(360):
+        alpha, pc = mpmath.mpf(p.alpha), mpmath.mpf(p.pc)
+        kappa_ = mpmath.gamma(1 + 2 / alpha) * mpmath.gamma(1 - 2 / alpha)
+        c = pc + kappa_ * mpmath.mpf(p.gamma) ** (2 / alpha)
+        area = mpmath.mpf(p.lambda_s) * mpmath.pi * mpmath.mpf(p.r_th) ** 2
+        return 1 - pc * mpmath.expm1(-c * area) / (c * mpmath.expm1(-pc * area))
+
+
+@pytest.mark.parametrize("alpha", [2.05, 3.0, 10.0])
+@pytest.mark.parametrize("cache_size_d, library_size", [(1, 10**6), (2, 100), (100, 100)])
+def test_content_outage_keeps_its_digits_where_it_is_small(alpha, cache_size_d, library_size):
+    # 1 - ratio cancels where the outage is small; the outage must stay
+    # nonnegative and within 1e-10 of the definition evaluated in 360 digits
+    mpmath = pytest.importorskip("mpmath")
+    for r_th in np.logspace(-162.0, 1.0, 28):
+        for gamma_db in (-60.0, -10.0, 20.0):
+            p = validate(SystemParams(lambda_s=0.1, alpha=alpha, gamma=db_to_linear(gamma_db),
+                                      r_th=float(r_th), cache_size_d=cache_size_d,
+                                      library_size=library_size))
+            outage, reference = content_outage(p), float(_outage_by_definition(p, mpmath))
+            assert outage >= 0.0
+            if reference >= sys.float_info.min:
+                assert outage == pytest.approx(reference, rel=1e-10)
+            else:  # a subnormal outage has fewer digits than 1e-10 asks
+                assert outage < 2.0 * sys.float_info.min
+
+
+def test_content_outage_is_not_negative_where_ratio_cancels():
+    # 1 - ratio printed -2.220446049250313e-16 here; the outage is ~2.2e-308
+    p = validate(SystemParams(lambda_s=0.1, alpha=3.0, gamma=db_to_linear(-60.0),
+                              r_th=2.401461312158954e-152, cache_size_d=1, library_size=100))
+    assert content_outage(p) > 0.0
 
 
 def test_content_outage_limit_at_huge_threshold():

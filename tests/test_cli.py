@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -23,7 +25,6 @@ from cachegeo.model import (
     validate,
     with_replication_ratio,
 )
-from cachegeo.simulate import TruncationWindowWarning, recommended_window_radius
 from cachegeo.sweep import FIGURE_NUMBERS, Axis, SweepSpec, read_json, spec_to_dict
 
 P_FLAGS = [
@@ -102,8 +103,8 @@ def test_analytic_at_tiny_threshold_distance(capsys):
 
 @pytest.mark.parametrize("mode", ["emulated", "physical"])
 def test_simulate_at_tiny_threshold_distance_exits_2(mode, capsys):
-    # the serving-distance law has no density a float can hold here, so the
-    # window's bias cannot be integrated: a named error, not a traceback
+    # the serving-distance law cannot be normalised by a hit probability
+    # that underflows: a named error before any draw, not a traceback
     flags = [*P_FLAGS[:6], "--rth", "1e-200", *P_FLAGS[8:]]
     assert main(["simulate", *flags, "--trials", "5", "--mode", mode]) == 2
     err = capsys.readouterr().err
@@ -185,24 +186,30 @@ def test_simulate_physical_oversized_window_exits_2_before_any_draw(monkeypatch,
 
 
 @pytest.mark.parametrize("alpha", ["2.005", "2.1", "2.3"])
-def test_simulate_unbounded_default_window_exits_2(alpha, capsys):
-    # below alpha ~ 2.41 no window of at most 5e7 points per trial meets the
-    # truncation-bias budget of the default 5000 trials; each run is refused
-    # before any field is drawn
+def test_simulate_near_pole_runs_at_a_50_m_window(alpha, capsys):
+    # near alpha = 2 most of the interference comes from far away; the field
+    # beyond the window is added in closed form, so a 50 m window suffices
     rc = main(["simulate", "--lambda", "0.1", "--alpha", alpha, "--gamma-db", "-10",
-               "--rth", "5", "--d", "2", "--library", "100"])
-    assert rc == 2
-    assert "(field: window_radius)" in capsys.readouterr().err
+               "--rth", "5", "--d", "2", "--library", "100", "--window", "50", "--json"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["window_radius"] == 50.0
 
 
 def test_simulate_near_pole_default_window_fits_a_small_run(capsys):
-    # five trials have a loose budget: alpha = 2.5 runs at the 50 m floor
+    # alpha = 2.5 runs at the default window of 10 * r_th
     rc = main(["simulate", "--lambda", "0.1", "--alpha", "2.5", "--gamma-db", "-10",
                "--rth", "5", "--d", "2", "--library", "100", "--trials", "5", "--json"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["window_radius"] == 50.0
-    assert 0.0 < payload["truncation_bias"] < 0.1
+    assert "truncation_bias" not in payload
+
+
+@pytest.mark.parametrize("mode", ["emulated", "physical"])
+def test_simulate_window_below_threshold_distance_exits_2(mode, capsys):
+    rc = main(["simulate", *P_FLAGS, "--trials", "5", "--mode", mode, "--window", "4.9"])
+    assert rc == 2
+    assert "(field: window_radius)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -251,10 +258,7 @@ def simulate_argv(draw):
     params, flags = draw(model_flags())
     trials = draw(st.integers(1, 200))
     window = draw(st.none() | st.floats(0.5, 50.0).map(lambda k: k * params.r_th))
-    try:
-        radius = window or recommended_window_radius(params, trials)
-    except ParameterError:
-        radius = 0.0  # the run exits 2 before drawing a field
+    radius = window or 10.0 * params.r_th
     assume(params.lambda_s * math.pi * radius**2 <= _FIELD_POINT_LIMIT)
     argv = ["simulate", *flags, "--trials", str(trials),
             "--seed", str(draw(st.integers(0, 2**64 - 1))),
@@ -268,9 +272,7 @@ def test_simulate_exits_with_a_named_code(argv):
     # every documented input ends in success, a validation error, a
     # degenerate sample or an infeasible target, never an exception; a
     # RuntimeWarning is an error here too (pyproject.toml)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWindowWarning)  # narrow explicit windows
-        assert main(argv) in (0, 2, 3, 4)
+    assert main(argv) in (0, 2, 3, 4)
 
 
 # -- sweep and figure -----------------------------------------------------------
@@ -463,11 +465,10 @@ def _cell_points(params, trials, window):
     """Mean points a Monte Carlo cell samples; 0 where the cell is refused before any draw."""
     try:
         params = validate(params)
-        radius = window or recommended_window_radius(params, trials)
     except ParameterError:
         return 0.0
     # a cache-hit cell samples the r_th disc even where the outage window is refused
-    radius = max(radius if math.isfinite(radius) else 0.0, params.r_th)
+    radius = max(window or 10.0 * params.r_th, params.r_th)
     return trials * params.lambda_s * math.pi * radius**2
 
 
@@ -554,8 +555,7 @@ def analytic_argv(draw):
 def test_sweep_figure_plan_analytic_exit_with_a_named_code(argv):
     # as for simulate: a named exit code for every generated input, never an
     # exception or a RuntimeWarning
-    with warnings.catch_warnings(), tempfile.TemporaryDirectory() as out:
-        warnings.simplefilter("ignore", TruncationWindowWarning)
+    with tempfile.TemporaryDirectory() as out:
         out_flags = ["--out", out] if argv[0] in ("sweep", "figure") else []
         assert main([*argv, *out_flags]) in (0, 2, 3, 4)
 
@@ -610,16 +610,42 @@ def test_plan_requires_exactly_one_unknown():
     assert excinfo.value.code == 2
 
 
+# -- README ----------------------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_commands_exit_with_their_documented_codes(tmp_path, capsys):
+    # every `cachegeo ...` line of the README's sh blocks, continuation lines
+    # joined, exits 0 unless its comment says "exits N"; --out goes to tmp_path
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            command, _, comment = line.partition("#")
+            if command.startswith("cachegeo "):
+                documented = re.search(r"exits (\d)", comment)
+                commands.append((shlex.split(command)[1:],
+                                 int(documented.group(1)) if documented else 0))
+    assert len(commands) >= 6
+    for argv, code in commands:
+        if "--out" in argv:
+            argv[argv.index("--out") + 1] = str(tmp_path)
+        assert main(argv) == code, argv
+        capsys.readouterr()
+
+
 # -- cold start -------------------------------------------------------------------
 
 # Runs in a fresh interpreter: after each step it records the exit code and
-# whether any scipy module is loaded. Command output goes to a buffer, so the
-# record is all that reaches stdout.
+# which of scipy and its special, integrate and optimize modules are loaded
+# (any scipy module loads scipy itself). Command output goes to a buffer, so
+# the record is all that reaches stdout.
 COLD_START = """
 import contextlib, io, json, sys
 
 def scipy_loaded():
-    return any(name == "scipy" or name.startswith("scipy.") for name in sys.modules)
+    names = ("scipy", "scipy.special", "scipy.integrate", "scipy.optimize")
+    return [name for name in names if name in sys.modules]
 
 import cachegeo, cachegeo.cli
 loaded = {"import": scipy_loaded()}
@@ -640,8 +666,10 @@ def test_only_window_solves_load_scipy(tmp_path):
         ("figure 2", ["figure", "--fig", "2", "--out", out]),
         ("sweep hit", ["sweep", *P_FLAGS, "--quantity", "hit", "--axis", "pc", "--from", "0.02",
                        "--to", "1", "--steps", "5", "--trials", "20", "--out", out]),
-        # positive control: the emulated default window is a root find on the bias
+        # the far field beyond the window needs scipy.special's hyp2f1, and
+        # nothing in either mode needs a quadrature or a root find
         ("simulate", ["simulate", *P_FLAGS, "--trials", "8"]),
+        ("simulate physical", ["simulate", *P_FLAGS, "--trials", "8", "--mode", "physical"]),
     ]
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -651,6 +679,7 @@ def test_only_window_solves_load_scipy(tmp_path):
         capture_output=True, text=True, env=env, check=True,
     )
     loaded = json.loads(result.stdout)
-    assert loaded.pop("import") is False
-    assert loaded.pop("simulate") == [0, True]
-    assert loaded == {label: [0, False] for label, _ in steps[:-1]}
+    assert loaded.pop("import") == []
+    assert loaded.pop("simulate") == [0, ["scipy", "scipy.special"]]
+    assert loaded.pop("simulate physical") == [0, ["scipy", "scipy.special"]]
+    assert loaded == {label: [0, []] for label, _ in steps[:-2]}

@@ -1,7 +1,6 @@
 """Monte Carlo engine: sampling laws, SIR draws, estimators, determinism."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -14,18 +13,16 @@ from cachegeo.simulate import (
     Estimate,
     PointSet,
     SimConfig,
-    TruncationWindowWarning,
     binomial_ci,
     content_outage_trials,
     draw_serving_distance,
     estimate_cache_hit,
     estimate_content_outage,
     estimate_physical,
-    recommended_window_radius,
+    interference_tail_exponent,
     sample_ppp,
     sir_sample,
     trial_stream,
-    truncation_bias,
 )
 
 WILSON_50_100_95 = (0.403831530366, 0.596168469634)  # direct-formula oracle
@@ -384,10 +381,7 @@ def test_physical_mode_hit_share_follows_cache_hit_law(cache_size_d):
     p = make_params(cache_size_d=cache_size_d)
     trials = 3000
     # the hit law does not depend on the window, so a small one is enough
-    with pytest.warns(TruncationWindowWarning):
-        est = estimate_physical(
-            p, SimConfig(trials=trials, master_seed=12, window_radius=20.0)
-        )
+    est = estimate_physical(p, SimConfig(trials=trials, master_seed=12, window_radius=20.0))
     low, high = stats.binom.interval(1.0 - 1e-6, trials, cache_hit_prob(p))
     assert low <= est.n <= high
 
@@ -396,7 +390,7 @@ def test_physical_mode_outage_follows_nearest_server_law():
     # at pc = 1 the nearest SBS serves, and at alpha = 4 its outage given a
     # server within r_th is 1 - (1 - exp(-a(1 + rho))) / ((1 + rho)(1 - exp(-a)))
     # with a = pi*lambda*r_th^2 and rho = sqrt(gamma)*(pi/2 - arctan(1/sqrt(gamma)))
-    # (Andrews, Baccelli & Ganti 2011); the 80 m window lowers it by about 1e-3
+    # (Andrews, Baccelli & Ganti 2011), on the infinite plane
     p = make_params(lambda_s=0.1, alpha=4.0, gamma=1.0, r_th=5.0,
                     cache_size_d=10, library_size=10)
     rho = math.sqrt(p.gamma) * (math.pi / 2.0 - math.atan(1.0 / math.sqrt(p.gamma)))
@@ -418,8 +412,11 @@ def _full_window_physical(p, window, trials, rng):
         hits += 1
         server = caching[np.argmin(r[caching])]
         gains = rng.exponential(size=r.size) * r**-p.alpha
+        # the field beyond the window as a path gain: T_R / (gamma * r0**alpha)
+        beyond = interference_tail_exponent(
+            p.lambda_s, p.alpha, p.gamma, r[server], window) * r[server] ** -p.alpha
         # SIR < gamma, written without dividing by an empty interference sum
-        outages += gains[server] < p.gamma * (gains.sum() - gains[server])
+        outages += gains[server] < p.gamma * (gains.sum() - gains[server] + beyond)
     return outages, hits
 
 
@@ -430,13 +427,10 @@ def _two_proportion_z(k1, n1, k2, n2):
 
 def test_physical_mode_matches_full_window_reference():
     # the disc-first draw must give the whole-window field's law; both
-    # samplers use the same 20 m window, so its truncation bias cancels
+    # samplers add the field beyond the same 20 m window in closed form
     p = make_params(cache_size_d=30)  # pc = 0.3, hit probability 0.905
     trials, window = 20_000, 20.0
-    with pytest.warns(TruncationWindowWarning):
-        est = estimate_physical(
-            p, SimConfig(trials=trials, master_seed=31, window_radius=window)
-        )
+    est = estimate_physical(p, SimConfig(trials=trials, master_seed=31, window_radius=window))
     outages, hits = _full_window_physical(p, window, trials, np.random.default_rng(32))
     assert abs(_two_proportion_z(est.n, trials, hits, trials)) <= 4.5
     assert abs(_two_proportion_z(round(est.mean * est.n), est.n, outages, hits)) <= 4.5
@@ -445,8 +439,7 @@ def test_physical_mode_matches_full_window_reference():
 def test_physical_mode_runs_on_an_empty_annulus():
     # window == r_th: every interferer lies in the disc drawn first
     p = make_params(cache_size_d=30)
-    with pytest.warns(TruncationWindowWarning):
-        est = estimate_physical(p, SimConfig(trials=500, master_seed=6, window_radius=p.r_th))
+    est = estimate_physical(p, SimConfig(trials=500, master_seed=6, window_radius=p.r_th))
     assert est.window_radius == p.r_th
     assert est.n + est.n_discarded == 500
     assert est.n > 0 and 0.0 <= est.mean <= 1.0
@@ -496,7 +489,7 @@ def test_trial_stream_layout_is_pinned():
     distances, outages = content_outage_trials(
         p, SimConfig(trials=1000, master_seed=7, window_radius=100.0)
     )
-    assert int(outages.sum()) == 774
+    assert int(outages.sum()) == 775
     assert distances[:4].tolist() == [
         2.187803376821607, 1.7218841485678331, 4.78363608649529, 4.814109907636839
     ]
@@ -543,43 +536,17 @@ def test_estimate_interval_brackets_mean():
 
 
 def test_recommended_window_covers_ten_thresholds():
-    # the budget of 64 trials is met at 9.2 m, and that of 5000 trials at
-    # alpha = 6 closer still; both windows stay at the floor
-    assert recommended_window_radius(make_params(), 64) == 50.0
-    assert recommended_window_radius(make_params(alpha=6.0), 5000) == 50.0
-
-
-def test_recommended_window_grows_toward_the_pole():
-    # 68.2 m at alpha = 3 and 2.6 km at alpha = 2.5 for 5000 trials, the
-    # reference windows quoted in the README
-    near_pole = recommended_window_radius(make_params(alpha=2.5), 5000)
-    far = recommended_window_radius(make_params(alpha=3.0), 5000)
-    assert far == pytest.approx(68.2, abs=0.05)
-    assert near_pole == pytest.approx(2589.3, abs=0.5)
-
-
-def test_recommended_window_is_infinite_when_it_overflows():
-    # below alpha ~ 2.41 no window within the point cap meets the budget of
-    # 5000 trials, while the looser budget of 5 trials is met at the floor
-    p = make_params(alpha=2.3)
-    assert recommended_window_radius(p, 5000) == math.inf
-    assert recommended_window_radius(p, 5) == 10.0 * p.r_th
-
-
-def test_small_window_emits_truncation_warning():
-    # a 10 m window lowers the outage by 0.031: above the budget of 500
-    # trials (0.012), within that of 8 trials (0.078)
-    p = make_params()
-    cfg = SimConfig(trials=500, master_seed=0, window_radius=p.r_th * 2)
-    with pytest.warns(TruncationWindowWarning):
-        est = estimate_content_outage(p, cfg)
-    assert est.truncation_bias == truncation_bias(p, p.r_th * 2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", TruncationWindowWarning)
-        estimate_content_outage(p, SimConfig(trials=8, master_seed=0, window_radius=p.r_th * 2))
+    # with no window the fields are sampled out to 10 * r_th in both modes
+    for p in (make_params(), make_params(alpha=6.0, r_th=2.0)):
+        cfg = SimConfig(trials=64, master_seed=0)
+        assert estimate_content_outage(p, cfg).window_radius == 10.0 * p.r_th
+        assert estimate_physical(p, cfg).window_radius == 10.0 * p.r_th
 
 
 def test_window_below_threshold_distance_rejected():
     p = make_params()
-    with pytest.raises(ParameterError):
-        estimate_content_outage(p, SimConfig(trials=8, master_seed=0, window_radius=4.0))
+    cfg = SimConfig(trials=8, master_seed=0, window_radius=4.0)
+    for estimate in (estimate_content_outage, estimate_physical):
+        with pytest.raises(ParameterError) as excinfo:
+            estimate(p, cfg)
+        assert excinfo.value.field == "window_radius"

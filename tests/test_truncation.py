@@ -1,38 +1,25 @@
-"""Truncation bias of the interference window: tail exponent, bias, default window."""
+"""Interference beyond the window: its tail exponent, and the exact far field it adds."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from cachegeo.analytic import content_outage, serving_distance_pdf
-from cachegeo.model import SystemParams, db_to_linear, validate
+from cachegeo.analytic import content_outage, kappa
+from cachegeo.model import SystemParams, validate
 from cachegeo.simulate import (
-    binomial_ci,
+    SimConfig,
+    estimate_content_outage,
+    estimate_physical,
     interference_tail_exponent,
-    recommended_window_radius,
-    truncation_bias,
 )
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
 alphas = st.floats(2.05, 6.0)
-
-
-@st.composite
-def system_params(draw):
-    return validate(
-        SystemParams(
-            lambda_s=draw(st.floats(1e-3, 1.0)),
-            alpha=draw(alphas),
-            gamma=db_to_linear(draw(st.floats(-30.0, 60.0))),
-            r_th=draw(st.floats(1.0, 20.0)),
-            cache_size_d=draw(st.integers(1, 100)),
-            library_size=100,
-        )
-    )
 
 
 def _tail_exponent_by_quadrature(lambda_s, alpha, s, radius):
@@ -53,7 +40,10 @@ def _tail_exponent_by_quadrature(lambda_s, alpha, s, radius):
      (2.05, 10.0, 1000.0)],
 )
 def test_tail_exponent_matches_quadrature_at_reference_points(alpha, s, radius):
-    assert interference_tail_exponent(0.1, alpha, s, radius) == pytest.approx(
+    # the function returns T_R(s)/gamma at s = gamma*r0**alpha
+    r0 = radius / 2.0
+    gamma = s / r0**alpha
+    assert gamma * interference_tail_exponent(0.1, alpha, gamma, r0, radius) == pytest.approx(
         _tail_exponent_by_quadrature(0.1, alpha, s, radius), rel=1e-9
     )
 
@@ -64,66 +54,74 @@ def test_tail_exponent_matches_quadrature_at_reference_points(alpha, s, radius):
     alpha=alphas,
     log_s=st.floats(-3.0, 8.0),
     radius=st.floats(1.0, 1e3),
+    share=st.floats(0.01, 1.0),
 )
-def test_tail_exponent_matches_quadrature(lambda_s, alpha, log_s, radius):
+def test_tail_exponent_matches_quadrature(lambda_s, alpha, log_s, radius, share):
     s = 10.0**log_s
-    assert interference_tail_exponent(lambda_s, alpha, s, radius) == pytest.approx(
-        _tail_exponent_by_quadrature(lambda_s, alpha, s, radius), rel=1e-8
+    r0 = share * radius
+    gamma = s / r0**alpha
+    assert gamma * interference_tail_exponent(lambda_s, alpha, gamma, r0, radius) == (
+        pytest.approx(_tail_exponent_by_quadrature(lambda_s, alpha, s, radius), rel=1e-8)
     )
-
-
-@PROPERTY
-@given(params=system_params(), scale=st.floats(1.0, 20.0), step=st.floats(1e-3, 10.0))
-def test_truncation_bias_does_not_increase_with_the_window(params, scale, step):
-    near = scale * params.r_th
-    far = near * (1.0 + step)
-    assert 0.0 <= truncation_bias(params, far) <= truncation_bias(params, near) + 1e-12
-
-
-@PROPERTY
-@given(params=system_params(), scale=st.floats(1.0, 100.0))
-def test_truncation_bias_is_below_the_mean_tail_bound(params, scale):
-    # 1 - exp(-x) <= x turns the exact bias into gamma * E[r0**alpha] times
-    # the mean interference from beyond the window
-    radius = scale * params.r_th
-    moment, _ = quad(
-        lambda r: r**params.alpha * serving_distance_pdf(params, r),
-        0.0, params.r_th, epsabs=0.0, epsrel=1e-10, limit=200,
-    )
-    tail_mean = (2.0 * math.pi * params.lambda_s * radius ** (2.0 - params.alpha)
-                 / (params.alpha - 2.0))
-    bound = params.gamma * moment * tail_mean
-    assert truncation_bias(params, radius) <= bound * (1.0 + 1e-9) + 1e-12
-
-
-@PROPERTY
-@given(params=system_params(), trials=st.integers(1, 10**6))
-def test_default_window_is_the_smallest_that_meets_the_budget(params, trials):
-    low, high = binomial_ci(content_outage(params) * trials, trials)
-    budget = (high - low) / 8.0  # a quarter of the 99% half-width
-    window = recommended_window_radius(params, trials)
-    floor = 10.0 * params.r_th
-    if window == math.inf:
-        cap = math.sqrt(5e7 / (params.lambda_s * math.pi))
-        assert truncation_bias(params, max(cap, floor)) > budget
-        return
-    assert window >= floor
-    assert truncation_bias(params, window) <= budget
-    if window > floor:
-        assert truncation_bias(params, window * (1.0 - 1e-4)) > budget
 
 
 @pytest.mark.parametrize(
-    "alpha, trials, window, bias",
-    [(3.0, 64, 50.0, 0.005424175529837598),
-     (3.0, 5000, 68.20934467847547, 0.003945193749369575),
-     (2.5, 5000, 2589.3355282906255, None)],
+    "alpha, gamma, r0, radius",
+    [(400.0, 0.1, 4.0, 5.0), (400.0, 1e8, 5.0, 5.0), (3.0, 0.1, 0.0, 50.0),
+     (2.05, 1e-6, 0.0, 1000.0)],
 )
-def test_default_window_and_its_bias_are_pinned(alpha, trials, window, bias):
-    # exact values at the reference point: a rewrite of the quadrature's
-    # integrand that is not the same arithmetic moves these bits
-    params = validate(SystemParams(lambda_s=0.1, alpha=alpha, gamma=0.1, r_th=5.0,
-                                   cache_size_d=2, library_size=100))
-    assert recommended_window_radius(params, trials) == window
-    if bias is not None:
-        assert truncation_bias(params, window) == bias
+def test_tail_exponent_is_finite_at_huge_alpha_and_zero_distance(alpha, gamma, r0, radius):
+    # a RuntimeWarning fails the suite (pyproject.toml)
+    tail = interference_tail_exponent(0.1, alpha, gamma, r0, radius)
+    assert math.isfinite(tail) and tail >= 0.0
+    s = gamma * r0**alpha
+    assert gamma * tail == pytest.approx(
+        _tail_exponent_by_quadrature(0.1, alpha, s, radius), rel=1e-9
+    )
+    block = interference_tail_exponent(0.1, alpha, gamma, np.array([0.0, r0, radius]), radius)
+    assert np.isfinite(block).all() and block[1] == pytest.approx(tail, rel=1e-14)
+    # doubling every length and quartering the density leaves T_R unchanged;
+    # at alpha = 400 and r0 = 10, r0**alpha alone would overflow a float
+    doubled = interference_tail_exponent(0.1 / 4.0, alpha, gamma, 2.0 * r0, 2.0 * radius)
+    assert doubled == pytest.approx(tail, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha, seed", [(2.5, 161), (3.0, 162), (4.0, 163)])
+def test_outage_is_exact_at_the_smallest_window(alpha, seed):
+    # at window = r_th every interferer beyond r_th enters through the tail
+    # exponent; without it the outage at alpha = 2.5 reads ~0.65 against 0.80
+    p = validate(SystemParams(lambda_s=0.1, alpha=alpha, gamma=0.1, r_th=5.0,
+                              cache_size_d=2, library_size=100))
+    trials = 20_000
+    est = estimate_content_outage(
+        p, SimConfig(trials=trials, master_seed=seed, window_radius=p.r_th)
+    )
+    target = content_outage(p)
+    z = (est.mean - target) / math.sqrt(target * (1.0 - target) / trials)
+    assert abs(z) <= 4.5
+
+
+def _physical_outage(p):
+    # physical association: given the server at r0, coverage is
+    # exp(-pi*lambda_s*r0**2 * (pc*rho + (1 - pc)*kappa*gamma**(2/alpha)));
+    # averaged over the serving-distance law, the content outage has the
+    # emulated shape with c = pc*(1 + rho) + (1 - pc)*kappa*gamma**(2/alpha)
+    from scipy.special import hyp2f1
+
+    delta = 2.0 / p.alpha
+    rho = 2.0 * p.gamma / (p.alpha - 2.0) * hyp2f1(1.0, 1.0 - delta, 2.0 - delta, -p.gamma)
+    c = p.pc * (1.0 + rho) + (1.0 - p.pc) * kappa(p.alpha) * p.gamma**delta
+    area = math.pi * p.lambda_s * p.r_th**2
+    return 1.0 - p.pc * math.expm1(-c * area) / (c * math.expm1(-p.pc * area))
+
+
+@pytest.mark.parametrize("cache_size_d, seed", [(30, 171), (100, 172)])
+def test_physical_outage_is_exact_at_the_smallest_window(cache_size_d, seed):
+    # beyond a window of r_th every SBS interferes, caching or not, so the
+    # same tail exponent completes the physical field
+    p = validate(SystemParams(lambda_s=0.1, alpha=3.0, gamma=0.1, r_th=5.0,
+                              cache_size_d=cache_size_d, library_size=100))
+    est = estimate_physical(p, SimConfig(trials=20_000, master_seed=seed, window_radius=p.r_th))
+    target = _physical_outage(p)
+    z = (est.mean - target) / math.sqrt(target * (1.0 - target) / est.n)
+    assert abs(z) <= 4.5
