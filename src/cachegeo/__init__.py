@@ -15,10 +15,12 @@ from .analytic import (
     replication_ratio_bounds,
     content_outage,
     content_outage_quadrature,
+    interference_tail_exponent,
     kappa,
     hit_target_feasible,
     optimal_density,
     outage_at_distance,
+    physical_content_outage,
     serving_distance_pdf,
 )
 from .model import (
@@ -38,7 +40,6 @@ from .simulate import (
     estimate_cache_hit,
     estimate_content_outage,
     estimate_physical,
-    interference_tail_exponent,
     sample_ppp,
     sir_sample,
     trial_stream,
@@ -73,6 +74,7 @@ __all__ = [
     "replication_ratio_bounds",
     "serving_distance_pdf",
     "content_outage",
+    "physical_content_outage",
     "content_outage_quadrature",
     "optimal_density",
     "SimConfig",

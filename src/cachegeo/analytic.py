@@ -2,7 +2,9 @@
 
 All functions are pure and operate on validated :class:`~cachegeo.model.SystemParams`.
 Probabilities are computed through ``expm1``/``log1p`` so that the small-exponent
-regimes that sweeps visit do not lose precision.
+regimes that sweeps visit do not lose precision. scipy is imported only inside
+the functions that call it (the tail exponent's ``hyp2f1`` and the quadrature's
+``quad``), so the emulated closed forms load without it.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import ParameterError, SystemParams
 
 __all__ = [
@@ -18,12 +22,14 @@ __all__ = [
     "QuadratureError",
     "kappa",
     "outage_at_distance",
+    "interference_tail_exponent",
     "cache_hit_prob",
     "hit_target_feasible",
     "min_density_area_for_target",
     "replication_ratio_bounds",
     "serving_distance_pdf",
     "content_outage",
+    "physical_content_outage",
     "content_outage_quadrature",
     "optimal_density",
 ]
@@ -96,6 +102,39 @@ def outage_at_distance(params: SystemParams, r: float) -> float:
         * params.gamma ** (2.0 / params.alpha)
     )
     return -math.expm1(-exponent)
+
+
+def interference_tail_exponent(
+    lambda_s: float, alpha: float, gamma: float, r0, radius: float
+):
+    """Tail exponent of the faded interference from beyond ``radius``, divided by gamma.
+
+    The probability generating functional of the Poisson field with
+    unit-mean exponential fading gives, at s = gamma * r0**alpha,
+    T_R(s) = 2*pi*lambda_s * int_R^inf r / (1 + r**alpha / s) dr
+           = -ln E[exp(-s * I_out)],
+    with I_out the interference from beyond R (Haenggi, *Stochastic
+    Geometry for Wireless Networks*, ch. 5). Returned is T_R(s)/gamma,
+    the far field's share of the interference relative to the serving
+    path gain, in its Euler-integral form
+    2*pi*lambda_s * R**2 * (r0/R)**alpha / (alpha - 2)
+        * 2F1(1, 1 - 2/alpha; 2 - 2/alpha; -v),   v = gamma * (r0/R)**alpha,
+    which stays finite at any alpha and as gamma -> 0, because r0 <= R
+    keeps (r0/R)**alpha <= 1. ``r0`` is a float or an array of serving
+    distances in [0, R]; the result has its shape.
+    """
+    if alpha <= 2:
+        raise ParameterError("alpha", f"alpha must exceed 2, got {alpha}")
+    if radius <= 0:
+        raise ParameterError("window_radius", f"radius must be positive, got {radius}")
+    from scipy.special import hyp2f1
+
+    delta = 2.0 / alpha
+    reach = (np.asarray(r0, dtype=float) / radius) ** alpha
+    return (
+        2.0 * math.pi * lambda_s * (radius * radius) * reach / (alpha - 2.0)
+        * hyp2f1(1.0, 1.0 - delta, 2.0 - delta, -gamma * reach)
+    )
 
 
 def cache_hit_prob(params: SystemParams) -> float:
@@ -213,19 +252,57 @@ def content_outage(params: SystemParams) -> float:
             / ((1 - exp(-lambda_s*pc*pi*r_th**2)) * (pc + kappa*gamma**(2/alpha)))
 
     Requires pc > 0 (the conditioning hit event must have positive
-    probability). Below _CANCELLATION_FLOOR the subtraction from 1 has lost
-    digits, so the outage is taken from :func:`_small_outage` instead,
-    which adds only nonnegative terms; it is 0 where r_th**2 underflows.
+    probability). This is the emulated association, in which the whole
+    field interferes; :func:`physical_content_outage` is the physical one.
     """
-    pc = params.pc
-    if pc <= 0.0:
+    pc = _hit_ratio(params)
+    excess = kappa(params.alpha) * params.gamma ** (2.0 / params.alpha)
+    return _conditioned_outage(pc, excess, params.lambda_s * math.pi * (params.r_th * params.r_th))
+
+
+def physical_content_outage(params: SystemParams) -> float:
+    """Content outage when the nearest caching SBS within r_th serves and does not interfere.
+
+    Given the server at r0, no caching SBS lies nearer and the others, at
+    density lambda_s*pc beyond r0 and lambda_s*(1 - pc) everywhere,
+    interfere, so the coverage given r0 is
+    exp(-lambda_s*pi*r0**2 * (pc*rho + (1 - pc)*kappa*gamma**(2/alpha))),
+    rho = 2*gamma/(alpha - 2) * 2F1(1, 1 - 2/alpha; 2 - 2/alpha; -gamma)
+    (Andrews, Baccelli & Ganti, IEEE Trans. Commun. 2011). Averaged over
+    the serving-distance law, the outage has the shape of
+    :func:`content_outage` with that excess in place of
+    kappa*gamma**(2/alpha), and since rho <= kappa*gamma**(2/alpha) it is
+    never above it. rho is the tail exponent of the unit field beyond a
+    unit radius, so this loads ``scipy.special``.
+    """
+    pc = _hit_ratio(params)
+    alpha, gamma = params.alpha, params.gamma
+    rho = gamma * float(interference_tail_exponent(1.0 / math.pi, alpha, gamma, 1.0, 1.0))
+    excess = pc * rho + (1.0 - pc) * kappa(alpha) * gamma ** (2.0 / alpha)
+    return _conditioned_outage(pc, excess, params.lambda_s * math.pi * (params.r_th * params.r_th))
+
+
+def _hit_ratio(params: SystemParams) -> float:
+    """The replication ratio pc, refused at 0, where the conditioning hit cannot happen."""
+    if params.pc <= 0.0:
         raise ParameterError(
             "cache_size_d",
             "content outage is conditioned on a cache hit, impossible at pc = 0",
         )
-    excess = kappa(params.alpha) * params.gamma ** (2.0 / params.alpha)
+    return params.pc
+
+
+def _conditioned_outage(pc: float, excess: float, area: float) -> float:
+    """1 - (pc/c) * (1 - exp(-c*area)) / (1 - exp(-pc*area)), c = pc + excess.
+
+    The outage given a hit within r_th, when the coverage given the
+    serving distance r0 is exp(-excess * lambda_s*pi*r0**2) and
+    area = lambda_s*pi*r_th**2. Below _CANCELLATION_FLOOR the subtraction
+    from 1 has lost digits, so the outage is taken from
+    :func:`_small_outage` instead, which adds only nonnegative terms; it is
+    0 where r_th**2 underflows.
+    """
     c = pc + excess
-    area = params.lambda_s * math.pi * (params.r_th * params.r_th)
     if pc * area >= sys.float_info.min:
         outage = 1.0 - (pc * math.expm1(-c * area)) / (c * math.expm1(-pc * area))
         if outage >= _CANCELLATION_FLOOR:
@@ -298,7 +375,6 @@ def _serving_distance_expectation(params: SystemParams, fn, rel_tol: float) -> f
     relative tolerance ``rel_tol``; raises :class:`QuadratureError` when
     the integrator's error estimate exceeds it.
     """
-    # imported here, not at module level, so the closed forms load without scipy
     from scipy.integrate import quad
 
     rate, norm = _serving_distance_law(params)

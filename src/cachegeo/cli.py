@@ -25,6 +25,7 @@ from .analytic import (
     kappa,
     hit_target_feasible,
     optimal_density,
+    physical_content_outage,
 )
 from .model import ParameterError, SystemParams, db_to_linear, validate
 from .simulate import (
@@ -57,9 +58,10 @@ _QUANTITY_NAMES = {
     "density": Quantity.OPTIMAL_DENSITY,
 }
 
-_MODE_ESTIMATORS = {
-    "emulated": estimate_content_outage,
-    "physical": estimate_physical,
+# each association mode's estimator and the closed form its verdict compares against
+_MODES = {
+    "emulated": (estimate_content_outage, content_outage),
+    "physical": (estimate_physical, physical_content_outage),
 }
 
 _AXIS_NAMES = {
@@ -103,11 +105,27 @@ def _params_from_args(args: argparse.Namespace) -> SystemParams:
     return validate(SystemParams(**_param_fields(args)))
 
 
-def _print_block(pairs) -> None:
-    width = max(len(key) for key, _ in pairs)
-    for key, value in pairs:
-        rendered = repr(value) if isinstance(value, float) else value
-        print(f"{key:<{width}}  {rendered}")
+def _report(out: dict, as_json: bool) -> None:
+    """Print ``out`` as indented JSON, or as one aligned ``key  value`` line per leaf.
+
+    Nested keys are joined by dots and floats are shown as their repr, so
+    the text carries every value of the JSON object at full precision.
+    """
+    if as_json:
+        print(json.dumps(out, indent=2))
+        return
+    leaves = dict(_leaves(out))
+    width = max(map(len, leaves))
+    for key, value in leaves.items():
+        print(f"{key:<{width}}  {repr(value) if isinstance(value, float) else value}")
+
+
+def _leaves(out: dict, prefix: str = ""):
+    for key, value in out.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
 
 
 def cmd_analytic(args: argparse.Namespace) -> int:
@@ -122,64 +140,28 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     if args.epsilon is not None:
         out["epsilon"] = args.epsilon
         out["hit_target_feasible"] = hit_target_feasible(params, args.epsilon)
-    if args.json:
-        print(json.dumps(out, indent=2))
-        return EXIT_OK
-    pairs = [
-        ("kappa", out["kappa"]),
-        ("replication ratio", out["replication_ratio"]),
-        ("cache hit prob", out["cache_hit_prob"]),
-        ("content outage", out["content_outage"]),
-    ]
-    if args.epsilon is not None:
-        pairs.append(
-            ("feasible for epsilon", f"{out['hit_target_feasible']} (epsilon={args.epsilon!r})")
-        )
-    _print_block(pairs)
+    _report(out, args.json)
     return EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     params = _params_from_args(args)
     cfg = SimConfig(trials=args.trials, master_seed=args.seed, window_radius=args.window)
-    analytic_value = content_outage(params)
-    estimate = _MODE_ESTIMATORS[args.mode](params, cfg)
-    verdict = "PASS" if estimate.contains(analytic_value) else "FAIL"
+    estimator, closed_form = _MODES[args.mode]
+    analytic_value = closed_form(params)
+    estimate = estimator(params, cfg)
+    fields = asdict(estimate)
     out = {
         "params": {**asdict(params), "pc": params.pc},
         "mode": args.mode,
         "trials": cfg.trials,
         "master_seed": cfg.master_seed,
-        "window_radius": estimate.window_radius,
+        "window_radius": fields.pop("window_radius"),
         "analytic_content_outage": analytic_value,
-        "estimate": {
-            "mean": estimate.mean,
-            "ci_low": estimate.ci_low,
-            "ci_high": estimate.ci_high,
-            "confidence": estimate.confidence,
-            "n": estimate.n,
-            "n_discarded": estimate.n_discarded,
-        },
-        "verdict": verdict,
+        "estimate": fields,
+        "verdict": "PASS" if estimate.contains(analytic_value) else "FAIL",
     }
-    if args.json:
-        print(json.dumps(out, indent=2))
-        return EXIT_OK
-    _print_block(
-        [
-            ("mode", args.mode),
-            ("trials", str(cfg.trials)),
-            ("window radius", estimate.window_radius),
-            ("analytic outage", analytic_value),
-            ("simulated mean", estimate.mean),
-            (
-                "confidence interval",
-                f"[{estimate.ci_low!r}, {estimate.ci_high!r}] at {estimate.confidence!r}",
-            ),
-            ("effective samples", f"{estimate.n} ({estimate.n_discarded} discarded)"),
-            ("verdict", verdict),
-        ]
-    )
+    _report(out, args.json)
     return EXIT_OK
 
 
@@ -270,7 +252,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.series_values is not None:
         data["series_values"] = _series_values(args.series_values)
     spec = spec_from_dict(_overlay_sim(data, args))
-    file_seed = spec.sim.master_seed if spec.sim else args.seed or 0
+    file_seed = spec.sim.master_seed if spec.sim else args.seed
+    if file_seed is None:
+        file_seed = SimConfig.master_seed
     return _write_table(spec, args.out, args.name or spec.label, file_seed)
 
 
@@ -282,38 +266,12 @@ def cmd_figure(args: argparse.Namespace) -> int:
 def cmd_plan(args: argparse.Namespace) -> int:
     if args.pc is not None:
         density = optimal_density(args.epsilon, args.pc, args.rth)
-        out = {
-            "epsilon": args.epsilon,
-            "pc": args.pc,
-            "r_th": args.rth,
-            "lambda_s": density,
-        }
-        if args.json:
-            print(json.dumps(out, indent=2))
-        else:
-            _print_block([("optimal SBS density [1/m^2]", density)])
+        out = {"epsilon": args.epsilon, "pc": args.pc, "r_th": args.rth, "lambda_s": density}
+        _report(out, args.json)
         return EXIT_OK
     bound = replication_ratio_bounds(args.lambda_s, args.rth, args.epsilon)
-    out = {
-        "epsilon": args.epsilon,
-        "lambda_s": args.lambda_s,
-        "r_th": args.rth,
-        "pc_lower": bound.pc_lower,
-        "pc_upper": bound.pc_upper,
-        "pc_required": bound.pc_required,
-        "min_density_area_product": bound.min_density_area_product,
-        "feasible": bound.feasible,
-    }
-    if args.json:
-        print(json.dumps(out, indent=2))
-    else:
-        _print_block(
-            [
-                ("replication ratio lower bound", bound.pc_required),
-                ("replication ratio upper bound", bound.pc_upper),
-                ("feasible", str(bound.feasible)),
-            ]
-        )
+    out = {"epsilon": args.epsilon, "lambda_s": args.lambda_s, "r_th": args.rth, **asdict(bound)}
+    _report(out, args.json)
     if not bound.feasible:
         print(
             f"infeasible: required replication ratio {bound.pc_required!r} exceeds 1",
@@ -340,9 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo estimate vs closed form")
     _add_param_flags(p)
-    p.add_argument("--trials", type=int, default=5000, help="Monte Carlo trials (default 5000)")
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--mode", choices=list(_MODE_ESTIMATORS), default="emulated")
+    p.add_argument("--trials", type=int, default=SimConfig.trials,
+                   help="Monte Carlo trials (default %(default)s)")
+    p.add_argument("--seed", type=int, default=SimConfig.master_seed,
+                   help="master seed (default %(default)s)")
+    p.add_argument("--mode", choices=list(_MODES), default="emulated")
     p.add_argument("--window", type=float, default=None,
                    help="radius [m] out to which interferers are sampled one by one; the "
                    "field beyond is added exactly (default: 10 * rth, at least rth)")
@@ -365,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None,
                    help="attach Monte Carlo columns with this many trials")
     p.add_argument("--seed", type=int, default=None,
-                   help="master seed (default: config value, else 0)")
+                   help=f"master seed (default: config value, else {SimConfig.master_seed})")
     p.add_argument("--window", type=float, default=None, help="interference window radius [m]")
     p.add_argument("--out", default=".", help="output directory (default: current)")
     p.add_argument("--name", default=None, help="output basename (default: spec label)")
@@ -373,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure", help="run a canned figure-style sweep preset")
     p.add_argument("--fig", type=int, required=True, choices=FIGURE_NUMBERS)
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    p.add_argument("--seed", type=int, default=SimConfig.master_seed,
+                   help="master seed (default %(default)s)")
     p.add_argument("--trials", type=int, default=None,
                    help="attach Monte Carlo columns with this many trials")
     p.add_argument("--window", type=float, default=None, help="interference window radius [m]")

@@ -12,14 +12,13 @@ serving distance r0 and the sampled sum X = sum_i h_i (r0/r_i)**alpha, the
 Rayleigh serving fade h0 averages the field beyond the window out
 exactly: P(h0 < gamma*X + T_R) = 1 - exp(-gamma*X)*E[exp(-s*I_out)], with
 s = gamma*r0**alpha and T_R = -ln E[exp(-s*I_out)] the tail exponent of
-:func:`interference_tail_exponent`. So each field's interference gains
+:func:`~cachegeo.analytic.interference_tail_exponent`. So each field's interference gains
 T_R/gamma, and the outage estimate is unbiased for the infinite plane at
 every window.
 
-scipy is imported only inside the function that calls it (the tail
-exponent's hypergeometric function, from ``scipy.special``), so the
-cache-hit estimate and the CLI commands without Monte Carlo outage run
-without loading it.
+This module imports no scipy; the tail exponent loads ``scipy.special``
+on its first call, so the cache-hit estimate and the CLI commands without
+Monte Carlo outage run without loading it.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .analytic import _serving_distance_law, cache_hit_prob
+from .analytic import _serving_distance_law, cache_hit_prob, interference_tail_exponent
 from .model import ParameterError, SystemParams
 
 __all__ = [
@@ -250,39 +249,6 @@ def _field_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return sums
 
 
-def interference_tail_exponent(
-    lambda_s: float, alpha: float, gamma: float, r0, radius: float
-):
-    """Tail exponent of the faded interference from beyond ``radius``, divided by gamma.
-
-    The probability generating functional of the Poisson field with
-    unit-mean exponential fading gives, at s = gamma * r0**alpha,
-    T_R(s) = 2*pi*lambda_s * int_R^inf r / (1 + r**alpha / s) dr
-           = -ln E[exp(-s * I_out)],
-    with I_out the interference from beyond R (Haenggi, *Stochastic
-    Geometry for Wireless Networks*, ch. 5). Returned is T_R(s)/gamma,
-    the far field's share of the interference relative to the serving
-    path gain, in its Euler-integral form
-    2*pi*lambda_s * R**2 * (r0/R)**alpha / (alpha - 2)
-        * 2F1(1, 1 - 2/alpha; 2 - 2/alpha; -v),   v = gamma * (r0/R)**alpha,
-    which stays finite at any alpha and as gamma -> 0, because r0 <= R
-    keeps (r0/R)**alpha <= 1. ``r0`` is a float or an array of serving
-    distances in [0, R]; the result has its shape.
-    """
-    if alpha <= 2:
-        raise ParameterError("alpha", f"alpha must exceed 2, got {alpha}")
-    if radius <= 0:
-        raise ParameterError("window_radius", f"radius must be positive, got {radius}")
-    from scipy.special import hyp2f1
-
-    delta = 2.0 / alpha
-    reach = (np.asarray(r0, dtype=float) / radius) ** alpha
-    return (
-        2.0 * math.pi * lambda_s * (radius * radius) * reach / (alpha - 2.0)
-        * hyp2f1(1.0, 1.0 - delta, 2.0 - delta, -gamma * reach)
-    )
-
-
 def _blocks(cfg: SimConfig, points_per_trial: float):
     """Yield the stream and the trial count of each consecutive block of the run.
 
@@ -357,16 +323,9 @@ def estimate_cache_hit(params: SystemParams, cfg: SimConfig) -> Estimate:
 def estimate_physical(params: SystemParams, cfg: SimConfig) -> Estimate:
     """Outage under physical association: nearest caching SBS in range serves.
 
-    Cross-check mode, whose outage is never above the emulated one on the
-    infinite plane. Given the server at r0, no caching SBS lies nearer and
-    the server does not interfere; the non-caching SBSs and the caching
-    SBSs beyond r0 are the same independent Poisson fields as without the
-    conditioning, so coverage given r0 is
-    exp(-lambda_s*pi*r0**2 * (pc*rho + (1 - pc)*kappa*gamma**(2/alpha)))
-    with rho = 2*gamma/(alpha - 2) * 2F1(1, 1 - 2/alpha; 2 - 2/alpha; -gamma)
-    <= kappa*gamma**(2/alpha), against the emulated
-    exp(-lambda_s*pi*r0**2 * kappa*gamma**(2/alpha)). Trials with no
-    caching SBS within r_th are discarded and counted in ``n_discarded``.
+    Its closed form is :func:`~cachegeo.analytic.physical_content_outage`,
+    never above the emulated one. Trials with no caching SBS within r_th
+    are discarded and counted in ``n_discarded``.
     Each SBS within r_th caches the content independently with probability
     pc, as in :func:`estimate_cache_hit`; the SIR is :func:`sir_sample`
     with the serving SBS taken out of its field.

@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
@@ -45,7 +46,18 @@ __all__ = [
     "spec_from_dict",
 ]
 
-CSV_HEADER = ("axis", "series", "analytic", "sim_mean", "ci_low", "ci_high")
+# each table column and the SweepRow field it holds, in table order; the
+# JSON rows carry the same columns followed by the row's error
+_COLUMNS = (
+    ("axis", "axis_value"),
+    ("series", "series_value"),
+    ("analytic", "analytic"),
+    ("sim_mean", "sim_mean"),
+    ("ci_low", "ci_low"),
+    ("ci_high", "ci_high"),
+)
+CSV_HEADER = tuple(name for name, _ in _COLUMNS)
+_row_values = attrgetter(*(field for _, field in _COLUMNS))
 
 FIGURE_NUMBERS = (2, 3, 4, 5, 6, 7, 8, 9)
 
@@ -278,8 +290,8 @@ def spec_from_dict(data: dict) -> SweepSpec:
             sim=None
             if sim is None
             else SimConfig(
-                trials=int(sim.get("trials", 5000)),
-                master_seed=int(sim.get("master_seed", 0)),
+                trials=int(sim.get("trials", SimConfig.trials)),
+                master_seed=int(sim.get("master_seed", SimConfig.master_seed)),
                 window_radius=None
                 if sim.get("window_radius") is None
                 else float(sim["window_radius"]),
@@ -425,19 +437,7 @@ def emit_csv(table: SweepTable, destination) -> None:
     """
     lines = [f"# {key}: {json.dumps(value)}" for key, value in table.metadata.items()]
     lines.append(",".join(CSV_HEADER))
-    for row in table.rows:
-        lines.append(
-            ",".join(
-                (
-                    _format_value(row.axis_value),
-                    _format_value(row.series_value),
-                    _format_value(row.analytic),
-                    _format_value(row.sim_mean),
-                    _format_value(row.ci_low),
-                    _format_value(row.ci_high),
-                )
-            )
-        )
+    lines.extend(",".join(map(_format_value, _row_values(row))) for row in table.rows)
     _write_text(destination, "\n".join(lines) + "\n")
 
 
@@ -445,18 +445,7 @@ def emit_json(table: SweepTable, destination) -> None:
     """Write ``table`` as a single JSON object with stable key order."""
     payload = {
         "metadata": table.metadata,
-        "rows": [
-            {
-                "axis": row.axis_value,
-                "series": row.series_value,
-                "analytic": row.analytic,
-                "sim_mean": row.sim_mean,
-                "ci_low": row.ci_low,
-                "ci_high": row.ci_high,
-                "error": row.error,
-            }
-            for row in table.rows
-        ],
+        "rows": [dict(zip(CSV_HEADER, _row_values(row)), error=row.error) for row in table.rows],
     }
     _write_text(destination, json.dumps(payload, indent=2) + "\n")
 
@@ -468,15 +457,7 @@ def read_json(source) -> SweepTable:
     else:
         payload = json.loads(Path(source).read_text(encoding="utf-8"))
     rows = [
-        SweepRow(
-            axis_value=row["axis"],
-            series_value=row["series"],
-            analytic=row["analytic"],
-            sim_mean=row["sim_mean"],
-            ci_low=row["ci_low"],
-            ci_high=row["ci_high"],
-            error=row["error"],
-        )
+        SweepRow(**{field: row[name] for name, field in _COLUMNS}, error=row["error"])
         for row in payload["rows"]
     ]
     return SweepTable(rows=rows, metadata=payload["metadata"])

@@ -11,10 +11,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cachegeo.analytic import (
     QuadratureError,
+    _serving_distance_expectation,
     cache_hit_prob,
     min_density_area_for_target,
     replication_ratio_bounds,
@@ -24,6 +27,7 @@ from cachegeo.analytic import (
     hit_target_feasible,
     optimal_density,
     outage_at_distance,
+    physical_content_outage,
     serving_distance_pdf,
 )
 from cachegeo.model import (
@@ -355,6 +359,49 @@ def test_quadrature_reports_unreachable_tolerance():
     with pytest.raises(QuadratureError) as excinfo:
         content_outage_quadrature(make_params(), rel_tol=1e-60)
     assert excinfo.value.error_estimate > 1e-60
+
+
+# -- physical association -------------------------------------------------------------
+
+
+def _physical_outage_by_quadrature(p):
+    # rho = gamma**(2/alpha) * int_{gamma**(-2/alpha)}^inf du / (1 + u**(alpha/2)) is
+    # the interference of the caching SBSs beyond the server; the outage given
+    # r0 is 1 - exp(-lambda_s*pi*r0**2 * (pc*rho + (1 - pc)*kappa*gamma**(2/alpha)))
+    delta = 2.0 / p.alpha
+    beyond, _ = quad(lambda u: 1.0 / (1.0 + u ** (p.alpha / 2.0)), p.gamma**-delta, math.inf,
+                     epsabs=0.0, epsrel=1e-12, limit=200)
+    excess = p.pc * p.gamma**delta * beyond + (1.0 - p.pc) * kappa(p.alpha) * p.gamma**delta
+    return _serving_distance_expectation(
+        p, lambda r: -math.expm1(-p.lambda_s * math.pi * r * r * excess), 1e-10
+    )
+
+
+def test_physical_outage_matches_quadrature_on_random_suite():
+    rng = np.random.default_rng(8)
+    for _ in range(100):
+        p = random_valid_params(rng)
+        assert abs(physical_content_outage(p) - _physical_outage_by_quadrature(p)) <= 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lambda_s=st.floats(1e-4, 10.0),
+    alpha=st.floats(2.05, 10.0),
+    gamma_db=st.floats(-60.0, 60.0),
+    r_th=st.floats(1e-3, 1e3),
+    cache_size_d=st.integers(1, 100),
+)
+def test_physical_outage_never_above_emulated(lambda_s, alpha, gamma_db, r_th, cache_size_d):
+    # the server does not interfere and no caching SBS lies nearer than it
+    p = validate(SystemParams(lambda_s=lambda_s, alpha=alpha, gamma=db_to_linear(gamma_db),
+                              r_th=r_th, cache_size_d=cache_size_d, library_size=100))
+    assert 0.0 <= physical_content_outage(p) <= content_outage(p)
+
+
+def test_physical_outage_rejects_empty_caches():
+    with pytest.raises(ParameterError):
+        physical_content_outage(make_params(cache_size_d=0))
 
 
 # -- optimal density ----------------------------------------------------------------------

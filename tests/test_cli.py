@@ -16,7 +16,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cachegeo.analytic import cache_hit_prob, content_outage, kappa, optimal_density
+from cachegeo.analytic import (
+    cache_hit_prob,
+    content_outage,
+    kappa,
+    optimal_density,
+    physical_content_outage,
+)
 from cachegeo.cli import build_parser, main
 from cachegeo.model import (
     ParameterError,
@@ -66,13 +72,36 @@ def test_analytic_json_carries_identical_numbers(capsys):
     assert payload["hit_target_feasible"] is False
 
 
-def test_analytic_human_and_json_agree(capsys):
-    main(["analytic", *P_FLAGS])
+def _dotted_leaves(payload: dict, prefix: str = ""):
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            yield from _dotted_leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
+
+
+REPORTS = {
+    "analytic": ["analytic", *P_FLAGS],
+    "analytic-epsilon": ["analytic", *P_FLAGS, "--epsilon", "0.5"],
+    "simulate-emulated": ["simulate", *P_FLAGS, "--trials", "200", "--seed", "4", "--window", "20"],
+    "simulate-physical": ["simulate", *P_FLAGS, "--trials", "200", "--seed", "4", "--window", "20",
+                          "--mode", "physical"],
+    "plan-pc": ["plan", "--epsilon", "0.9", "--pc", "0.1", "--rth", "10"],
+    "plan-lambda": ["plan", "--epsilon", "0.9", "--lambda", "0.1", "--rth", "10"],
+}
+
+
+@pytest.mark.parametrize("argv", REPORTS.values(), ids=REPORTS.keys())
+def test_analytic_human_and_json_agree(argv, capsys):
+    # the text report has one line per leaf of the JSON object, in its
+    # order: the dotted key, then the value, floats at full precision
+    assert main(argv) == 0
     human = capsys.readouterr().out
-    main(["analytic", *P_FLAGS, "--json"])
+    assert main([*argv, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    for key in ("kappa", "cache_hit_prob", "content_outage"):
-        assert repr(payload[key]) in human
+    lines = [tuple(line.split(None, 1)) for line in human.splitlines()]
+    assert lines == [(key, repr(value) if isinstance(value, float) else str(value))
+                     for key, value in _dotted_leaves(payload)]
 
 
 def test_analytic_outage_vanishes_at_tiny_threshold(capsys):
@@ -144,6 +173,18 @@ def test_simulate_same_seed_twice_is_byte_identical(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("mode", ["emulated", "physical"])
+def test_simulate_json_key_layout_is_pinned(mode, capsys):
+    # the benchmark's output checks (perfbench/checks.py) read these keys
+    argv = ["simulate", *P_FLAGS, "--trials", "100", "--window", "20", "--mode", mode, "--json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["params", "mode", "trials", "master_seed", "window_radius",
+                             "analytic_content_outage", "estimate", "verdict"]
+    assert list(payload["estimate"]) == ["mean", "ci_low", "ci_high", "confidence", "n",
+                                         "n_discarded"]
+
+
 def test_simulate_emulated_agrees_with_closed_form(capsys):
     rc = main(["simulate", *P_FLAGS, "--trials", "2000", "--seed", "3",
                "--window", "100", "--json"])
@@ -162,6 +203,22 @@ def test_simulate_physical_mode_reports_effective_samples(capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["estimate"]["n"] + payload["estimate"]["n_discarded"] == 300
+
+
+def test_simulate_physical_verdict_uses_the_physical_law(capsys):
+    # judged against the emulated closed form, 0.6109, this run read FAIL:
+    # its mean 0.4338 and interval [0.4158, 0.4519] miss it
+    flags = ["--lambda", "0.1", "--alpha", "4", "--gamma-db", "0", "--rth", "5",
+             "--d", "100", "--library", "100"]
+    rc = main(["simulate", *flags, "--mode", "physical", "--window", "80", "--trials", "5000",
+               "--seed", "3", "--json"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    params = validate(SystemParams(lambda_s=0.1, alpha=4.0, gamma=1.0, r_th=5.0,
+                                   cache_size_d=100, library_size=100))
+    assert payload["analytic_content_outage"] == physical_content_outage(params)
+    assert payload["analytic_content_outage"] == pytest.approx(0.43968378532222907, rel=1e-12)
+    assert payload["verdict"] == "PASS"
 
 
 def test_simulate_degenerate_physical_exits_3(capsys):

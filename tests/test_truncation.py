@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from cachegeo.analytic import content_outage, kappa
+from cachegeo.analytic import content_outage, physical_content_outage
 from cachegeo.model import SystemParams, validate
 from cachegeo.simulate import (
     SimConfig,
@@ -101,20 +101,6 @@ def test_outage_is_exact_at_the_smallest_window(alpha, seed):
     assert abs(z) <= 4.5
 
 
-def _physical_outage(p):
-    # physical association: given the server at r0, coverage is
-    # exp(-pi*lambda_s*r0**2 * (pc*rho + (1 - pc)*kappa*gamma**(2/alpha)));
-    # averaged over the serving-distance law, the content outage has the
-    # emulated shape with c = pc*(1 + rho) + (1 - pc)*kappa*gamma**(2/alpha)
-    from scipy.special import hyp2f1
-
-    delta = 2.0 / p.alpha
-    rho = 2.0 * p.gamma / (p.alpha - 2.0) * hyp2f1(1.0, 1.0 - delta, 2.0 - delta, -p.gamma)
-    c = p.pc * (1.0 + rho) + (1.0 - p.pc) * kappa(p.alpha) * p.gamma**delta
-    area = math.pi * p.lambda_s * p.r_th**2
-    return 1.0 - p.pc * math.expm1(-c * area) / (c * math.expm1(-p.pc * area))
-
-
 @pytest.mark.parametrize("cache_size_d, seed", [(30, 171), (100, 172)])
 def test_physical_outage_is_exact_at_the_smallest_window(cache_size_d, seed):
     # beyond a window of r_th every SBS interferes, caching or not, so the
@@ -122,6 +108,6 @@ def test_physical_outage_is_exact_at_the_smallest_window(cache_size_d, seed):
     p = validate(SystemParams(lambda_s=0.1, alpha=3.0, gamma=0.1, r_th=5.0,
                               cache_size_d=cache_size_d, library_size=100))
     est = estimate_physical(p, SimConfig(trials=20_000, master_seed=seed, window_radius=p.r_th))
-    target = _physical_outage(p)
+    target = physical_content_outage(p)
     z = (est.mean - target) / math.sqrt(target * (1.0 - target) / est.n)
     assert abs(z) <= 4.5
