@@ -254,9 +254,12 @@ def _blocks(cfg: SimConfig, points_per_trial: float):
 
     ``points_per_trial`` is the mean number of points a trial samples. A
     block holds about _BLOCK_POINTS points on average, and between one and
-    _BLOCK_TRIALS trials; its stream's spawn key is its index.
+    _BLOCK_TRIALS trials; its stream's spawn key is its index. A mean
+    that underflows to 0 on a tiny disc takes _BLOCK_TRIALS.
     """
-    per_block = int(min(_BLOCK_TRIALS, max(1.0, _BLOCK_POINTS / points_per_trial)))
+    per_block = _BLOCK_TRIALS
+    if points_per_trial > 0:
+        per_block = int(min(_BLOCK_TRIALS, max(1.0, _BLOCK_POINTS / points_per_trial)))
     for index, start in enumerate(range(0, cfg.trials, per_block)):
         yield trial_stream(cfg.master_seed, index), min(per_block, cfg.trials - start)
 

@@ -59,8 +59,6 @@ _COLUMNS = (
 CSV_HEADER = tuple(name for name, _ in _COLUMNS)
 _row_values = attrgetter(*(field for _, field in _COLUMNS))
 
-FIGURE_NUMBERS = (2, 3, 4, 5, 6, 7, 8, 9)
-
 
 class Axis(str, Enum):
     LAMBDA_S = "lambda_s"
@@ -124,6 +122,37 @@ def _apply_axis(base: SystemParams, axis: Axis, value: float) -> SystemParams:
     return base  # EPSILON lives outside SystemParams
 
 
+def _cells(spec: SweepSpec):
+    """Yield (series value, axis value, cell params) for every cell, in table order."""
+    for series_value in spec.series_values or (None,):
+        with_series = (
+            spec.base
+            if series_value is None
+            else _apply_axis(spec.base, spec.series_axis, series_value)
+        )
+        for axis_value in spec.values:
+            yield series_value, axis_value, _apply_axis(with_series, spec.axis, axis_value)
+
+
+# each quantity's closed form of (cell params, axis value) and its Monte Carlo
+# estimator, None where it has none; the lambdas look the functions up at call
+# time, so a rebound module global is the one called
+_QUANTITIES = {
+    Quantity.CONTENT_OUTAGE: (
+        lambda params, axis_value: content_outage(params),
+        lambda params, cfg: estimate_content_outage(params, cfg),
+    ),
+    Quantity.CACHE_HIT: (
+        lambda params, axis_value: cache_hit_prob(params),
+        lambda params, cfg: estimate_cache_hit(params, cfg),
+    ),
+    Quantity.OPTIMAL_DENSITY: (
+        lambda params, epsilon: optimal_density(epsilon, params.pc, params.r_th),
+        None,
+    ),
+}
+
+
 def validate_spec(spec: SweepSpec) -> SweepSpec:
     """Reject malformed specs before any cell runs.
 
@@ -146,43 +175,28 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
         raise ParameterError(
             "axis", "the epsilon axis and the optimal_density quantity require each other"
         )
-    if spec.quantity is Quantity.OPTIMAL_DENSITY and spec.sim is not None:
-        raise ParameterError("sim", "optimal_density sweeps have no Monte Carlo counterpart")
+    if spec.sim is not None and _QUANTITIES[spec.quantity][1] is None:
+        raise ParameterError("sim", f"{spec.quantity.value} sweeps have no Monte Carlo counterpart")
     if spec.axis is Axis.EPSILON and any(not 0 <= v < 1 for v in spec.values):
         raise ParameterError("values", "epsilon values must lie in [0, 1)")
-    for series_value in spec.series_values or (None,):
-        with_series = (
-            _apply_axis(spec.base, spec.series_axis, series_value)
-            if series_value is not None
-            else spec.base
-        )
-        for axis_value in spec.values:
-            validate(_apply_axis(with_series, spec.axis, axis_value))
+    for _, _, params in _cells(spec):
+        validate(params)
     return spec
 
 
-def _cell_row(spec: SweepSpec, with_series: SystemParams, axis_value: float,
+def _cell_row(spec: SweepSpec, params: SystemParams, axis_value: float,
               series_value: float | None, cell_index: int) -> SweepRow:
+    closed_form, estimator = _QUANTITIES[spec.quantity]
     try:
-        params = validate(_apply_axis(with_series, spec.axis, axis_value))
-        if spec.quantity is Quantity.OPTIMAL_DENSITY:
-            analytic_value = optimal_density(axis_value, params.pc, params.r_th)
-        elif spec.quantity is Quantity.CACHE_HIT:
-            analytic_value = cache_hit_prob(params)
-        else:
-            analytic_value = content_outage(params)
+        row = SweepRow(float(axis_value), series_value, float(closed_form(params, axis_value)))
     except ParameterError as exc:
         return SweepRow(float(axis_value), series_value, None, error=str(exc))
-    row = SweepRow(float(axis_value), series_value, float(analytic_value))
     if spec.sim is None:
         return row
     # distinct seeds per cell keep the trial streams unrelated
     cfg = replace(spec.sim, master_seed=(spec.sim.master_seed + cell_index) % 2**64)
     try:
-        if spec.quantity is Quantity.CACHE_HIT:
-            est = estimate_cache_hit(params, cfg)
-        else:
-            est = estimate_content_outage(params, cfg)
+        est = estimator(params, cfg)
     except (ParameterError, DegenerateSampleError) as exc:
         return replace(row, error=str(exc))
     return replace(row, sim_mean=est.mean, ci_low=est.ci_low, ci_high=est.ci_high)
@@ -196,57 +210,37 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     in the row without aborting the sweep.
     """
     validate_spec(spec)
-    rows: list[SweepRow] = []
-    cell_index = 0
-    for series_value in spec.series_values or (None,):
-        with_series = (
-            _apply_axis(spec.base, spec.series_axis, series_value)
-            if series_value is not None
-            else spec.base
-        )
-        for axis_value in spec.values:
-            rows.append(_cell_row(spec, with_series, axis_value, series_value, cell_index))
-            cell_index += 1
+    rows = [
+        _cell_row(spec, params, axis_value, series_value, cell_index)
+        for cell_index, (series_value, axis_value, params) in enumerate(_cells(spec))
+    ]
     return SweepTable(rows=rows, metadata=_metadata(spec))
 
 
-def _sim_to_dict(sim: SimConfig | None) -> dict | None:
-    if sim is None:
-        return None
-    return {
-        "trials": sim.trials,
-        "master_seed": sim.master_seed,
-        "window_radius": sim.window_radius,
-    }
-
-
 def _metadata(spec: SweepSpec) -> dict:
+    data = spec_to_dict(spec)
     return {
         "tool": "cachegeo",
         "version": __version__,
-        "label": spec.label,
-        "quantity": spec.quantity.value,
-        "axis": spec.axis.value,
-        "series_axis": spec.series_axis.value if spec.series_axis else None,
-        "base_params": asdict(spec.base),
-        "sim": _sim_to_dict(spec.sim),
-        "note": spec.note,
+        "label": data["label"],
+        "quantity": data["quantity"],
+        "axis": data["axis"],
+        "series_axis": data["series_axis"],
+        "base_params": data["base"],
+        "sim": data["sim"],
+        "note": data["note"],
     }
 
 
 def spec_to_dict(spec: SweepSpec) -> dict:
     """JSON-ready form of a spec; the CLI config-file schema."""
-    return {
-        "base": asdict(spec.base),
-        "axis": spec.axis.value,
-        "values": list(spec.values),
-        "quantity": spec.quantity.value,
-        "series_axis": spec.series_axis.value if spec.series_axis else None,
-        "series_values": list(spec.series_values) if spec.series_values else None,
-        "sim": _sim_to_dict(spec.sim),
-        "label": spec.label,
-        "note": spec.note,
-    }
+    data = asdict(spec)
+    for key, value in data.items():
+        if isinstance(value, Enum):
+            data[key] = value.value
+        elif isinstance(value, tuple):
+            data[key] = list(value)
+    return data
 
 
 def spec_from_dict(data: dict) -> SweepSpec:
@@ -305,119 +299,73 @@ def spec_from_dict(data: dict) -> SweepSpec:
         raise ParameterError("config", f"malformed sweep spec: {exc}") from exc
 
 
+_PRESET_BASE = SystemParams(
+    lambda_s=0.1,
+    alpha=3.0,
+    gamma=db_to_linear(-10.0),
+    r_th=5.0,
+    cache_size_d=2,
+    library_size=100,
+)
+_GAMMA_DB_GRID = tuple(-20.0 + 2.0 * i for i in range(41))  # -20 .. 60 dB
+_DISTANCE_GRID = tuple(float(v) for v in range(1, 31))
+_EPSILON_GRID = tuple(i / 20 for i in range(1, 20)) + (0.99,)
+_DENSITY_GRID = tuple(10.0 ** (-3.0 + 3.0 * i / 24) for i in range(25))
+_PC_GRID = tuple(i / 50 for i in range(1, 51))
+_PC_SERIES = (0.02, 0.1, 0.5)
+_LAMBDA_SERIES = (0.01, 0.1)
+_GAMMA_DB_NOTE = "threshold axis reconstructed as -20..60 dB in 2 dB steps"
+_DISTANCE_NOTE = "distance axis reconstructed as 1..30 m"
+_EPSILON_NOTE = "target axis reconstructed as 0.05..0.95 in steps of 0.05 plus 0.99"
+
+# figure number -> (base overrides, axis, grid, series axis, series values, note)
+_PRESETS = {
+    2: ({}, Axis.LAMBDA_S, _DENSITY_GRID, Axis.PC, _PC_SERIES,
+        "outage vs SBS density at gamma=-10dB, r_th=5m, alpha=3; "
+        "density axis reconstructed as 25 log-spaced points in [1e-3, 1]"),
+    3: ({}, Axis.PC, _PC_GRID, Axis.LAMBDA_S, _LAMBDA_SERIES,
+        "outage vs replication ratio at r_th=5m, gamma=-10dB, alpha=3; "
+        "ratio axis reconstructed as 0.02..1 in steps of 0.02; the very low "
+        "outage at small density and small ratio comes from the hit-event "
+        "conditioning and is reported as computed"),
+    4: ({}, Axis.R_TH, _DISTANCE_GRID, Axis.PC, _PC_SERIES,
+        "outage vs threshold distance at gamma=-10dB, lambda_s=0.1, alpha=3; " + _DISTANCE_NOTE),
+    5: ({}, Axis.R_TH, _DISTANCE_GRID, Axis.LAMBDA_S, _LAMBDA_SERIES,
+        "outage vs threshold distance at pc=0.02, gamma=-10dB, alpha=3; " + _DISTANCE_NOTE),
+    6: ({"r_th": 10.0}, Axis.GAMMA_DB, _GAMMA_DB_GRID, Axis.PC, _PC_SERIES,
+        "outage vs SIR threshold at lambda_s=0.1, r_th=10m, alpha=3; " + _GAMMA_DB_NOTE),
+    7: ({"r_th": 10.0}, Axis.GAMMA_DB, _GAMMA_DB_GRID, Axis.LAMBDA_S, _LAMBDA_SERIES,
+        "outage vs SIR threshold at pc=0.02, r_th=10m, alpha=3; " + _GAMMA_DB_NOTE),
+    8: ({"cache_size_d": 10, "r_th": 10.0}, Axis.EPSILON, _EPSILON_GRID, Axis.R_TH,
+        (5.0, 10.0, 15.0, 20.0),
+        "optimal SBS density vs target hit probability at pc=0.1; " + _EPSILON_NOTE),
+    9: ({"r_th": 10.0}, Axis.EPSILON, _EPSILON_GRID, Axis.PC, _PC_SERIES,
+        "optimal SBS density vs target hit probability at r_th=10m; " + _EPSILON_NOTE),
+}
+FIGURE_NUMBERS = tuple(_PRESETS)
+
+
 def figure_preset(which: int) -> SweepSpec:
     """Canned sweep matching one of the standard figure layouts (2 to 9).
 
     Axis ranges are reconstructions chosen to span each figure's visible
-    domain; every preset records its choice in ``note``.
+    domain; every preset records its choice in ``note``. A preset on the
+    epsilon axis plots the optimal density, every other one the content
+    outage.
     """
-    base = SystemParams(
-        lambda_s=0.1,
-        alpha=3.0,
-        gamma=db_to_linear(-10.0),
-        r_th=5.0,
-        cache_size_d=2,
-        library_size=100,
+    if which not in FIGURE_NUMBERS:
+        raise ParameterError("fig", f"figure preset must be one of {FIGURE_NUMBERS}, got {which}")
+    overrides, axis, values, series_axis, series_values, note = _PRESETS[which]
+    return SweepSpec(
+        base=replace(_PRESET_BASE, **overrides),
+        axis=axis,
+        values=values,
+        quantity=Quantity.OPTIMAL_DENSITY if axis is Axis.EPSILON else Quantity.CONTENT_OUTAGE,
+        series_axis=series_axis,
+        series_values=series_values,
+        label=f"fig{which}",
+        note=note,
     )
-    gamma_db_grid = tuple(-20.0 + 2.0 * i for i in range(41))  # -20 .. 60 dB
-    distance_grid = tuple(float(v) for v in range(1, 31))
-    epsilon_grid = tuple(i / 20 for i in range(1, 20)) + (0.99,)
-    density_grid = tuple(10.0 ** (-3.0 + 3.0 * i / 24) for i in range(25))
-    pc_grid = tuple(i / 50 for i in range(1, 51))
-
-    if which == 2:
-        return SweepSpec(
-            base=base,
-            axis=Axis.LAMBDA_S,
-            values=density_grid,
-            series_axis=Axis.PC,
-            series_values=(0.02, 0.1, 0.5),
-            label="fig2",
-            note="outage vs SBS density at gamma=-10dB, r_th=5m, alpha=3; "
-            "density axis reconstructed as 25 log-spaced points in [1e-3, 1]",
-        )
-    if which == 3:
-        return SweepSpec(
-            base=base,
-            axis=Axis.PC,
-            values=pc_grid,
-            series_axis=Axis.LAMBDA_S,
-            series_values=(0.01, 0.1),
-            label="fig3",
-            note="outage vs replication ratio at r_th=5m, gamma=-10dB, alpha=3; "
-            "ratio axis reconstructed as 0.02..1 in steps of 0.02; the very low "
-            "outage at small density and small ratio comes from the hit-event "
-            "conditioning and is reported as computed",
-        )
-    if which == 4:
-        return SweepSpec(
-            base=base,
-            axis=Axis.R_TH,
-            values=distance_grid,
-            series_axis=Axis.PC,
-            series_values=(0.02, 0.1, 0.5),
-            label="fig4",
-            note="outage vs threshold distance at gamma=-10dB, lambda_s=0.1, alpha=3; "
-            "distance axis reconstructed as 1..30 m",
-        )
-    if which == 5:
-        return SweepSpec(
-            base=base,
-            axis=Axis.R_TH,
-            values=distance_grid,
-            series_axis=Axis.LAMBDA_S,
-            series_values=(0.01, 0.1),
-            label="fig5",
-            note="outage vs threshold distance at pc=0.02, gamma=-10dB, alpha=3; "
-            "distance axis reconstructed as 1..30 m",
-        )
-    if which == 6:
-        return SweepSpec(
-            base=replace(base, r_th=10.0),
-            axis=Axis.GAMMA_DB,
-            values=gamma_db_grid,
-            series_axis=Axis.PC,
-            series_values=(0.02, 0.1, 0.5),
-            label="fig6",
-            note="outage vs SIR threshold at lambda_s=0.1, r_th=10m, alpha=3; "
-            "threshold axis reconstructed as -20..60 dB in 2 dB steps",
-        )
-    if which == 7:
-        return SweepSpec(
-            base=replace(base, r_th=10.0),
-            axis=Axis.GAMMA_DB,
-            values=gamma_db_grid,
-            series_axis=Axis.LAMBDA_S,
-            series_values=(0.01, 0.1),
-            label="fig7",
-            note="outage vs SIR threshold at pc=0.02, r_th=10m, alpha=3; "
-            "threshold axis reconstructed as -20..60 dB in 2 dB steps",
-        )
-    if which == 8:
-        return SweepSpec(
-            base=replace(base, cache_size_d=10, r_th=10.0),
-            axis=Axis.EPSILON,
-            values=epsilon_grid,
-            quantity=Quantity.OPTIMAL_DENSITY,
-            series_axis=Axis.R_TH,
-            series_values=(5.0, 10.0, 15.0, 20.0),
-            label="fig8",
-            note="optimal SBS density vs target hit probability at pc=0.1; "
-            "target axis reconstructed as 0.05..0.95 in steps of 0.05 plus 0.99",
-        )
-    if which == 9:
-        return SweepSpec(
-            base=replace(base, r_th=10.0),
-            axis=Axis.EPSILON,
-            values=epsilon_grid,
-            quantity=Quantity.OPTIMAL_DENSITY,
-            series_axis=Axis.PC,
-            series_values=(0.02, 0.1, 0.5),
-            label="fig9",
-            note="optimal SBS density vs target hit probability at r_th=10m; "
-            "target axis reconstructed as 0.05..0.95 in steps of 0.05 plus 0.99",
-        )
-    raise ParameterError("fig", f"figure preset must be one of {FIGURE_NUMBERS}, got {which}")
 
 
 def _format_value(value) -> str:

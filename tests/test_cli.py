@@ -291,16 +291,21 @@ def test_simulate_at_huge_alpha_runs_cleanly(extra, capsys):
 _FIELD_POINT_LIMIT = 2e5  # largest mean field a generated run may sample
 
 
+# decimal exponents of a lambda_s or r_th down to 1e-300, where lambda_s*pi*r_th**2
+# underflows to 0
+_TINY_EXPONENTS = st.floats(-300.0, -4.0)
+
+
 @st.composite
 def model_flags(draw):
     """A valid parameter point and the six model flags that give it."""
     library = draw(st.integers(1, 1000))
     gamma_db = draw(st.floats(-60.0, 80.0))
     params = validate(SystemParams(
-        lambda_s=10.0 ** draw(st.floats(-4.0, 0.0)),
+        lambda_s=10.0 ** draw(st.floats(-4.0, 0.0) | _TINY_EXPONENTS),
         alpha=draw(st.floats(2.05, 1000.0, exclude_min=True)),
         gamma=db_to_linear(gamma_db),
-        r_th=10.0 ** draw(st.floats(-2.0, math.log10(20.0))),
+        r_th=10.0 ** draw(st.floats(-2.0, math.log10(20.0)) | _TINY_EXPONENTS),
         cache_size_d=draw(st.integers(0, library)),
         library_size=library,
     ))
@@ -474,6 +479,18 @@ def test_sweep_config_with_non_object_fields_exits_2(edit, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [config]
 
 
+def test_hit_sweep_at_tiny_threshold_distance(tmp_path, capsys):
+    # lambda_s*pi*r_th**2 underflows to 0 in every cell: no field holds a
+    # point, so the hit is 0 in closed form and in every estimate
+    rc = main(["sweep", "--lambda", "5", "--alpha", "3", "--gamma-db", "0", "--rth", "1e-300",
+               "--d", "1", "--library", "100", "--axis", "lambda-s", "--from", "0.01",
+               "--to", "100", "--steps", "3", "--quantity", "hit", "--trials", "3",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    table = read_json(tmp_path / "sweep_0.json")
+    assert [(row.analytic, row.sim_mean) for row in table.rows] == [(0.0, 0.0)] * 3
+
+
 def test_figure_preset_writes_named_files(tmp_path, capsys):
     rc = main(["figure", "--fig", "2", "--seed", "7", "--out", str(tmp_path)])
     assert rc == 0
@@ -510,9 +527,11 @@ _SWEEP_POINT_LIMIT = 4e6  # most points a generated sweep may sample over all it
 
 # flag value -> (range the generator draws from, the cell parameters it sets)
 _SWEEP_AXES = {
-    "lambda-s": (st.floats(1e-4, 1.0), lambda p, v: replace(p, lambda_s=v)),
+    "lambda-s": (st.floats(1e-4, 1.0) | _TINY_EXPONENTS.map(lambda e: 10.0**e),
+                 lambda p, v: replace(p, lambda_s=v)),
     "pc": (st.floats(0.0, 1.0), with_replication_ratio),
-    "rth": (st.floats(0.01, 20.0), lambda p, v: replace(p, r_th=v)),
+    "rth": (st.floats(0.01, 20.0) | _TINY_EXPONENTS.map(lambda e: 10.0**e),
+            lambda p, v: replace(p, r_th=v)),
     "gamma-db": (st.floats(-60.0, 80.0), lambda p, v: replace(p, gamma=db_to_linear(v))),
     "epsilon": (st.floats(0.0, 0.99), lambda p, v: p),
 }

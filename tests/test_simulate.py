@@ -319,6 +319,12 @@ def test_cache_hit_estimate_zero_when_nothing_cached():
     assert est.mean == 0.0
 
 
+def test_cache_hit_estimate_zero_where_the_field_mean_underflows():
+    # lambda_s*pi*r_th**2 underflows to 0 at r_th = 1e-300: no field holds a point
+    est = estimate_cache_hit(make_params(r_th=1e-300), SimConfig(trials=5000, master_seed=2))
+    assert (est.mean, est.n) == (0.0, 5000)
+
+
 def test_cache_hit_estimate_covers_half_at_log2_product():
     lam = math.log(2.0) / (0.1 * math.pi * 100.0)
     p = make_params(lambda_s=lam, cache_size_d=10, r_th=10.0)

@@ -13,6 +13,7 @@ from cachegeo.simulate import SimConfig
 from cachegeo.sweep import (
     Axis,
     CSV_HEADER,
+    FIGURE_NUMBERS,
     Quantity,
     SweepSpec,
     emit_csv,
@@ -26,6 +27,7 @@ from cachegeo.sweep import (
 )
 
 GOLDEN = Path(__file__).parent / "data" / "fig2_7.csv"
+PRESETS = Path(__file__).parent / "data" / "presets.json"
 
 BASE = SystemParams(
     lambda_s=0.1, alpha=3.0, gamma=db_to_linear(-10.0), r_th=5.0,
@@ -135,6 +137,14 @@ def test_density_quantity_refuses_simulation():
 def test_every_preset_validates():
     for fig in range(2, 10):
         validate_spec(figure_preset(fig))
+
+
+def test_every_preset_matches_its_pinned_spec():
+    # frozen spec_to_dict of each preset: axis, grid, series, quantity, label and note
+    pinned = json.loads(PRESETS.read_text(encoding="utf-8"))
+    assert [int(fig) for fig in pinned] == list(FIGURE_NUMBERS)
+    for fig in FIGURE_NUMBERS:
+        assert spec_to_dict(figure_preset(fig)) == pinned[str(fig)]
 
 
 def test_unknown_preset_rejected():
