@@ -11,7 +11,6 @@ from .analytic import (
     FeasibilityBound,
     QuadratureError,
     cache_hit_prob,
-    min_density_area_for_target,
     replication_ratio_bounds,
     content_outage,
     content_outage_quadrature,
@@ -70,7 +69,6 @@ __all__ = [
     "outage_at_distance",
     "cache_hit_prob",
     "hit_target_feasible",
-    "min_density_area_for_target",
     "replication_ratio_bounds",
     "serving_distance_pdf",
     "content_outage",

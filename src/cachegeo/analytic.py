@@ -25,7 +25,6 @@ __all__ = [
     "interference_tail_exponent",
     "cache_hit_prob",
     "hit_target_feasible",
-    "min_density_area_for_target",
     "replication_ratio_bounds",
     "serving_distance_pdf",
     "content_outage",
@@ -60,16 +59,6 @@ class FeasibilityBound:
     pc_required: float
     min_density_area_product: float
     feasible: bool
-
-
-def _check_epsilon(epsilon: float) -> float:
-    if not (math.isfinite(epsilon) and 0.0 <= epsilon < 1.0):
-        raise ParameterError(
-            "epsilon",
-            f"target hit probability must lie in [0, 1), got {epsilon}; "
-            "the hit probability is strictly below 1 at any finite density",
-        )
-    return epsilon
 
 
 def kappa(alpha: float) -> float:
@@ -151,27 +140,10 @@ def cache_hit_prob(params: SystemParams) -> float:
 def hit_target_feasible(params: SystemParams, epsilon: float) -> bool:
     """True iff the density, replication ratio and distance can reach hit target ``epsilon``.
 
-    The condition is pc * lambda_s * pi * r_th**2 >= -ln(1 - epsilon).
+    That is, iff lambda_s reaches :func:`optimal_density` at the system's pc
+    and r_th, by the rule :func:`replication_ratio_bounds` also applies.
     """
-    _check_epsilon(epsilon)
-    product = params.pc * params.lambda_s * math.pi * (params.r_th * params.r_th)
-    return product >= -math.log1p(-epsilon)
-
-
-def min_density_area_for_target(pc: float, epsilon: float) -> float:
-    """Minimum admissible density-area product lambda_s*pi*r_th**2 at fixed ``pc``.
-
-    Returns -ln(1 - epsilon) / pc; zero when the target is zero.
-    """
-    _check_epsilon(epsilon)
-    pc = float(pc)
-    if epsilon == 0.0:
-        return 0.0
-    if not (0.0 < pc <= 1.0):
-        raise ParameterError(
-            "pc", f"replication ratio must be positive to reach a nonzero target, got {pc}"
-        )
-    return -math.log1p(-epsilon) / pc
+    return _reaches(_required_factor(epsilon, params.pc, params.r_th), params.lambda_s)
 
 
 def replication_ratio_bounds(lambda_s: float, r_th: float, epsilon: float) -> FeasibilityBound:
@@ -183,22 +155,44 @@ def replication_ratio_bounds(lambda_s: float, r_th: float, epsilon: float) -> Fe
     """
     if not (math.isfinite(lambda_s) and lambda_s > 0):
         raise ParameterError("lambda_s", f"lambda_s must be positive, got {lambda_s}")
-    if not (math.isfinite(r_th) and r_th > 0):
-        raise ParameterError("r_th", f"r_th must be positive, got {r_th}")
-    _check_epsilon(epsilon)
-    product = lambda_s * math.pi * (r_th * r_th)
-    target = -math.log1p(-epsilon)
-    # a product that underflows to 0 leaves a nonzero target out of reach
-    required = target / product if product > 0.0 else (math.inf if target > 0.0 else 0.0)
-    # exact-boundary constructions land within a rounding error of 1
-    feasible = required <= 1.0 or math.isclose(required, 1.0, rel_tol=1e-12)
+    required = _required_factor(epsilon, lambda_s, r_th)
     return FeasibilityBound(
         pc_lower=min(required, 1.0),
         pc_upper=1.0,
         pc_required=required,
-        min_density_area_product=target,
-        feasible=feasible,
+        min_density_area_product=-math.log1p(-epsilon),
+        feasible=_reaches(required, 1.0),
     )
+
+
+def _required_factor(epsilon: float, factor: float, r_th: float) -> float:
+    """The inverse of :func:`cache_hit_prob`: -ln(1 - epsilon) / (factor * pi * r_th**2).
+
+    With ``factor`` one of pc and lambda_s, the least value of the other
+    reaching hit target ``epsilon``: 0 at a zero target, inf where the area
+    factor*pi*r_th**2 underflows to 0 or is not positive.
+    """
+    if not (math.isfinite(epsilon) and 0.0 <= epsilon < 1.0):
+        raise ParameterError(
+            "epsilon",
+            f"target hit probability must lie in [0, 1), got {epsilon}; "
+            "the hit probability is strictly below 1 at any finite density",
+        )
+    if not (math.isfinite(r_th) and r_th > 0):
+        raise ParameterError("r_th", f"r_th must be positive, got {r_th}")
+    if epsilon == 0.0:
+        return 0.0
+    area = factor * math.pi * (r_th * r_th)
+    return -math.log1p(-epsilon) / area if area > 0.0 else math.inf
+
+
+def _reaches(required: float, available: float) -> bool:
+    """The planners' one boundary rule: ``available`` reaches ``required`` up to rel 1e-12.
+
+    A value planned by :func:`_required_factor` and fed back lands within
+    rounding of its boundary.
+    """
+    return required <= available or math.isclose(required, available, rel_tol=1e-12)
 
 
 def serving_distance_pdf(params: SystemParams, r: float) -> float:
@@ -221,17 +215,12 @@ def _serving_distance_law(params: SystemParams) -> tuple[float, float]:
     """The rate lambda_s*pc*pi and the hit probability of the serving-distance law.
 
     The law is conditioned on a hit within r_th, so it is refused at
-    pc = 0 (``cache_size_d``) and where the hit probability is below the
-    smallest normal float (``r_th``): no density, draw or estimate can
-    then be normalised by it.
+    pc = 0 (``cache_size_d``, by :func:`_hit_ratio`) and where the hit
+    probability is below the smallest normal float (``r_th``): no density,
+    draw or estimate can then be normalised by it.
     """
-    if params.pc <= 0.0:
-        raise ParameterError(
-            "cache_size_d",
-            "the serving distance is conditioned on a cache hit, impossible at pc = 0",
-        )
-    rate = params.lambda_s * params.pc * math.pi
-    norm = -math.expm1(-rate * (params.r_th * params.r_th))
+    rate = params.lambda_s * _hit_ratio(params) * math.pi
+    norm = cache_hit_prob(params)
     if norm < sys.float_info.min:
         raise ParameterError(
             "r_th",
@@ -377,12 +366,7 @@ def _serving_distance_expectation(params: SystemParams, fn, rel_tol: float) -> f
     """
     from scipy.integrate import quad
 
-    rate, norm = _serving_distance_law(params)
-
-    def integrand(r: float) -> float:
-        pdf = 2.0 * rate * r * math.exp(-rate * r * r) / norm
-        return fn(r) * pdf
-
+    rate, _ = _serving_distance_law(params)
     # hint the pdf's mode and effective support edge, and the distances over
     # which the outage at distance r rises, so a sharply peaked integrand on
     # a wide interval is not missed by the first panels
@@ -393,7 +377,7 @@ def _serving_distance_expectation(params: SystemParams, fn, rel_tol: float) -> f
     )
     breakpoints = sorted(p for p in hints if 0.0 < p < params.r_th)
     value, abserr = quad(
-        integrand,
+        lambda r: fn(r) * serving_distance_pdf(params, r),
         0.0,
         params.r_th,
         points=breakpoints or None,
@@ -416,16 +400,10 @@ def optimal_density(epsilon: float, pc: float, r_th: float) -> float:
     Returns -ln(1 - epsilon) / (pc * pi * r_th**2), the exact inverse of
     :func:`cache_hit_prob` in the density argument.
     """
-    _check_epsilon(epsilon)
-    if not (math.isfinite(r_th) and r_th > 0):
-        raise ParameterError("r_th", f"r_th must be positive, got {r_th}")
-    if epsilon == 0.0:
-        return 0.0
     pc = float(pc)
-    if not (0.0 < pc <= 1.0):
+    density = _required_factor(epsilon, pc, r_th)
+    if epsilon != 0.0 and not (0.0 < pc <= 1.0):
         raise ParameterError(
             "pc", f"replication ratio must be positive to reach a nonzero target, got {pc}"
         )
-    area = pc * math.pi * (r_th * r_th)
-    # an area that underflows to 0 needs an unbounded density
-    return -math.log1p(-epsilon) / area if area > 0.0 else math.inf
+    return density

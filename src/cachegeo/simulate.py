@@ -265,7 +265,13 @@ def _blocks(cfg: SimConfig, points_per_trial: float):
 
 
 def _resolve_window(params: SystemParams, cfg: SimConfig) -> float:
-    """The run's window radius: ``cfg.window_radius``, by default 10 * r_th; it must cover r_th."""
+    """The window radius of an outage run: ``cfg.window_radius``, by default 10 * r_th.
+
+    Refuses, before any block is drawn, a run whose serving-distance law
+    is undefined (pc = 0 or an underflowing hit probability) and a window
+    that does not cover r_th.
+    """
+    _serving_distance_law(params)
     window = 10.0 * params.r_th if cfg.window_radius is None else cfg.window_radius
     if window < params.r_th:
         raise ParameterError(
@@ -275,36 +281,36 @@ def _resolve_window(params: SystemParams, cfg: SimConfig) -> float:
     return window
 
 
-def content_outage_trials(params: SystemParams, cfg: SimConfig):
-    """Per-trial serving distances and outage indicators, emulated association.
+def _outage_blocks(params: SystemParams, cfg: SimConfig, window: float):
+    """Yield each block's serving distances and outage indicators, emulated association.
 
     Each trial samples a fresh interference field on the window, draws an
     independent serving distance from the conditional law, draws fadings,
     adds the field beyond the window in closed form and records the event
-    SIR < gamma. Returned arrays are ordered by trial index;
-    :func:`estimate_content_outage` aggregates them, and callers can bin
-    them by distance for conditional checks.
+    SIR < gamma. Only one block's arrays are alive at a time.
     """
-    return _outage_trials(params, cfg)[1:]
-
-
-def _outage_trials(params: SystemParams, cfg: SimConfig):
-    _serving_distance_law(params)  # refuses pc = 0 or an underflowing hit before any block
-    window = _resolve_window(params, cfg)
-    distances, outages = [], []
     for rng, size in _blocks(cfg, _field_mean(params.lambda_s, window)):
         field = sample_ppp(params.lambda_s, window, rng, size)
         r0 = draw_serving_distance(params, rng, size)
         tail = interference_tail_exponent(params.lambda_s, params.alpha, params.gamma, r0, window)
-        distances.append(r0)
-        outages.append(sir_sample(r0, field, params.alpha, rng, tail) < params.gamma)
-    return window, np.concatenate(distances), np.concatenate(outages)
+        yield r0, sir_sample(r0, field, params.alpha, rng, tail) < params.gamma
+
+
+def content_outage_trials(params: SystemParams, cfg: SimConfig):
+    """Per-trial serving distances and outage indicators, emulated association.
+
+    The trials of :func:`estimate_content_outage`, as two arrays ordered by
+    trial index, so callers can bin them by distance for conditional checks.
+    """
+    distances, outages = zip(*_outage_blocks(params, cfg, _resolve_window(params, cfg)))
+    return np.concatenate(distances), np.concatenate(outages)
 
 
 def estimate_content_outage(params: SystemParams, cfg: SimConfig) -> Estimate:
     """Binomial estimate of the content outage fraction over ``cfg.trials`` realizations."""
-    window, _, outages = _outage_trials(params, cfg)
-    return _binomial_estimate(int(outages.sum()), cfg.trials, window_radius=window)
+    window = _resolve_window(params, cfg)
+    outages = sum(int(np.count_nonzero(out)) for _, out in _outage_blocks(params, cfg, window))
+    return _binomial_estimate(outages, cfg.trials, window_radius=window)
 
 
 def estimate_cache_hit(params: SystemParams, cfg: SimConfig) -> Estimate:
@@ -346,7 +352,6 @@ def estimate_physical(params: SystemParams, cfg: SimConfig) -> Estimate:
     Raises :class:`DegenerateSampleError` when no trial survives the
     conditioning.
     """
-    _serving_distance_law(params)  # refuses pc = 0 or an underflowing hit before any block
     window = _resolve_window(params, cfg)
     disc_mean = _field_mean(params.lambda_s, params.r_th)
     annulus_mean = _field_mean(params.lambda_s, window) - disc_mean

@@ -247,6 +247,9 @@ def spec_from_dict(data: dict) -> SweepSpec:
     """Inverse of :func:`spec_to_dict`; raises ParameterError on bad fields.
 
     Sweeps are emulated: a ``sim.mode`` other than ``"emulated"`` is refused.
+    The integer fields (cache and library sizes, trials, seed) are passed on
+    as given, so model validation and :class:`SimConfig` refuse a
+    non-integer one by name rather than have it truncated.
     """
     if not isinstance(data, dict):
         raise ParameterError(
@@ -266,8 +269,8 @@ def spec_from_dict(data: dict) -> SweepSpec:
             alpha=float(data["base"]["alpha"]),
             gamma=float(data["base"]["gamma"]),
             r_th=float(data["base"]["r_th"]),
-            cache_size_d=int(data["base"]["cache_size_d"]),
-            library_size=int(data["base"]["library_size"]),
+            cache_size_d=data["base"]["cache_size_d"],
+            library_size=data["base"]["library_size"],
         )
         sim = data.get("sim")
         if sim is not None and sim.get("mode", "emulated") != "emulated":
@@ -284,8 +287,8 @@ def spec_from_dict(data: dict) -> SweepSpec:
             sim=None
             if sim is None
             else SimConfig(
-                trials=int(sim.get("trials", SimConfig.trials)),
-                master_seed=int(sim.get("master_seed", SimConfig.master_seed)),
+                trials=sim.get("trials", SimConfig.trials),
+                master_seed=sim.get("master_seed", SimConfig.master_seed),
                 window_radius=None
                 if sim.get("window_radius") is None
                 else float(sim["window_radius"]),

@@ -19,7 +19,6 @@ from cachegeo.analytic import (
     QuadratureError,
     _serving_distance_expectation,
     cache_hit_prob,
-    min_density_area_for_target,
     replication_ratio_bounds,
     content_outage,
     content_outage_quadrature,
@@ -172,23 +171,6 @@ def test_feasibility_rejects_unreachable_target():
         hit_target_feasible(make_params(), 1.0)
     with pytest.raises(ParameterError):
         hit_target_feasible(make_params(), -0.1)
-
-
-def test_min_density_area_reference_values():
-    assert min_density_area_for_target(0.1, 0.9) == pytest.approx(MIN_AREA_01_09, rel=1e-12)
-    assert min_density_area_for_target(1.0, 0.0) == 0.0
-    assert min_density_area_for_target(1.0, -math.expm1(-1.0)) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_min_density_area_accepts_replication_ratio_type():
-    assert min_density_area_for_target(Fraction(1, 10), 0.9) == pytest.approx(
-        MIN_AREA_01_09, rel=1e-12
-    )
-
-
-def test_min_density_area_rejects_zero_ratio_with_positive_target():
-    with pytest.raises(ParameterError):
-        min_density_area_for_target(0.0, 0.5)
 
 
 def test_ratio_bounds_zero_target():
@@ -409,10 +391,20 @@ def test_physical_outage_rejects_empty_caches():
 
 def test_optimal_density_reference_value():
     assert optimal_density(0.9, 0.1, 10.0) == pytest.approx(OPT_DENSITY_09_01_10, rel=1e-12)
+    # a replication ratio given as the exact fraction d/|C|
+    assert optimal_density(0.9, Fraction(1, 10), 10.0) == pytest.approx(
+        OPT_DENSITY_09_01_10, rel=1e-12
+    )
+    # at pi*r_th**2 = 1 the density is the density-area product -ln(1 - epsilon)/pc
+    unit_disc = 1.0 / math.sqrt(math.pi)
+    assert optimal_density(0.9, 0.1, unit_disc) == pytest.approx(MIN_AREA_01_09, rel=1e-12)
+    assert optimal_density(-math.expm1(-1.0), 1.0, unit_disc) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_optimal_density_zero_target():
-    assert optimal_density(0.0, 0.1, 10.0) == 0.0
+    # a zero target needs no density, also at full or empty replication
+    for pc in (0.1, 1.0, 0.0):
+        assert optimal_density(0.0, pc, 10.0) == 0.0
 
 
 def test_optimal_density_when_the_area_underflows():
@@ -432,5 +424,29 @@ def test_optimal_density_round_trip_is_exact():
 
 
 def test_optimal_density_rejects_zero_ratio():
-    with pytest.raises(ParameterError):
-        optimal_density(0.5, 0.0, 10.0)
+    for pc in (0.0, -0.1, 1.5, math.nan):
+        with pytest.raises(ParameterError) as excinfo:
+            optimal_density(0.5, pc, 10.0)
+        assert excinfo.value.field == "pc"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    epsilon=st.floats(1e-12, 1.0 - 1e-12),
+    d=st.integers(1, 10_000),
+    library=st.integers(1, 10_000),
+    r_th=st.floats(1e-3, 1e3),
+)
+def test_planned_density_reads_feasible_and_gives_back_its_ratio(epsilon, d, library, r_th):
+    # plan --pc, then analytic --epsilon and plan --lambda at the planned
+    # density: all three answer by one inverse and one boundary rule
+    d = min(d, library)
+    pc = d / library
+    lam = optimal_density(epsilon, pc, r_th)
+    params = validate(SystemParams(
+        lambda_s=lam, alpha=3.0, gamma=0.1, r_th=r_th, cache_size_d=d, library_size=library,
+    ))
+    assert hit_target_feasible(params, epsilon)
+    bound = replication_ratio_bounds(lam, r_th, epsilon)
+    assert math.isclose(bound.pc_required, pc, rel_tol=1e-12)
+    assert bound.feasible

@@ -1,5 +1,7 @@
 """Command-line surface: flags, exit codes, output formats, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -465,6 +467,23 @@ def test_sweep_config_that_is_not_json_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "section, field, value",
+    [("base", "cache_size_d", 2.9), ("base", "library_size", 100.5),
+     ("sim", "trials", 10.9), ("sim", "master_seed", 3.7)],
+)
+def test_sweep_config_with_non_integer_count_exits_2(section, field, value, tmp_path, capsys):
+    # a config integer is refused by name, never truncated into a run
+    config = _sim_config(tmp_path)
+    data = json.loads(config.read_text())
+    data[section][field] = value
+    config.write_text(json.dumps(data), encoding="utf-8")
+    rc = main(["sweep", "--config", str(config), "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"(field: {field})" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize(
     "edit",
     [lambda c: [c], lambda c: {**c, "sim": 5}, lambda c: {**c, "base": [1]},
      lambda c: {**c, "values": "12"}],
@@ -708,6 +727,25 @@ def test_readme_commands_exit_with_their_documented_codes(tmp_path, capsys):
             argv[argv.index("--out") + 1] = str(tmp_path)
         assert main(argv) == code, argv
         capsys.readouterr()
+
+
+def test_readme_python_block_prints_its_documented_values():
+    # each print of the quick start prints one line; a `# 0.1453...` comment
+    # gives the leading digits of that line
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    lines = out.getvalue().splitlines()
+    assert len(lines) == len(prints)
+    documented = 0
+    for line, printed in zip(prints, lines):
+        value = re.search(r"#\s*(\d+\.\d+)\.\.\.", line)
+        if value:
+            documented += 1
+            assert printed.startswith(value.group(1)), (line, printed)
+    assert documented >= 3
 
 
 # -- cold start -------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Monte Carlo engine: sampling laws, SIR draws, estimators, determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,6 +309,23 @@ def test_conditional_outage_by_distance_bin_matches_fixed_distance_law():
         predicted = np.mean([outage_at_distance(p, r) for r in distances[mask]])
         sigma = math.sqrt(max(predicted * (1.0 - predicted), 1e-12) / n_bin)
         assert abs(outages[mask].mean() - predicted) <= 4.0 * sigma
+
+
+def test_outage_estimate_memory_does_not_grow_with_trials():
+    # fields of ~3 points give full blocks of 4096 trials; 32 times the
+    # blocks must not raise the peak, as keeping every trial's draw would
+    p = make_params(lambda_s=0.01, r_th=1.0)
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            estimate_content_outage(p, SimConfig(trials=trials, master_seed=1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(4096)  # first calls load and cache what later calls reuse
+    assert peak(32 * 8192) <= 1.5 * peak(8192)
 
 
 # -- cache hit estimator ----------------------------------------------------------------------
