@@ -39,8 +39,8 @@ from .simulate import (
     estimate_cache_hit,
     estimate_content_outage,
     estimate_physical,
+    outage_exponent,
     sample_ppp,
-    sir_sample,
     trial_stream,
 )
 from .sweep import (
@@ -82,7 +82,7 @@ __all__ = [
     "trial_stream",
     "sample_ppp",
     "draw_serving_distance",
-    "sir_sample",
+    "outage_exponent",
     "interference_tail_exponent",
     "estimate_content_outage",
     "estimate_cache_hit",

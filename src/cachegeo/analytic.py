@@ -96,21 +96,19 @@ def outage_at_distance(params: SystemParams, r: float) -> float:
 def interference_tail_exponent(
     lambda_s: float, alpha: float, gamma: float, r0, radius: float
 ):
-    """Tail exponent of the faded interference from beyond ``radius``, divided by gamma.
+    """Tail exponent T_R of the faded interference from beyond ``radius``.
 
     The probability generating functional of the Poisson field with
     unit-mean exponential fading gives, at s = gamma * r0**alpha,
     T_R(s) = 2*pi*lambda_s * int_R^inf r / (1 + r**alpha / s) dr
            = -ln E[exp(-s * I_out)],
     with I_out the interference from beyond R (Haenggi, *Stochastic
-    Geometry for Wireless Networks*, ch. 5). Returned is T_R(s)/gamma,
-    the far field's share of the interference relative to the serving
-    path gain, in its Euler-integral form
-    2*pi*lambda_s * R**2 * (r0/R)**alpha / (alpha - 2)
-        * 2F1(1, 1 - 2/alpha; 2 - 2/alpha; -v),   v = gamma * (r0/R)**alpha,
-    which stays finite at any alpha and as gamma -> 0, because r0 <= R
-    keeps (r0/R)**alpha <= 1. ``r0`` is a float or an array of serving
-    distances in [0, R]; the result has its shape.
+    Geometry for Wireless Networks*, ch. 5), in the unit of
+    :func:`~cachegeo.simulate.outage_exponent`. Its Euler-integral form
+    2*pi*lambda_s * R**2 * v / (alpha - 2) * 2F1(1, 1 - 2/alpha; 2 - 2/alpha; -v),
+    v = gamma * (r0/R)**alpha, stays finite at any alpha and as gamma -> 0,
+    because r0 <= R keeps (r0/R)**alpha <= 1. ``r0`` is a float or an
+    array of serving distances in [0, R]; the result has its shape.
     """
     if alpha <= 2:
         raise ParameterError("alpha", f"alpha must exceed 2, got {alpha}")
@@ -119,10 +117,10 @@ def interference_tail_exponent(
     from scipy.special import hyp2f1
 
     delta = 2.0 / alpha
-    reach = (np.asarray(r0, dtype=float) / radius) ** alpha
+    v = gamma * (np.asarray(r0, dtype=float) / radius) ** alpha
     return (
-        2.0 * math.pi * lambda_s * (radius * radius) * reach / (alpha - 2.0)
-        * hyp2f1(1.0, 1.0 - delta, 2.0 - delta, -gamma * reach)
+        2.0 * math.pi * lambda_s * (radius * radius) / (alpha - 2.0)
+        * (v * hyp2f1(1.0, 1.0 - delta, 2.0 - delta, -v))
     )
 
 
@@ -266,7 +264,7 @@ def physical_content_outage(params: SystemParams) -> float:
     """
     pc = _hit_ratio(params)
     alpha, gamma = params.alpha, params.gamma
-    rho = gamma * float(interference_tail_exponent(1.0 / math.pi, alpha, gamma, 1.0, 1.0))
+    rho = float(interference_tail_exponent(1.0 / math.pi, alpha, gamma, 1.0, 1.0))
     excess = pc * rho + (1.0 - pc) * kappa(alpha) * gamma ** (2.0 / alpha)
     return _conditioned_outage(pc, excess, params.lambda_s * math.pi * (params.r_th * params.r_th))
 

@@ -1,4 +1,4 @@
-"""Monte Carlo engine: Poisson fields, conditional serving distances, SIR draws.
+"""Monte Carlo engine: Poisson fields, conditional serving distances, outage draws.
 
 Trials run in consecutive blocks, vectorised within each block. Every
 block draws from its own PCG64DXSM stream, seeded by the master seed with
@@ -6,15 +6,15 @@ the block index as its spawn key, and the block size follows from the mean
 number of points a trial samples, so estimates are a function of (params,
 config, seed) and bit-identical across runs.
 
-Interferers are sampled point by point on a disc of radius R, the window;
-the interference from beyond it is added in closed form. Given the
-serving distance r0 and the sampled sum X = sum_i h_i (r0/r_i)**alpha, the
-Rayleigh serving fade h0 averages the field beyond the window out
-exactly: P(h0 < gamma*X + T_R) = 1 - exp(-gamma*X)*E[exp(-s*I_out)], with
-s = gamma*r0**alpha and T_R = -ln E[exp(-s*I_out)] the tail exponent of
-:func:`~cachegeo.analytic.interference_tail_exponent`. So each field's interference gains
-T_R/gamma, and the outage estimate is unbiased for the infinite plane at
-every window.
+Interferers are sampled point by point on a disc of radius R, the window,
+and the field beyond it enters in closed form. With Rayleigh fading every
+interferer's fade integrates out, E[exp(-s*h)] = 1/(1 + s), so given the
+serving distance r0 a trial is in outage iff its serving fade h0 ~ Exp(1),
+the one fade drawn, is below E = T_R + sum_i log1p(gamma * (r0/r_i)**alpha):
+-ln of the coverage given the points, sampled inside R and integrated
+beyond it (T_R, :func:`~cachegeo.analytic.interference_tail_exponent`).
+That event has the probability it has with every fade drawn, so the
+estimate is unbiased for the infinite plane at every window.
 
 This module imports no scipy; the tail exponent loads ``scipy.special``
 on its first call, so the cache-hit estimate and the CLI commands without
@@ -40,7 +40,7 @@ __all__ = [
     "trial_stream",
     "sample_ppp",
     "draw_serving_distance",
-    "sir_sample",
+    "outage_exponent",
     "interference_tail_exponent",
     "content_outage_trials",
     "estimate_content_outage",
@@ -162,7 +162,9 @@ def sample_ppp(
     a function of (params, config, seed).
     """
     counts = rng.poisson(_field_mean(lambda_s, window_radius), size)
-    r = window_radius * np.sqrt(rng.random(int(counts.sum())))
+    r = rng.random(int(counts.sum()))
+    np.sqrt(r, out=r)
+    r *= window_radius
     return PointSet(r=r, counts=counts)
 
 
@@ -198,41 +200,37 @@ def draw_serving_distance(
     return float(r) if size is None else r
 
 
-def sir_sample(
+def outage_exponent(
     serving_r: np.ndarray,
     interferers: PointSet | tuple[PointSet, ...],
     alpha: float,
-    rng: np.random.Generator,
+    gamma: float,
     tail: np.ndarray | float = 0.0,
 ) -> np.ndarray:
-    """One SIR draw per field of a block: h0 / (tail + sum_i h_i * (r0 / r_i)**alpha).
+    """-ln of each field's coverage given its points: tail + sum_i log1p(gamma*(r0/r_i)**alpha).
 
     Field k is served over a link at ``serving_r[k]`` and every point of
     field k interferes; the serving link is not one of them.
     ``interferers`` is one :class:`PointSet` or a tuple of them over the
-    same fields, whose points together interfere. ``tail`` is each
-    field's interference from beyond its sampled points, in the same units
-    (:func:`interference_tail_exponent`). All fading gains are
-    exponential with mean 1, drawn as h0 of every field first and then h
-    of every point, set after set. Dividing the path gains by the serving
-    one keeps every factor free of r0**-alpha: an empty field with no tail
-    or r0 = 0 gives inf, which callers count as coverage, and a term too
-    large for a float gives inf and so an SIR of 0, the limit of the exact
-    value. The fades come from ``rng``, the block's stream after its
-    fields and serving distances, so the SIRs are a function of (params,
-    config, seed).
+    same fields, whose points together interfere, and ``tail`` is each
+    field's exponent from beyond them (:func:`interference_tail_exponent`).
+    Nothing is drawn: a trial is in outage iff its serving fade is below
+    its exponent. With gamma in (gamma**(1/alpha) * r0 / r_i)**alpha no
+    factor r0**-alpha arises: r0 = 0 gives the tail, r_i = 0 or a term too
+    large for a float gives inf (an outage, the limit of the exact value),
+    and r0 = r_i = 0 gives NaN, which h0 < NaN counts as coverage.
     """
     sets = (interferers,) if isinstance(interferers, PointSet) else interferers
-    h0 = rng.exponential(size=sets[0].counts.size)
-    interference = np.zeros(h0.size) + tail
-    with np.errstate(over="ignore", divide="ignore"):
+    exponent = np.zeros(sets[0].counts.size) + tail
+    reach = gamma ** (1.0 / alpha) * serving_r
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for points in sets:
-            relative = np.repeat(serving_r, points.counts)
-            np.divide(relative, points.r, out=relative)
-            np.power(relative, alpha, out=relative)
-            relative *= rng.exponential(size=points.n)
-            interference += _field_sums(relative, points.counts)
-        return np.divide(h0, interference, out=h0)
+            terms = np.repeat(reach, points.counts)
+            np.divide(terms, points.r, out=terms)
+            np.power(terms, alpha, out=terms)
+            np.log1p(terms, out=terms)
+            exponent += _field_sums(terms, points.counts)
+    return exponent
 
 
 def _field_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -284,16 +282,16 @@ def _resolve_window(params: SystemParams, cfg: SimConfig) -> float:
 def _outage_blocks(params: SystemParams, cfg: SimConfig, window: float):
     """Yield each block's serving distances and outage indicators, emulated association.
 
-    Each trial samples a fresh interference field on the window, draws an
-    independent serving distance from the conditional law, draws fadings,
-    adds the field beyond the window in closed form and records the event
-    SIR < gamma. Only one block's arrays are alive at a time.
+    Each trial samples a fresh field on the window, draws a serving distance
+    from the conditional law, takes its :func:`outage_exponent`, far field
+    included, and draws its serving fade. One block's arrays live at a time.
     """
     for rng, size in _blocks(cfg, _field_mean(params.lambda_s, window)):
         field = sample_ppp(params.lambda_s, window, rng, size)
         r0 = draw_serving_distance(params, rng, size)
         tail = interference_tail_exponent(params.lambda_s, params.alpha, params.gamma, r0, window)
-        yield r0, sir_sample(r0, field, params.alpha, rng, tail) < params.gamma
+        exponent = outage_exponent(r0, field, params.alpha, params.gamma, tail)
+        yield r0, rng.standard_exponential(size) < exponent
 
 
 def content_outage_trials(params: SystemParams, cfg: SimConfig):
@@ -336,8 +334,8 @@ def estimate_physical(params: SystemParams, cfg: SimConfig) -> Estimate:
     never above the emulated one. Trials with no caching SBS within r_th
     are discarded and counted in ``n_discarded``.
     Each SBS within r_th caches the content independently with probability
-    pc, as in :func:`estimate_cache_hit`; the SIR is :func:`sir_sample`
-    with the serving SBS taken out of its field.
+    pc, as in :func:`estimate_cache_hit`; the outage exponent is
+    :func:`outage_exponent` with the serving SBS taken out of its field.
 
     A trial first samples its field on the disc of radius r_th and marks
     the caches there; only a trial with a hit goes on to sample the
@@ -375,12 +373,15 @@ def estimate_physical(params: SystemParams, cfg: SimConfig) -> Estimate:
         # each hit field's own Poisson field on the annulus r_th < r <= window,
         # at distances sqrt(r_th**2 + (window**2 - r_th**2) * u)
         counts = rng.poisson(annulus_mean, served.size)
-        outer = np.sqrt(inner_area + annulus_area * rng.random(int(counts.sum())))
+        outer = rng.random(int(counts.sum()))
+        outer *= annulus_area
+        outer += inner_area
+        np.sqrt(outer, out=outer)
         annulus = PointSet(r=outer, counts=counts)
         r0 = disc.r[serving]
         tail = interference_tail_exponent(params.lambda_s, params.alpha, params.gamma, r0, window)
-        sir = sir_sample(r0, (inner, annulus), params.alpha, rng, tail)
-        outages += int(np.count_nonzero(sir < params.gamma))
+        exponent = outage_exponent(r0, (inner, annulus), params.alpha, params.gamma, tail)
+        outages += int(np.count_nonzero(rng.standard_exponential(served.size) < exponent))
         effective += served.size
     if effective == 0:
         raise DegenerateSampleError(

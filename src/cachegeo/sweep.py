@@ -156,8 +156,8 @@ _QUANTITIES = {
 def validate_spec(spec: SweepSpec) -> SweepSpec:
     """Reject malformed specs before any cell runs.
 
-    Checks grid shape, axis/quantity consistency, and that every
-    (base, axis value, series value) combination passes model validation.
+    Checks grid shape, axis/quantity consistency, and that the base and every
+    (base, axis value, series value) combination pass model validation.
     """
     if not spec.values:
         raise ParameterError("values", "sweep needs at least one axis value")
@@ -179,6 +179,7 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
         raise ParameterError("sim", f"{spec.quantity.value} sweeps have no Monte Carlo counterpart")
     if spec.axis is Axis.EPSILON and any(not 0 <= v < 1 for v in spec.values):
         raise ParameterError("values", "epsilon values must lie in [0, 1)")
+    validate(spec.base)
     for _, _, params in _cells(spec):
         validate(params)
     return spec

@@ -209,7 +209,7 @@ def test_simulate_physical_mode_reports_effective_samples(capsys):
 
 def test_simulate_physical_verdict_uses_the_physical_law(capsys):
     # judged against the emulated closed form, 0.6109, this run read FAIL:
-    # its mean 0.4338 and interval [0.4158, 0.4519] miss it
+    # its mean 0.4378 and interval [0.4198, 0.4559] miss it
     flags = ["--lambda", "0.1", "--alpha", "4", "--gamma-db", "0", "--rth", "5",
              "--d", "100", "--library", "100"]
     rc = main(["simulate", *flags, "--mode", "physical", "--window", "80", "--trials", "5000",

@@ -119,6 +119,23 @@ def test_spec_validation_rejects_malformed_grids(broken):
         validate_spec(gamma_spec(**broken))
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [dict(axis=Axis.PC, values=(0.02, 0.1)),
+     dict(axis=Axis.GAMMA_DB, values=(-10.0, 0.0), series_axis=Axis.PC,
+          series_values=(0.02, 0.1))],
+    ids=["pc-axis", "pc-series"],
+)
+def test_pc_sweep_config_refuses_a_bad_base_size(grid):
+    # a pc axis or series replaces the base sizes in every cell, but they are
+    # written to the table's base_params, so they are validated too
+    data = spec_to_dict(SweepSpec(base=BASE, **grid))
+    data["base"]["cache_size_d"] = 2.9
+    with pytest.raises(ParameterError) as excinfo:
+        validate_spec(spec_from_dict(data))
+    assert excinfo.value.field == "cache_size_d"
+
+
 def test_density_quantity_refuses_simulation():
     spec = SweepSpec(
         base=BASE,

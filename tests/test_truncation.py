@@ -40,10 +40,10 @@ def _tail_exponent_by_quadrature(lambda_s, alpha, s, radius):
      (2.05, 10.0, 1000.0)],
 )
 def test_tail_exponent_matches_quadrature_at_reference_points(alpha, s, radius):
-    # the function returns T_R(s)/gamma at s = gamma*r0**alpha
+    # the function returns T_R(s) at s = gamma*r0**alpha
     r0 = radius / 2.0
     gamma = s / r0**alpha
-    assert gamma * interference_tail_exponent(0.1, alpha, gamma, r0, radius) == pytest.approx(
+    assert interference_tail_exponent(0.1, alpha, gamma, r0, radius) == pytest.approx(
         _tail_exponent_by_quadrature(0.1, alpha, s, radius), rel=1e-9
     )
 
@@ -60,7 +60,7 @@ def test_tail_exponent_matches_quadrature(lambda_s, alpha, log_s, radius, share)
     s = 10.0**log_s
     r0 = share * radius
     gamma = s / r0**alpha
-    assert gamma * interference_tail_exponent(lambda_s, alpha, gamma, r0, radius) == (
+    assert interference_tail_exponent(lambda_s, alpha, gamma, r0, radius) == (
         pytest.approx(_tail_exponent_by_quadrature(lambda_s, alpha, s, radius), rel=1e-8)
     )
 
@@ -75,7 +75,7 @@ def test_tail_exponent_is_finite_at_huge_alpha_and_zero_distance(alpha, gamma, r
     tail = interference_tail_exponent(0.1, alpha, gamma, r0, radius)
     assert math.isfinite(tail) and tail >= 0.0
     s = gamma * r0**alpha
-    assert gamma * tail == pytest.approx(
+    assert tail == pytest.approx(
         _tail_exponent_by_quadrature(0.1, alpha, s, radius), rel=1e-9
     )
     block = interference_tail_exponent(0.1, alpha, gamma, np.array([0.0, r0, radius]), radius)
