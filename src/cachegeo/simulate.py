@@ -16,6 +16,13 @@ beyond it (T_R, :func:`~cachegeo.analytic.interference_tail_exponent`).
 That event has the probability it has with every fade drawn, so the
 estimate is unbiased for the infinite plane at every window.
 
+Both associations run one block loop. Physical mode keeps the trials with
+a hit, Binomial(trials, hit probability) of them, and samples them given
+the hit: by independent thinning the SBSs with and without the content
+are independent Poisson fields, so given the server at r0 the interferers
+are the SBSs without the content on the window and the caching SBSs on
+r0 < r <= R.
+
 This module imports no scipy; the tail exponent loads ``scipy.special``
 on its first call, so the cache-hit estimate and the CLI commands without
 Monte Carlo outage run without loading it.
@@ -91,8 +98,9 @@ class SimConfig:
 class Estimate:
     """Binomial Monte Carlo estimate with a Wilson confidence interval.
 
-    ``n`` is the effective sample size; ``n_discarded`` counts trials
-    dropped by a conditioning event (physical mode only);
+    ``n`` is the effective sample size; ``n_discarded`` counts the trials
+    without a caching SBS within r_th, which physical mode discards, so
+    that ``n`` is Binomial(trials, hit probability) there (0 when emulated);
     ``window_radius`` is the radius of the disc the fields were sampled
     on point by point.
     """
@@ -211,9 +219,10 @@ def outage_exponent(
 
     Field k is served over a link at ``serving_r[k]`` and every point of
     field k interferes; the serving link is not one of them.
-    ``interferers`` is one :class:`PointSet` or a tuple of them over the
-    same fields, whose points together interfere, and ``tail`` is each
-    field's exponent from beyond them (:func:`interference_tail_exponent`).
+    ``interferers`` is one :class:`PointSet` or a tuple of them, possibly
+    empty, over the same fields, whose points together interfere, and
+    ``tail`` is each field's exponent from beyond them
+    (:func:`interference_tail_exponent`).
     Nothing is drawn: a trial is in outage iff its serving fade is below
     its exponent. With gamma in (gamma**(1/alpha) * r0 / r_i)**alpha no
     factor r0**-alpha arises: r0 = 0 gives the tail, r_i = 0 or a term too
@@ -221,7 +230,7 @@ def outage_exponent(
     and r0 = r_i = 0 gives NaN, which h0 < NaN counts as coverage.
     """
     sets = (interferers,) if isinstance(interferers, PointSet) else interferers
-    exponent = np.zeros(sets[0].counts.size) + tail
+    exponent = np.zeros(serving_r.size) + tail
     reach = gamma ** (1.0 / alpha) * serving_r
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for points in sets:
@@ -279,19 +288,46 @@ def _resolve_window(params: SystemParams, cfg: SimConfig) -> float:
     return window
 
 
-def _outage_blocks(params: SystemParams, cfg: SimConfig, window: float):
-    """Yield each block's serving distances and outage indicators, emulated association.
+def _outage_blocks(params: SystemParams, cfg: SimConfig, window: float, physical=False):
+    """Yield each block's serving distances and outage indicators under either association.
 
-    Each trial samples a fresh field on the window, draws a serving distance
+    A trial samples a fresh field on the window, draws a serving distance
     from the conditional law, takes its :func:`outage_exponent`, far field
-    included, and draws its serving fade. One block's arrays live at a time.
+    included, and draws its serving fade. A physical block first draws how
+    many of its trials have a hit, and only those go on; their field holds
+    the SBSs without the content, none at pc = 1, and
+    :func:`_caching_annulus` adds the caching ones. One block's arrays
+    live at a time.
     """
-    for rng, size in _blocks(cfg, _field_mean(params.lambda_s, window)):
-        field = sample_ppp(params.lambda_s, window, rng, size)
-        r0 = draw_serving_distance(params, rng, size)
+    hit, pc = (cache_hit_prob(params), params.pc) if physical else (1.0, 0.0)
+    others = params.lambda_s * (1.0 - pc)
+    for rng, size in _blocks(cfg, hit * _field_mean(params.lambda_s, window)):
+        served = rng.binomial(size, hit) if physical else size
+        fields = (sample_ppp(others, window, rng, served),) if others > 0 else ()
+        r0 = draw_serving_distance(params, rng, served)
+        if physical:
+            fields += (_caching_annulus(params.lambda_s * pc, r0, window, rng),)
         tail = interference_tail_exponent(params.lambda_s, params.alpha, params.gamma, r0, window)
-        exponent = outage_exponent(r0, field, params.alpha, params.gamma, tail)
-        yield r0, rng.standard_exponential(size) < exponent
+        exponent = outage_exponent(r0, fields, params.alpha, params.gamma, tail)
+        yield r0, rng.standard_exponential(served) < exponent
+
+
+def _caching_annulus(
+    lambda_c: float, r0: np.ndarray, window_radius: float, rng: np.random.Generator
+) -> PointSet:
+    """Per serving distance r0[k], a Poisson field of density ``lambda_c`` on r0[k] < r <= R.
+
+    Field k's count has mean lambda_c * pi * (R**2 - r0[k]**2), R the window
+    radius, and its distances are sqrt(r0[k]**2 + (R**2 - r0[k]**2) * u).
+    """
+    inner = r0 * r0
+    span = window_radius * window_radius - inner
+    counts = rng.poisson(lambda_c * math.pi * span)
+    r = rng.random(int(counts.sum()))
+    r *= np.repeat(span, counts)
+    r += np.repeat(inner, counts)
+    np.sqrt(r, out=r)
+    return PointSet(r=r, counts=counts)
 
 
 def content_outage_trials(params: SystemParams, cfg: SimConfig):
@@ -306,9 +342,7 @@ def content_outage_trials(params: SystemParams, cfg: SimConfig):
 
 def estimate_content_outage(params: SystemParams, cfg: SimConfig) -> Estimate:
     """Binomial estimate of the content outage fraction over ``cfg.trials`` realizations."""
-    window = _resolve_window(params, cfg)
-    outages = sum(int(np.count_nonzero(out)) for _, out in _outage_blocks(params, cfg, window))
-    return _binomial_estimate(outages, cfg.trials, window_radius=window)
+    return _estimate_outage(params, cfg, physical=False)
 
 
 def estimate_cache_hit(params: SystemParams, cfg: SimConfig) -> Estimate:
@@ -331,66 +365,31 @@ def estimate_physical(params: SystemParams, cfg: SimConfig) -> Estimate:
     """Outage under physical association: nearest caching SBS in range serves.
 
     Its closed form is :func:`~cachegeo.analytic.physical_content_outage`,
-    never above the emulated one. Trials with no caching SBS within r_th
-    are discarded and counted in ``n_discarded``.
-    Each SBS within r_th caches the content independently with probability
-    pc, as in :func:`estimate_cache_hit`; the outage exponent is
-    :func:`outage_exponent` with the serving SBS taken out of its field.
-
-    A trial first samples its field on the disc of radius r_th and marks
-    the caches there; only a trial with a hit goes on to sample the
-    annulus out to the window. The Poisson field on the disc and the one
-    on the annulus are independent, so this is the whole-window field
-    exactly in distribution, and ``n`` is Binomial(trials, hit
-    probability) as before. The window's mean point count is checked
-    against the per-trial cap before any draw. Beyond the window, which
-    covers r_th, every SBS interferes at density lambda_s, so the far
-    field is added in closed form exactly as in emulated mode.
-
-    Raises :class:`DegenerateSampleError` when no trial survives the
-    conditioning.
+    never above the emulated one. Each SBS caches the content
+    independently with probability pc, as in :func:`estimate_cache_hit`.
+    Trials without a hit are discarded and counted in ``n_discarded``, so
+    ``n`` is Binomial(trials, hit probability); the others are sampled
+    given the hit (module docstring), and beyond the window every SBS
+    interferes, in closed form as in emulated mode. Raises
+    :class:`DegenerateSampleError` when no trial has a hit.
     """
+    return _estimate_outage(params, cfg, physical=True)
+
+
+def _estimate_outage(params: SystemParams, cfg: SimConfig, physical: bool) -> Estimate:
+    """Binomial outage estimate over the trials that have a server, all of them if emulated."""
     window = _resolve_window(params, cfg)
-    disc_mean = _field_mean(params.lambda_s, params.r_th)
-    annulus_mean = _field_mean(params.lambda_s, window) - disc_mean
-    inner_area = params.r_th * params.r_th
-    annulus_area = window * window - inner_area
-    outages = effective = 0
-    for rng, size in _blocks(cfg, disc_mean + cache_hit_prob(params) * annulus_mean):
-        disc = sample_ppp(params.lambda_s, params.r_th, rng, size)
-        caching = np.flatnonzero(rng.random(disc.n) < params.pc)
-        caching = caching[np.argsort(disc.r[caching])]
-        # np.unique keeps each field's first, so nearest, caching point: one
-        # server per field with a hit, also where two share a distance
-        fields = np.searchsorted(np.cumsum(disc.counts), caching, side="right")
-        served, first = np.unique(fields, return_index=True)
-        serving = caching[first]
-        hit = np.zeros(size, dtype=bool)
-        hit[served] = True
-        keep = np.repeat(hit, disc.counts)
-        keep[serving] = False
-        inner = PointSet(r=disc.r[keep], counts=disc.counts[served] - 1)
-        # each hit field's own Poisson field on the annulus r_th < r <= window,
-        # at distances sqrt(r_th**2 + (window**2 - r_th**2) * u)
-        counts = rng.poisson(annulus_mean, served.size)
-        outer = rng.random(int(counts.sum()))
-        outer *= annulus_area
-        outer += inner_area
-        np.sqrt(outer, out=outer)
-        annulus = PointSet(r=outer, counts=counts)
-        r0 = disc.r[serving]
-        tail = interference_tail_exponent(params.lambda_s, params.alpha, params.gamma, r0, window)
-        exponent = outage_exponent(r0, (inner, annulus), params.alpha, params.gamma, tail)
-        outages += int(np.count_nonzero(rng.standard_exponential(served.size) < exponent))
-        effective += served.size
-    if effective == 0:
+    outages = served = 0
+    for _, out in _outage_blocks(params, cfg, window, physical):
+        outages += int(np.count_nonzero(out))
+        served += out.size
+    if served == 0:
         raise DegenerateSampleError(
             f"no caching SBS within r_th={params.r_th} in any of {cfg.trials} trials "
             "(effective sample size 0)"
         )
-    return _binomial_estimate(
-        outages, effective, n_discarded=cfg.trials - effective, window_radius=window
-    )
+    n_discarded = cfg.trials - served
+    return _binomial_estimate(outages, served, n_discarded=n_discarded, window_radius=window)
 
 
 def binomial_ci(successes: float, n: int, confidence: float = 0.99) -> tuple[float, float]:

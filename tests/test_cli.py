@@ -224,7 +224,8 @@ def test_simulate_physical_verdict_uses_the_physical_law(capsys):
 
 
 def test_simulate_degenerate_physical_exits_3(capsys):
-    rc = main(["simulate", "--lambda", "0.01", "--alpha", "3", "--gamma-db", "-10",
+    # hit probability 3.1e-11: a hit in 40 trials has probability 1.3e-9
+    rc = main(["simulate", "--lambda", "1e-9", "--alpha", "3", "--gamma-db", "-10",
                "--rth", "1", "--d", "1", "--library", "100", "--mode", "physical",
                "--trials", "40", "--seed", "5", "--window", "12"])
     assert rc == 3
@@ -233,8 +234,8 @@ def test_simulate_degenerate_physical_exits_3(capsys):
 
 def test_simulate_physical_oversized_window_exits_2_before_any_draw(monkeypatch, capsys):
     # a 20 km window holds 1.26e8 points per trial on average; physical mode
-    # draws the r_th disc first, so the cap must hold the whole window to
-    # account before any block opens its stream
+    # samples only the trials with a hit, so the cap must hold the whole
+    # window to account before any block opens its stream
     def no_draw(*args):
         raise AssertionError("a block stream was opened")
 
@@ -783,7 +784,10 @@ def test_only_window_solves_load_scipy(tmp_path):
         # the far field beyond the window needs scipy.special's hyp2f1, and
         # nothing in either mode needs a quadrature or a root find
         ("simulate", ["simulate", *P_FLAGS, "--trials", "8"]),
-        ("simulate physical", ["simulate", *P_FLAGS, "--trials", "8", "--mode", "physical"]),
+        # at pc = 0.5 a trial has a hit with probability 0.98, so 8 trials
+        # are never all discarded
+        ("simulate physical", ["simulate", *P_FLAGS, "--d", "50", "--trials", "8",
+                               "--mode", "physical"]),
     ]
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -30,6 +30,7 @@ from cachegeo.simulate import (
     sample_ppp,
     trial_stream,
 )
+from cachegeo.simulate import _caching_annulus
 
 WILSON_50_100_95 = (0.403831530366, 0.596168469634)  # direct-formula oracle
 
@@ -229,8 +230,8 @@ def test_sir_sums_each_field_alone(counts):
 
 
 def test_sir_of_several_point_sets_equals_their_join():
-    # the physical estimator passes a field's disc and annulus points as two
-    # sets; that must equal one joined set
+    # the physical estimator passes a field's SBSs without the content and
+    # its caching SBSs beyond the server as two sets; that must equal one joined set
     rng = np.random.default_rng(42)
     inner = PointSet(r=rng.uniform(0.5, 5.0, 7), counts=np.array([0, 3, 1, 3]))
     outer = PointSet(r=rng.uniform(5.0, 30.0, 9), counts=np.array([2, 0, 4, 3]))
@@ -396,7 +397,8 @@ def test_physical_mode_reports_discards():
 
 
 def test_physical_mode_degenerate_conditioning_raises():
-    p = make_params(lambda_s=0.01, r_th=1.0, cache_size_d=1, library_size=100)
+    # hit probability 3.1e-11: a hit in 40 trials has probability 1.3e-9
+    p = make_params(lambda_s=1e-9, r_th=1.0, cache_size_d=1, library_size=100)
     cfg = SimConfig(trials=40, master_seed=5, window_radius=12.0)
     with pytest.raises(DegenerateSampleError):
         estimate_physical(p, cfg)
@@ -405,7 +407,8 @@ def test_physical_mode_degenerate_conditioning_raises():
 @pytest.mark.parametrize("cache_size_d", [2, 50])
 def test_physical_mode_hit_share_follows_cache_hit_law(cache_size_d):
     # a trial survives exactly when some SBS within r_th caches the content,
-    # so the effective count is binomial in the closed-form hit probability
+    # so the effective count is binomial in the closed-form hit probability;
+    # the full-window reference below checks that law geometrically
     p = make_params(cache_size_d=cache_size_d)
     trials = 3000
     # the hit law does not depend on the window, so a small one is enough
@@ -466,8 +469,9 @@ def _two_proportion_z(k1, n1, k2, n2):
 
 
 def test_physical_mode_matches_full_window_reference():
-    # the disc-first draw must give the whole-window field's law; both
-    # samplers add the field beyond the same 20 m window in closed form
+    # sampling given the hit, two independent thinned fields, must give the
+    # whole-window field's law, hit share included; both samplers add the
+    # field beyond the same 20 m window in closed form
     p = make_params(cache_size_d=30)  # pc = 0.3, hit probability 0.905
     trials, window = 20_000, 20.0
     est = estimate_physical(p, SimConfig(trials=trials, master_seed=31, window_radius=window))
@@ -515,8 +519,25 @@ def test_outage_estimate_meets_its_closed_form_at_five_points(point, estimate, c
     assert abs(z) <= 4.5
 
 
+def test_caching_annulus_lies_beyond_each_server_with_poisson_counts():
+    # field k's points lie in (r0[k], R], uniform on that annulus, and its
+    # count is Poisson with mean lambda_c * pi * (R**2 - r0[k]**2)
+    groups, window, lambda_c = [0.0, 2.0, 9.0, 9.99], 10.0, 0.05
+    r0 = np.repeat(groups, 2000)
+    annulus = _caching_annulus(lambda_c, r0, window, trial_stream(13, 0))
+    owner = np.repeat(r0, annulus.counts)
+    assert (annulus.r > owner).all() and (annulus.r <= window).all()
+    for k, inner in enumerate(groups):
+        mean = 2000 * lambda_c * math.pi * (window**2 - inner**2)
+        total = annulus.counts[2000 * k: 2000 * (k + 1)].sum()
+        assert abs(total - mean) <= 4.5 * math.sqrt(mean)
+    u = (annulus.r[owner == 2.0] ** 2 - 4.0) / (window**2 - 4.0)
+    assert stats.kstest(u, "uniform").pvalue > 1e-3
+
+
 def test_physical_mode_runs_on_an_empty_annulus():
-    # window == r_th: every interferer lies in the disc drawn first
+    # window == r_th, the smallest window: nothing lies beyond r_th inside
+    # it, and the caching SBSs beyond the server lie on r0 < r <= r_th
     p = make_params(cache_size_d=30)
     est = estimate_physical(p, SimConfig(trials=500, master_seed=6, window_radius=p.r_th))
     assert est.window_radius == p.r_th
@@ -581,13 +602,15 @@ def test_trial_stream_layout_is_pinned():
 
 
 def test_physical_trial_stream_is_pinned():
-    # exact outputs for a fixed seed: a block draws its r_th discs, their
-    # cache marks, the annuli of its hit fields, then the serving fades, so
-    # a change to the annulus or fading draws moves the outage count but not n
+    # exact outputs for a fixed seed: a block draws its count of trials with
+    # a hit, then for those the fields without the content, the serving
+    # distances, the caching fields beyond the servers and the serving
+    # fades, so a change to any draw after the first moves the outage count
+    # but not n
     est = estimate_physical(
         make_params(), SimConfig(trials=2000, master_seed=8, window_radius=100.0)
     )
-    assert (est.mean, est.n, est.n_discarded) == (220 / 294, 294, 1706)
+    assert (est.mean, est.n, est.n_discarded) == (249 / 325, 325, 1675)
 
 
 def test_estimate_repeats_bit_identically():
@@ -617,8 +640,9 @@ def test_estimate_interval_brackets_mean():
 
 
 def test_recommended_window_covers_ten_thresholds():
-    # with no window the fields are sampled out to 10 * r_th in both modes
-    for p in (make_params(), make_params(alpha=6.0, r_th=2.0)):
+    # with no window the fields are sampled out to 10 * r_th in both modes;
+    # at pc = 1 a physical run of 64 trials has a hit with near certainty
+    for p in (make_params(cache_size_d=100), make_params(alpha=6.0, r_th=2.0, cache_size_d=100)):
         cfg = SimConfig(trials=64, master_seed=0)
         assert estimate_content_outage(p, cfg).window_radius == 10.0 * p.r_th
         assert estimate_physical(p, cfg).window_radius == 10.0 * p.r_th
