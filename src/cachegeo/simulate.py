@@ -6,22 +6,31 @@ the block index as its spawn key, and the block size follows from the mean
 number of points a trial samples, so estimates are a function of (params,
 config, seed) and bit-identical across runs.
 
-Interferers are sampled point by point on a disc of radius R, the window,
-and the field beyond it enters in closed form. With Rayleigh fading every
-interferer's fade integrates out, E[exp(-s*h)] = 1/(1 + s), so given the
-serving distance r0 a trial is in outage iff its serving fade h0 ~ Exp(1),
-the one fade drawn, is below E = T_R + sum_i log1p(gamma * (r0/r_i)**alpha):
--ln of the coverage given the points, sampled inside R and integrated
-beyond it (T_R, :func:`~cachegeo.analytic.interference_tail_exponent`).
-That event has the probability it has with every fade drawn, so the
-estimate is unbiased for the infinite plane at every window.
+Interferers are sampled on a disc of radius R, the window, and the field
+beyond it enters in closed form. With Rayleigh fading every interferer's
+fade integrates out, E[exp(-s*h)] = 1/(1 + s), so given the serving
+distance r0 an interferer at r blocks the link, independently of the
+others, with probability q = x/(1 + x), x = (s/r)**alpha at the reach
+s = gamma**(1/alpha) * r0. The blocking SBSs are thus a Poisson field of
+intensity lambda_s * q, and a trial samples it exactly by thinning
+(Lewis & Shedler 1979): it draws the candidates, a Poisson field of the
+dominating intensity lambda_s * min(1, x) whose mean count has a closed
+form and is at most lambda_s * pi * R**2, and each candidate blocks with
+probability q / min(1, x). A trial is in outage iff its serving fade
+h0 ~ Exp(1), the one fade drawn, is below E = T_R + sum over candidates
+of -ln(1 - q/min(1, x)) = log1p(max(x, 1/x)): -ln of the coverage given
+the candidates, sampled inside R and integrated beyond it (T_R,
+:func:`~cachegeo.analytic.interference_tail_exponent`). Given r0 that
+event has the probability it has with every SBS on the window sampled and
+every fade drawn, so the estimate is unbiased for the infinite plane at
+every window.
 
 Both associations run one block loop. Physical mode keeps the trials with
 a hit, Binomial(trials, hit probability) of them, and samples them given
 the hit: by independent thinning the SBSs with and without the content
 are independent Poisson fields, so given the server at r0 the interferers
 are the SBSs without the content on the window and the caching SBSs on
-r0 < r <= R.
+r0 < r <= R, each field sampled through its candidates.
 
 This module imports no scipy; the tail exponent loads ``scipy.special``
 on its first call, so the cache-hit estimate and the CLI commands without
@@ -57,7 +66,7 @@ __all__ = [
 ]
 
 _SEED_SPACE = 2**64
-_MAX_POINTS_PER_TRIAL = 5 * 10**7  # mean field size; ~400 MB per float64 array
+_MAX_POINTS_PER_TRIAL = 5 * 10**7  # mean SBS count of a sampled disc, refused above this
 _BLOCK_POINTS = 2**16  # mean points sampled per block of trials
 _BLOCK_TRIALS = 4096  # most trials per block, reached on fields of few points
 
@@ -71,8 +80,9 @@ class SimConfig:
     """Monte Carlo controls.
 
     ``window_radius`` is the radius of the disc on which interferers are
-    sampled point by point; the field beyond it enters in closed form. None
-    resolves to 10 * r_th, and a window must cover r_th.
+    sampled, through the candidates that may block; the field beyond it
+    enters in closed form. None resolves to 10 * r_th, and a window must
+    cover r_th.
     """
 
     trials: int = 5000
@@ -102,7 +112,7 @@ class Estimate:
     without a caching SBS within r_th, which physical mode discards, so
     that ``n`` is Binomial(trials, hit probability) there (0 when emulated);
     ``window_radius`` is the radius of the disc the fields were sampled
-    on point by point.
+    on.
     """
 
     mean: float
@@ -165,9 +175,9 @@ def sample_ppp(
     and its points are i.i.d. uniform on the disc, so each distance is
     window_radius times the sqrt of a uniform draw; no angle is drawn.
     Raises ParameterError, before any draw, when the mean count of a field
-    exceeds the per-trial point cap. The estimators pass their block's
-    stream and size, about 2**16 points' worth of fields, so the draws are
-    a function of (params, config, seed).
+    exceeds the per-trial point cap. The cache-hit estimator passes its
+    block's stream and size, about 2**16 points' worth of fields, so the
+    draws are a function of (params, config, seed).
     """
     counts = rng.poisson(_field_mean(lambda_s, window_radius), size)
     r = rng.random(int(counts.sum()))
@@ -215,29 +225,38 @@ def outage_exponent(
     gamma: float,
     tail: np.ndarray | float = 0.0,
 ) -> np.ndarray:
-    """-ln of each field's coverage given its points: tail + sum_i log1p(gamma*(r0/r_i)**alpha).
+    """-ln of each field's coverage given its candidates: tail + sum_i log1p(max(x_i, 1/x_i)).
 
-    Field k is served over a link at ``serving_r[k]`` and every point of
-    field k interferes; the serving link is not one of them.
+    Field k is served over a link at ``serving_r[k]``, and x_i =
+    (s/r_i)**alpha at the reach s = gamma**(1/alpha) * serving_r[k].
     ``interferers`` is one :class:`PointSet` or a tuple of them, possibly
-    empty, over the same fields, whose points together interfere, and
-    ``tail`` is each field's exponent from beyond them
+    empty, over the same fields: the candidates of :func:`_candidates`,
+    drawn at intensity min(1, x) times the SBS density. A candidate blocks
+    the link with probability q/min(1, x), q = x/(1 + x) the probability
+    that an SBS at r_i does, and its term is -ln(1 - q/min(1, x)) =
+    log1p(max(x, 1/x)), computed as a + log1p(exp(-a)) with
+    a = alpha * |ln r_i - ln s|, which stays finite wherever r_i and s are
+    positive: a term is ln 2 at r_i = s and grows both ways.
+    ``tail`` is each field's exponent from beyond the window
     (:func:`interference_tail_exponent`).
     Nothing is drawn: a trial is in outage iff its serving fade is below
-    its exponent. With gamma in (gamma**(1/alpha) * r0 / r_i)**alpha no
-    factor r0**-alpha arises: r0 = 0 gives the tail, r_i = 0 or a term too
-    large for a float gives inf (an outage, the limit of the exact value),
-    and r0 = r_i = 0 gives NaN, which h0 < NaN counts as coverage.
+    its exponent. A field without candidates gives its tail; r_i = 0, or a
+    candidate of a field with s = 0 (where candidates have intensity 0),
+    gives inf, an outage, the limit of the exact term; and
+    r0 = r_i = 0 gives NaN, which h0 < NaN counts as coverage.
     """
     sets = (interferers,) if isinstance(interferers, PointSet) else interferers
     exponent = np.zeros(serving_r.size) + tail
-    reach = gamma ** (1.0 / alpha) * serving_r
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_reach = np.log(gamma ** (1.0 / alpha) * serving_r)
         for points in sets:
-            terms = np.repeat(reach, points.counts)
-            np.divide(terms, points.r, out=terms)
-            np.power(terms, alpha, out=terms)
+            a = np.log(points.r)
+            a -= np.repeat(log_reach, points.counts)
+            np.abs(a, out=a)
+            a *= alpha
+            terms = np.exp(-a)
             np.log1p(terms, out=terms)
+            terms += a
             exponent += _field_sums(terms, points.counts)
     return exponent
 
@@ -291,42 +310,83 @@ def _resolve_window(params: SystemParams, cfg: SimConfig) -> float:
 def _outage_blocks(params: SystemParams, cfg: SimConfig, window: float, physical=False):
     """Yield each block's serving distances and outage indicators under either association.
 
-    A trial samples a fresh field on the window, draws a serving distance
-    from the conditional law, takes its :func:`outage_exponent`, far field
-    included, and draws its serving fade. A physical block first draws how
-    many of its trials have a hit, and only those go on; their field holds
-    the SBSs without the content, none at pc = 1, and
-    :func:`_caching_annulus` adds the caching ones. One block's arrays
-    live at a time.
+    A trial draws a serving distance from the conditional law, samples the
+    candidates of its field on the window (:func:`_candidates`), takes its
+    :func:`outage_exponent`, far field included, and draws its serving
+    fade. A physical block first draws how many of its trials have a hit,
+    and only those go on; their field holds the SBSs without the content,
+    none at pc = 1, and the caching ones beyond the server. Blocks are
+    sized by the candidate mean at r0 = r_th, which bounds every trial's,
+    and the window's SBS count is held to the per-trial cap before any
+    draw. One block's arrays live at a time.
     """
     hit, pc = (cache_hit_prob(params), params.pc) if physical else (1.0, 0.0)
-    others = params.lambda_s * (1.0 - pc)
-    for rng, size in _blocks(cfg, hit * _field_mean(params.lambda_s, window)):
+    lam, alpha = params.lambda_s, params.alpha
+    others = lam * (1.0 - pc)
+    reach = params.gamma ** (1.0 / alpha)
+    disc, beyond, _ = _candidate_shares(np.array([reach * params.r_th]), 0.0, window, alpha)
+    for rng, size in _blocks(cfg, hit * _field_mean(lam, window) * float(disc[0] + beyond[0])):
         served = rng.binomial(size, hit) if physical else size
-        fields = (sample_ppp(others, window, rng, served),) if others > 0 else ()
         r0 = draw_serving_distance(params, rng, served)
+        s = reach * r0
+        fields = (_candidates(others, s, 0.0, window, alpha, rng),) if others > 0 else ()
         if physical:
-            fields += (_caching_annulus(params.lambda_s * pc, r0, window, rng),)
-        tail = interference_tail_exponent(params.lambda_s, params.alpha, params.gamma, r0, window)
-        exponent = outage_exponent(r0, fields, params.alpha, params.gamma, tail)
+            fields += (_candidates(lam * pc, s, r0, window, alpha, rng),)
+        tail = interference_tail_exponent(lam, alpha, params.gamma, r0, window)
+        exponent = outage_exponent(r0, fields, alpha, params.gamma, tail)
         yield r0, rng.standard_exponential(served) < exponent
 
 
-def _caching_annulus(
-    lambda_c: float, r0: np.ndarray, window_radius: float, rng: np.random.Generator
-) -> PointSet:
-    """Per serving distance r0[k], a Poisson field of density ``lambda_c`` on r0[k] < r <= R.
+def _candidate_shares(s: np.ndarray, inner, window_radius: float, alpha: float):
+    """Per field, the candidate mean on either side of the reach, in units of pi * R**2.
 
-    Field k's count has mean lambda_c * pi * (R**2 - r0[k]**2), R the window
-    radius, and its distances are sqrt(r0[k]**2 + (R**2 - r0[k]**2) * u).
+    With c = min(s/R, 1), i = inner/R and b = max(i, c), the dominating
+    intensity min(1, (s/r)**alpha) integrates over inner < r <= R to
+    pi * R**2 times disc + beyond: disc = max(c**2 - i**2, 0) where it is 1
+    and beyond = 2 * c**2 / (alpha - 2) * ((c/b)**(alpha - 2) - c**(alpha - 2))
+    past b, where it is (s/r)**alpha. Every ratio is at most 1, so nothing
+    overflows, and disc + beyond <= 1 - i**2. Returns (disc, beyond, b).
     """
-    inner = r0 * r0
-    span = window_radius * window_radius - inner
-    counts = rng.poisson(lambda_c * math.pi * span)
-    r = rng.random(int(counts.sum()))
-    r *= np.repeat(span, counts)
-    r += np.repeat(inner, counts)
-    np.sqrt(r, out=r)
+    c = np.minimum(s / window_radius, 1.0)
+    i = inner / window_radius
+    b = np.maximum(i, c)
+    k = alpha - 2.0
+    ratio = np.divide(c, b, out=np.ones_like(b), where=b > 0)
+    disc = np.maximum(c * c - i * i, 0.0)
+    return disc, 2.0 * (c * c) / k * (ratio**k - c**k), b
+
+
+def _candidates(
+    density: float, s: np.ndarray, inner, window_radius: float, alpha: float,
+    rng: np.random.Generator,
+) -> PointSet:
+    """Per reach s[k], a Poisson field of intensity density * min(1, (s[k]/r)**alpha).
+
+    Field k's candidates lie on inner[k] < r <= R, R the window radius;
+    ``inner`` is 0 or an array over the fields. Field k's count is Poisson
+    with mean density * pi * R**2 * (disc + beyond) (:func:`_candidate_shares`).
+    A candidate lies where the intensity is the density with probability
+    disc / (disc + beyond), uniform in area there, at R * sqrt(i**2 + v)
+    for v uniform on [0, disc); beyond that, the power law's inverse CDF
+    puts it at R * b * (1 - f * (1 - b**(alpha - 2)))**(-1/(alpha - 2)) for
+    f uniform on [0, 1). One uniform draw per candidate picks both, and a
+    distance that rounds past R is held at R.
+    """
+    disc, beyond, b = _candidate_shares(s, inner, window_radius, alpha)
+    whole = disc + beyond
+    counts = rng.poisson(density * math.pi * (window_radius * window_radius) * whole)
+    i2 = np.broadcast_to((inner / window_radius) ** 2, s.shape)
+    first, total, near, start = (np.repeat(x, counts) for x in (disc, whole, i2, b))
+    v = rng.random(int(counts.sum()))
+    v *= total
+    k = alpha - 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # only the candidates beyond the disc part use these; the others may give NaN
+        f = (v - first) / (total - first)
+        far = start * (1.0 - f * (1.0 - start**k)) ** (-1.0 / k)
+    r = np.where(v < first, np.sqrt(near + v), far)
+    np.minimum(r, 1.0, out=r)
+    r *= window_radius
     return PointSet(r=r, counts=counts)
 
 
