@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 validation failure, 3 degenerate simulation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -354,9 +355,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser that :func:`main` uses, built on its first call in the process.
+
+    Parsing leaves the parser as it was, and help and usage text are
+    formatted when printed, so one parser serves every call.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParameterError as exc:

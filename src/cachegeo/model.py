@@ -72,12 +72,15 @@ def validate(params: SystemParams) -> SystemParams:
         raise ParameterError(
             "r_th", f"r_th must be a positive finite distance, got {params.r_th}"
         )
-    if not isinstance(params.cache_size_d, int) or params.cache_size_d < 0:
+    # bool is an int subclass, but a JSON true is no count
+    if (isinstance(params.cache_size_d, bool) or not isinstance(params.cache_size_d, int)
+            or params.cache_size_d < 0):
         raise ParameterError(
             "cache_size_d",
             f"cache_size_d must be a nonnegative integer, got {params.cache_size_d}",
         )
-    if not isinstance(params.library_size, int) or params.library_size < 1:
+    if (isinstance(params.library_size, bool) or not isinstance(params.library_size, int)
+            or params.library_size < 1):
         raise ParameterError(
             "library_size",
             f"library_size must be a positive integer, got {params.library_size}",

@@ -39,6 +39,7 @@ Monte Carlo outage run without loading it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -90,9 +91,11 @@ class SimConfig:
     window_radius: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.trials, int) or self.trials < 1:
+        # bool is an int subclass, but a JSON true is no count
+        if isinstance(self.trials, bool) or not isinstance(self.trials, int) or self.trials < 1:
             raise ParameterError("trials", f"trials must be a positive integer, got {self.trials}")
-        if not isinstance(self.master_seed, int) or not 0 <= self.master_seed < _SEED_SPACE:
+        if (isinstance(self.master_seed, bool) or not isinstance(self.master_seed, int)
+                or not 0 <= self.master_seed < _SEED_SPACE):
             raise ParameterError(
                 "master_seed", f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}"
             )
@@ -465,7 +468,7 @@ def binomial_ci(successes: float, n: int, confidence: float = 0.99) -> tuple[flo
         raise ParameterError("successes", f"successes must lie in [0, {n}], got {successes}")
     if not 0.0 < confidence < 1.0:
         raise ParameterError("confidence", f"confidence must lie in (0, 1), got {confidence}")
-    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    z = _wilson_z(confidence)
     p_hat = successes / n
     denom = 1.0 + z * z / n
     center = (p_hat + z * z / (2.0 * n)) / denom
@@ -474,6 +477,12 @@ def binomial_ci(successes: float, n: int, confidence: float = 0.99) -> tuple[flo
     low = 0.0 if successes == 0 else max(0.0, center - margin)
     high = 1.0 if successes == n else min(1.0, center + margin)
     return low, high
+
+
+@functools.cache
+def _wilson_z(confidence: float) -> float:
+    """The standard normal quantile that a two-sided interval at ``confidence`` reaches."""
+    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
 
 
 def _binomial_estimate(

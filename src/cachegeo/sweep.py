@@ -159,6 +159,12 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
     Checks grid shape, axis/quantity consistency, and that the base and every
     (base, axis value, series value) combination pass model validation.
     """
+    _validated_cells(spec)
+    return spec
+
+
+def _validated_cells(spec: SweepSpec) -> list:
+    """The cells of :func:`_cells`, each validated; raises as :func:`validate_spec` does."""
     if not spec.values:
         raise ParameterError("values", "sweep needs at least one axis value")
     if any(b <= a for a, b in zip(spec.values, spec.values[1:])):
@@ -180,27 +186,27 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
     if spec.axis is Axis.EPSILON and any(not 0 <= v < 1 for v in spec.values):
         raise ParameterError("values", "epsilon values must lie in [0, 1)")
     validate(spec.base)
-    for _, _, params in _cells(spec):
-        validate(params)
-    return spec
+    return [(series_value, axis_value, validate(params))
+            for series_value, axis_value, params in _cells(spec)]
 
 
 def _cell_row(spec: SweepSpec, params: SystemParams, axis_value: float,
               series_value: float | None, cell_index: int) -> SweepRow:
     closed_form, estimator = _QUANTITIES[spec.quantity]
+    cell = (float(axis_value), series_value)
     try:
-        row = SweepRow(float(axis_value), series_value, float(closed_form(params, axis_value)))
+        analytic = float(closed_form(params, axis_value))
     except ParameterError as exc:
-        return SweepRow(float(axis_value), series_value, None, error=str(exc))
+        return SweepRow(*cell, None, error=str(exc))
     if spec.sim is None:
-        return row
+        return SweepRow(*cell, analytic)
     # distinct seeds per cell keep the trial streams unrelated
     cfg = replace(spec.sim, master_seed=(spec.sim.master_seed + cell_index) % 2**64)
     try:
         est = estimator(params, cfg)
     except (ParameterError, DegenerateSampleError) as exc:
-        return replace(row, error=str(exc))
-    return replace(row, sim_mean=est.mean, ci_low=est.ci_low, ci_high=est.ci_high)
+        return SweepRow(*cell, analytic, error=str(exc))
+    return SweepRow(*cell, analytic, est.mean, est.ci_low, est.ci_high)
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
@@ -210,10 +216,9 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     errors (a pc = 0 cell, a degenerate conditioning event) are recorded
     in the row without aborting the sweep.
     """
-    validate_spec(spec)
     rows = [
         _cell_row(spec, params, axis_value, series_value, cell_index)
-        for cell_index, (series_value, axis_value, params) in enumerate(_cells(spec))
+        for cell_index, (series_value, axis_value, params) in enumerate(_validated_cells(spec))
     ]
     return SweepTable(rows=rows, metadata=_metadata(spec))
 

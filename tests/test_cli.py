@@ -25,6 +25,7 @@ from cachegeo.analytic import (
     optimal_density,
     physical_content_outage,
 )
+from cachegeo import cli
 from cachegeo.cli import build_parser, main
 from cachegeo.model import (
     ParameterError,
@@ -470,10 +471,15 @@ def test_sweep_config_that_is_not_json_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "section, field, value",
     [("base", "cache_size_d", 2.9), ("base", "library_size", 100.5),
-     ("sim", "trials", 10.9), ("sim", "master_seed", 3.7)],
+     ("sim", "trials", 10.9), ("sim", "master_seed", 3.7)]
+    + [(section, field, value)
+       for section, field in (("base", "cache_size_d"), ("base", "library_size"),
+                              ("sim", "trials"), ("sim", "master_seed"))
+       for value in (True, False)],
 )
 def test_sweep_config_with_non_integer_count_exits_2(section, field, value, tmp_path, capsys):
-    # a config integer is refused by name, never truncated into a run
+    # a config integer is refused by name, never truncated into a run; a JSON
+    # boolean is no count either, though Python's bool is an int
     config = _sim_config(tmp_path)
     data = json.loads(config.read_text())
     data[section][field] = value
@@ -704,6 +710,46 @@ def test_plan_requires_exactly_one_unknown():
     with pytest.raises(SystemExit) as excinfo:
         main(["plan", "--epsilon", "0.9", "--rth", "10"])
     assert excinfo.value.code == 2
+
+
+# -- one parser per process ------------------------------------------------------
+
+
+def _run_main(argv):
+    """(exit code, stdout, stderr) of ``main(argv)``, an argparse exit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_serves_every_call_like_a_fresh_one(monkeypatch, tmp_path):
+    out = str(tmp_path)
+    argvs = [
+        ["simulate", *P_FLAGS, "--mode", "nope"],  # argparse refuses it
+        ["simulate", *P_FLAGS, "--trials", "0"],  # ParameterError
+        ["--version"],
+        ["simulate", *FAST_FLAGS, "--trials", "40", "--seed", "3", "--json"],
+        # at pc = 0.5 a trial has a hit with probability 0.98
+        ["simulate", *P_FLAGS, "--d", "50", "--mode", "physical", "--trials", "40", "--json"],
+        ["sweep", *FAST_FLAGS, "--quantity", "hit", "--axis", "pc", "--from", "0.02",
+         "--to", "1", "--steps", "3", "--trials", "10", "--out", out],
+        ["plan", "--epsilon", "0.9", "--rth", "1", "--lambda", "0.01"],
+    ]
+    cli._parser.cache_clear()
+    reused = [_run_main(argv) for argv in argvs]
+    files = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(argvs) - 1)  # built once, then reused
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    fresh = [_run_main(argv) for argv in argvs]
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [2, 2, 0, 0, 0, 0, 4]
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == files
+    assert build_parser() is not build_parser()
 
 
 # -- README ----------------------------------------------------------------------

@@ -2,13 +2,15 @@
 
 import io
 import json
+import math
 import time
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from cachegeo.model import ParameterError, SystemParams, db_to_linear
+from cachegeo import sweep
+from cachegeo.model import ParameterError, SystemParams, db_to_linear, with_replication_ratio
 from cachegeo.simulate import SimConfig
 from cachegeo.sweep import (
     Axis,
@@ -98,6 +100,34 @@ def test_hit_quantity_tracks_analytic_value():
     table = run_sweep(spec)
     for row in table.rows:
         assert row.ci_low - 0.05 <= row.analytic <= row.ci_high + 0.05
+
+
+def test_sweep_derives_each_cell_once(monkeypatch):
+    calls = []
+
+    def counted(params, pc):
+        calls.append(pc)
+        return with_replication_ratio(params, pc)
+
+    monkeypatch.setattr(sweep, "with_replication_ratio", counted)
+    spec = SweepSpec(base=BASE, axis=Axis.PC, values=(0.02, 0.1, 0.5, 1.0),
+                     quantity=Quantity.CACHE_HIT, series_axis=Axis.LAMBDA_S,
+                     series_values=(0.01, 0.1), sim=SimConfig(trials=10, master_seed=2))
+    table = run_sweep(spec)
+    assert len(table.rows) == 8
+    assert calls == [0.02, 0.1, 0.5, 1.0] * 2
+
+
+def test_sweep_validates_every_cell_before_the_first_estimate(monkeypatch):
+    def never(params, cfg):
+        raise AssertionError("an estimator ran before every cell was validated")
+
+    monkeypatch.setattr(sweep, "estimate_content_outage", never)
+    spec = SweepSpec(base=BASE, axis=Axis.R_TH, values=(5.0, 10.0, math.inf),
+                     sim=SimConfig(trials=10))
+    with pytest.raises(ParameterError) as excinfo:
+        run_sweep(spec)
+    assert excinfo.value.field == "r_th"
 
 
 @pytest.mark.parametrize(
