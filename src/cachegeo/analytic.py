@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ParameterError, SystemParams
+from .model import ParameterError, SystemParams, checked
 
 __all__ = [
     "FeasibilityBound",
@@ -68,8 +68,7 @@ def kappa(alpha: float) -> float:
     Finite and positive for alpha > 2, tending to 1 as alpha grows; the
     second gamma factor has a pole at alpha = 2.
     """
-    if not (math.isfinite(alpha) and alpha > 2):
-        raise ParameterError("alpha", f"alpha must exceed 2, got {alpha}")
+    alpha = checked("alpha", alpha)
     return math.gamma(1.0 + 2.0 / alpha) * math.gamma(1.0 - 2.0 / alpha)
 
 
@@ -80,7 +79,7 @@ def outage_at_distance(params: SystemParams, r: float) -> float:
     the aggregate interference of the whole field, falls below the
     threshold: 1 - exp(-lambda_s * kappa * pi * r**2 * gamma**(2/alpha)).
     """
-    if not (math.isfinite(r) and r >= 0.0):
+    if not 0.0 <= r < math.inf:
         raise ParameterError("r", f"distance must be nonnegative, got {r}")
     exponent = (
         params.lambda_s
@@ -110,10 +109,7 @@ def interference_tail_exponent(
     because r0 <= R keeps (r0/R)**alpha <= 1. ``r0`` is a float or an
     array of serving distances in [0, R]; the result has its shape.
     """
-    if alpha <= 2:
-        raise ParameterError("alpha", f"alpha must exceed 2, got {alpha}")
-    if radius <= 0:
-        raise ParameterError("window_radius", f"radius must be positive, got {radius}")
+    alpha, radius = checked("alpha", alpha), checked("window_radius", radius)
     from scipy.special import hyp2f1
 
     delta = 2.0 / alpha
@@ -151,9 +147,7 @@ def replication_ratio_bounds(lambda_s: float, r_th: float, epsilon: float) -> Fe
     upper bound is 1. Infeasibility (lower bound above 1) is flagged, not
     silently clamped: ``pc_required`` keeps the raw requirement.
     """
-    if not (math.isfinite(lambda_s) and lambda_s > 0):
-        raise ParameterError("lambda_s", f"lambda_s must be positive, got {lambda_s}")
-    required = _required_factor(epsilon, lambda_s, r_th)
+    required = _required_factor(epsilon, checked("lambda_s", lambda_s), r_th)
     return FeasibilityBound(
         pc_lower=min(required, 1.0),
         pc_upper=1.0,
@@ -170,14 +164,7 @@ def _required_factor(epsilon: float, factor: float, r_th: float) -> float:
     reaching hit target ``epsilon``: 0 at a zero target, inf where the area
     factor*pi*r_th**2 underflows to 0 or is not positive.
     """
-    if not (math.isfinite(epsilon) and 0.0 <= epsilon < 1.0):
-        raise ParameterError(
-            "epsilon",
-            f"target hit probability must lie in [0, 1), got {epsilon}; "
-            "the hit probability is strictly below 1 at any finite density",
-        )
-    if not (math.isfinite(r_th) and r_th > 0):
-        raise ParameterError("r_th", f"r_th must be positive, got {r_th}")
+    epsilon, r_th = checked("epsilon", epsilon), checked("r_th", r_th)
     if epsilon == 0.0:
         return 0.0
     area = factor * math.pi * (r_th * r_th)
@@ -204,7 +191,7 @@ def serving_distance_pdf(params: SystemParams, r: float) -> float:
     float; both raise :class:`~cachegeo.model.ParameterError`.
     """
     rate, norm = _serving_distance_law(params)
-    if not (math.isfinite(r) and 0.0 <= r <= params.r_th):
+    if not 0.0 <= r <= params.r_th:
         raise ParameterError("r", f"distance must lie in [0, r_th={params.r_th}], got {r}")
     return 2.0 * rate * r * math.exp(-rate * r * r) / norm
 
@@ -348,7 +335,7 @@ def content_outage_quadrature(params: SystemParams, rel_tol: float = 1e-10) -> f
     Raises :class:`QuadratureError` when the integrator's error estimate
     exceeds the tolerance, reporting the achieved estimate.
     """
-    if not (math.isfinite(rel_tol) and rel_tol > 0):
+    if not 0.0 < rel_tol < math.inf:
         raise ParameterError("rel_tol", f"tolerance must be positive, got {rel_tol}")
     return _serving_distance_expectation(
         params, lambda r: outage_at_distance(params, r), rel_tol
@@ -398,9 +385,9 @@ def optimal_density(epsilon: float, pc: float, r_th: float) -> float:
     Returns -ln(1 - epsilon) / (pc * pi * r_th**2), the exact inverse of
     :func:`cache_hit_prob` in the density argument.
     """
-    pc = float(pc)
+    pc = checked("pc", pc)
     density = _required_factor(epsilon, pc, r_th)
-    if epsilon != 0.0 and not (0.0 < pc <= 1.0):
+    if epsilon != 0.0 and pc == 0.0:
         raise ParameterError(
             "pc", f"replication ratio must be positive to reach a nonzero target, got {pc}"
         )

@@ -7,12 +7,15 @@ is stored in linear units; dB appears only at the CLI boundary.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from numbers import Real
 
 __all__ = [
     "ParameterError",
     "SystemParams",
+    "checked",
     "validate",
     "db_to_linear",
     "with_replication_ratio",
@@ -48,43 +51,62 @@ class SystemParams:
         return self.cache_size_d / self.library_size
 
 
+# a real number; isinstance tests float first, since the numbers.Real ABC is slow
+_REAL = (float, Real)
+
+# Each numeric input's domain, written once: (kind, low, high, brackets). A
+# bracket "[" or "]" closes its bound; an infinite bound is open, so it also
+# refuses inf and NaN. A real is compared as a float.
+_DOMAINS = {
+    "lambda_s": (_REAL, 0, math.inf, "()"),
+    "alpha": (_REAL, 2, math.inf, "()"),  # the interference constant has a pole at 2
+    "gamma": (_REAL, 0, math.inf, "()"),
+    "r_th": (_REAL, 0, math.inf, "()"),
+    "cache_size_d": (int, 0, math.inf, "[)"),
+    "library_size": (int, 1, math.inf, "[)"),
+    "pc": (_REAL, 0, 1, "[]"),
+    "epsilon": (_REAL, 0, 1, "[)"),  # the hit probability is below 1 at any finite density
+    "trials": (int, 1, math.inf, "[)"),
+    "master_seed": (int, 0, 2**64, "[)"),
+    "window_radius": (_REAL, 0, math.inf, "()"),
+    # db_to_linear also refuses a value whose linear value is no normal float
+    "gamma_db": (_REAL, -math.inf, math.inf, "()"),
+}
+
+
+def checked(field: str, value):
+    """``value`` if it lies in the domain of ``field``, as a float for a real field.
+
+    Raises :class:`ParameterError` naming ``field`` for a bool (a JSON
+    true is no number), a value that is not a real number, a non-finite
+    value, a value out of bounds, and a non-integer in an integer field.
+    """
+    kind, low, high, brackets = _DOMAINS[field]
+    number = math.nan
+    if isinstance(value, kind) and not isinstance(value, bool):
+        try:
+            number = value if kind is int else float(value)
+        except OverflowError:  # an integer or fraction beyond the float range
+            pass
+    if (low < number < high or number == low and brackets[0] == "["
+            or number == high and brackets[1] == "]"):
+        return number
+    if high == math.inf and low > -math.inf:
+        bound = f"{'be at least' if brackets[0] == '[' else 'exceed'} {low}"
+    else:
+        bound = f"lie in {brackets[0]}{low}, {high}{brackets[1]}"
+    kind_name = "an integer" if kind is int else "a finite real number"
+    raise ParameterError(field, f"{field} must {bound} ({kind_name}), got {value!r}")
+
+
 def validate(params: SystemParams) -> SystemParams:
     """Return ``params`` unchanged iff every invariant holds.
 
     Raises :class:`ParameterError` naming the offending field, one distinct
     error per invariant. Idempotent: a validated instance always revalidates.
     """
-    if not (math.isfinite(params.lambda_s) and params.lambda_s > 0):
-        raise ParameterError(
-            "lambda_s",
-            f"lambda_s must be a positive finite density, got {params.lambda_s}",
-        )
-    if not (math.isfinite(params.alpha) and params.alpha > 2):
-        # the interference constant has a pole at alpha = 2
-        raise ParameterError(
-            "alpha", f"alpha must exceed 2, got {params.alpha}"
-        )
-    if not (math.isfinite(params.gamma) and params.gamma > 0):
-        raise ParameterError(
-            "gamma", f"gamma must be a positive finite SIR threshold, got {params.gamma}"
-        )
-    if not (math.isfinite(params.r_th) and params.r_th > 0):
-        raise ParameterError(
-            "r_th", f"r_th must be a positive finite distance, got {params.r_th}"
-        )
-    # bool is an int subclass, but a JSON true is no count
-    if (isinstance(params.cache_size_d, bool) or not isinstance(params.cache_size_d, int)
-            or params.cache_size_d < 0):
-        raise ParameterError(
-            "cache_size_d",
-            f"cache_size_d must be a nonnegative integer, got {params.cache_size_d}",
-        )
-    if (isinstance(params.library_size, bool) or not isinstance(params.library_size, int)
-            or params.library_size < 1):
-        raise ParameterError(
-            "library_size",
-            f"library_size must be a positive integer, got {params.library_size}",
-        )
+    for field, value in vars(params).items():  # the six fields, in their order
+        checked(field, value)
     if params.cache_size_d > params.library_size:
         raise ParameterError(
             "cache_size_d",
@@ -94,8 +116,21 @@ def validate(params: SystemParams) -> SystemParams:
 
 
 def db_to_linear(x_db: float) -> float:
-    """Convert a dB value to linear units: 10**(x/10)."""
-    return 10.0 ** (x_db / 10.0)
+    """Convert a dB value to linear units: 10**(x/10).
+
+    Refuses, as ``gamma_db``, a value outside its domain and one whose
+    linear value is not a positive normal finite float (beyond about
+    -3077 and 3083 dB).
+    """
+    try:
+        linear = 10.0 ** (checked("gamma_db", x_db) / 10.0)
+    except OverflowError:
+        linear = math.inf
+    if not sys.float_info.min <= linear < math.inf:
+        raise ParameterError(
+            "gamma_db", f"gamma_db {x_db!r} dB has no positive normal finite linear value"
+        )
+    return linear
 
 
 def with_replication_ratio(params: SystemParams, pc: float) -> SystemParams:
@@ -105,9 +140,7 @@ def with_replication_ratio(params: SystemParams, pc: float) -> SystemParams:
     denominator at most 10**6 that reproduces the requested value, so
     decimal ratios such as 0.02 map to exact integer pairs (1/50).
     """
-    if not (math.isfinite(pc) and 0.0 <= pc <= 1.0):
-        raise ParameterError("pc", f"replication ratio must lie in [0, 1], got {pc}")
-    frac = Fraction(pc).limit_denominator(1_000_000)
+    frac = Fraction(checked("pc", pc)).limit_denominator(1_000_000)
     return replace(
         params, cache_size_d=frac.numerator, library_size=frac.denominator
     )

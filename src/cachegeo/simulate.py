@@ -47,7 +47,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .analytic import _serving_distance_law, cache_hit_prob, interference_tail_exponent
-from .model import ParameterError, SystemParams
+from .model import ParameterError, SystemParams, checked
 
 __all__ = [
     "SimConfig",
@@ -66,7 +66,6 @@ __all__ = [
     "binomial_ci",
 ]
 
-_SEED_SPACE = 2**64
 _MAX_POINTS_PER_TRIAL = 5 * 10**7  # mean SBS count of a sampled disc, refused above this
 _BLOCK_POINTS = 2**16  # mean points sampled per block of trials
 _BLOCK_TRIALS = 4096  # most trials per block, reached on fields of few points
@@ -83,7 +82,8 @@ class SimConfig:
     ``window_radius`` is the radius of the disc on which interferers are
     sampled, through the candidates that may block; the field beyond it
     enters in closed form. None resolves to 10 * r_th, and a window must
-    cover r_th.
+    cover r_th. Each field is checked in its domain, and a window is kept
+    as a float.
     """
 
     trials: int = 5000
@@ -91,20 +91,10 @@ class SimConfig:
     window_radius: float | None = None
 
     def __post_init__(self):
-        # bool is an int subclass, but a JSON true is no count
-        if isinstance(self.trials, bool) or not isinstance(self.trials, int) or self.trials < 1:
-            raise ParameterError("trials", f"trials must be a positive integer, got {self.trials}")
-        if (isinstance(self.master_seed, bool) or not isinstance(self.master_seed, int)
-                or not 0 <= self.master_seed < _SEED_SPACE):
-            raise ParameterError(
-                "master_seed", f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}"
-            )
-        if self.window_radius is not None and not (
-            math.isfinite(self.window_radius) and self.window_radius > 0
-        ):
-            raise ParameterError(
-                "window_radius", f"window_radius must be positive, got {self.window_radius}"
-            )
+        checked("trials", self.trials)
+        checked("master_seed", self.master_seed)
+        if self.window_radius is not None:
+            object.__setattr__(self, "window_radius", checked("window_radius", self.window_radius))
 
 
 @dataclass(frozen=True)
@@ -191,10 +181,7 @@ def sample_ppp(
 
 def _field_mean(lambda_s: float, window_radius: float) -> float:
     """Mean point count of a field on the disc; ParameterError above the per-trial cap."""
-    if lambda_s <= 0:
-        raise ParameterError("lambda_s", f"lambda_s must be positive, got {lambda_s}")
-    if window_radius <= 0:
-        raise ParameterError("window_radius", f"window_radius must be positive, got {window_radius}")
+    lambda_s, window_radius = checked("lambda_s", lambda_s), checked("window_radius", window_radius)
     mean = lambda_s * math.pi * (window_radius * window_radius)
     if mean > _MAX_POINTS_PER_TRIAL:
         raise ParameterError(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
@@ -20,6 +20,7 @@ from .analytic import cache_hit_prob, content_outage, optimal_density
 from .model import (
     ParameterError,
     SystemParams,
+    checked,
     db_to_linear,
     validate,
     with_replication_ratio,
@@ -110,28 +111,16 @@ class SweepTable:
         return sum(1 for row in self.rows if row.error is not None)
 
 
-def _apply_axis(base: SystemParams, axis: Axis, value: float) -> SystemParams:
+def _apply_axis(base: SystemParams, axis: Axis | None, value: float | None) -> SystemParams:
     if axis is Axis.LAMBDA_S:
-        return replace(base, lambda_s=float(value))
+        return replace(base, lambda_s=value)
     if axis is Axis.PC:
-        return with_replication_ratio(base, float(value))
+        return with_replication_ratio(base, value)
     if axis is Axis.R_TH:
-        return replace(base, r_th=float(value))
+        return replace(base, r_th=value)
     if axis is Axis.GAMMA_DB:
-        return replace(base, gamma=db_to_linear(float(value)))
-    return base  # EPSILON lives outside SystemParams
-
-
-def _cells(spec: SweepSpec):
-    """Yield (series value, axis value, cell params) for every cell, in table order."""
-    for series_value in spec.series_values or (None,):
-        with_series = (
-            spec.base
-            if series_value is None
-            else _apply_axis(spec.base, spec.series_axis, series_value)
-        )
-        for axis_value in spec.values:
-            yield series_value, axis_value, _apply_axis(with_series, spec.axis, axis_value)
+        return replace(base, gamma=db_to_linear(value))
+    return base  # EPSILON lives outside SystemParams, and a sweep without series has no axis
 
 
 # each quantity's closed form of (cell params, axis value) and its Monte Carlo
@@ -156,18 +145,25 @@ _QUANTITIES = {
 def validate_spec(spec: SweepSpec) -> SweepSpec:
     """Reject malformed specs before any cell runs.
 
-    Checks grid shape, axis/quantity consistency, and that the base and every
-    (base, axis value, series value) combination pass model validation.
+    Checks grid shape, axis/quantity consistency, that the base passes model
+    validation and that every axis and series value lies in the domain of
+    the field it sets.
     """
     _validated_cells(spec)
     return spec
 
 
 def _validated_cells(spec: SweepSpec) -> list:
-    """The cells of :func:`_cells`, each validated; raises as :func:`validate_spec` does."""
+    """(series value, axis value, cell params) for every cell, in table order.
+
+    Raises as :func:`validate_spec` does. Every cell is then valid: it is
+    the validated base with checked values set, and a pc value sets sizes
+    with d <= |C|.
+    """
     if not spec.values:
         raise ParameterError("values", "sweep needs at least one axis value")
-    if any(b <= a for a, b in zip(spec.values, spec.values[1:])):
+    values = [checked(spec.axis.value, value) for value in spec.values]
+    if any(b <= a for a, b in zip(values, values[1:])):
         raise ParameterError("values", "axis values must be strictly increasing")
     if (spec.series_axis is None) != (spec.series_values is None):
         raise ParameterError("series", "series axis and series values must come together")
@@ -183,17 +179,21 @@ def _validated_cells(spec: SweepSpec) -> list:
         )
     if spec.sim is not None and _QUANTITIES[spec.quantity][1] is None:
         raise ParameterError("sim", f"{spec.quantity.value} sweeps have no Monte Carlo counterpart")
-    if spec.axis is Axis.EPSILON and any(not 0 <= v < 1 for v in spec.values):
-        raise ParameterError("values", "epsilon values must lie in [0, 1)")
+    series = (None,) if spec.series_axis is None else [
+        checked(spec.series_axis.value, value) for value in spec.series_values]
     validate(spec.base)
-    return [(series_value, axis_value, validate(params))
-            for series_value, axis_value, params in _cells(spec)]
+    cells = []
+    for series_value in series:
+        with_series = _apply_axis(spec.base, spec.series_axis, series_value)
+        cells.extend((series_value, value, _apply_axis(with_series, spec.axis, value))
+                     for value in values)
+    return cells
 
 
 def _cell_row(spec: SweepSpec, params: SystemParams, axis_value: float,
               series_value: float | None, cell_index: int) -> SweepRow:
     closed_form, estimator = _QUANTITIES[spec.quantity]
-    cell = (float(axis_value), series_value)
+    cell = (axis_value, series_value)
     try:
         analytic = float(closed_form(params, axis_value))
     except ParameterError as exc:
@@ -253,9 +253,9 @@ def spec_from_dict(data: dict) -> SweepSpec:
     """Inverse of :func:`spec_to_dict`; raises ParameterError on bad fields.
 
     Sweeps are emulated: a ``sim.mode`` other than ``"emulated"`` is refused.
-    The integer fields (cache and library sizes, trials, seed) are passed on
-    as given, so model validation and :class:`SimConfig` refuse a
-    non-integer one by name rather than have it truncated.
+    Each base field is checked in its domain and a real one is kept as a
+    float; :class:`SimConfig` checks the sim fields, and
+    :func:`validate_spec` the axis and series values.
     """
     if not isinstance(data, dict):
         raise ParameterError(
@@ -270,24 +270,18 @@ def spec_from_dict(data: dict) -> SweepSpec:
                 f"malformed sweep spec: {key} must be an {name}, got {type(value).__name__}",
             )
     try:
-        base = SystemParams(
-            lambda_s=float(data["base"]["lambda_s"]),
-            alpha=float(data["base"]["alpha"]),
-            gamma=float(data["base"]["gamma"]),
-            r_th=float(data["base"]["r_th"]),
-            cache_size_d=data["base"]["cache_size_d"],
-            library_size=data["base"]["library_size"],
-        )
+        base = SystemParams(**{field.name: checked(field.name, data["base"][field.name])
+                               for field in fields(SystemParams)})
         sim = data.get("sim")
         if sim is not None and sim.get("mode", "emulated") != "emulated":
             raise ParameterError("mode", f"sweeps are emulated only, got mode={sim['mode']!r}")
         return SweepSpec(
             base=base,
             axis=Axis(data["axis"]),
-            values=tuple(float(v) for v in data["values"]),
+            values=tuple(data["values"]),
             quantity=Quantity(data.get("quantity", Quantity.CONTENT_OUTAGE.value)),
             series_axis=Axis(data["series_axis"]) if data.get("series_axis") else None,
-            series_values=tuple(float(v) for v in data["series_values"])
+            series_values=tuple(data["series_values"])
             if data.get("series_values")
             else None,
             sim=None
@@ -295,9 +289,7 @@ def spec_from_dict(data: dict) -> SweepSpec:
             else SimConfig(
                 trials=sim.get("trials", SimConfig.trials),
                 master_seed=sim.get("master_seed", SimConfig.master_seed),
-                window_radius=None
-                if sim.get("window_radius") is None
-                else float(sim["window_radius"]),
+                window_radius=sim.get("window_radius"),
             ),
             label=str(data.get("label", "sweep")),
             note=str(data.get("note", "")),

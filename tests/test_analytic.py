@@ -428,6 +428,11 @@ def test_optimal_density_rejects_zero_ratio():
         with pytest.raises(ParameterError) as excinfo:
             optimal_density(0.5, pc, 10.0)
         assert excinfo.value.field == "pc"
+    # a zero target needs no density, but pc must still be a ratio
+    for pc in (-0.1, 1.5, 7.0, math.nan, math.inf, True, "0.1"):
+        with pytest.raises(ParameterError) as excinfo:
+            optimal_density(0.0, pc, 10.0)
+        assert excinfo.value.field == "pc"
 
 
 @settings(max_examples=300, deadline=None)

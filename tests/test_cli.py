@@ -13,6 +13,7 @@ import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,7 +26,7 @@ from cachegeo.analytic import (
     optimal_density,
     physical_content_outage,
 )
-from cachegeo import cli
+from cachegeo import cli, model, sweep
 from cachegeo.cli import build_parser, main
 from cachegeo.model import (
     ParameterError,
@@ -34,6 +35,7 @@ from cachegeo.model import (
     validate,
     with_replication_ratio,
 )
+from cachegeo.simulate import Estimate
 from cachegeo.sweep import FIGURE_NUMBERS, Axis, SweepSpec, read_json, spec_to_dict
 
 P_FLAGS = [
@@ -148,6 +150,34 @@ def test_analytic_validation_failure_exits_2(capsys):
                "--rth", "5", "--d", "2", "--library", "100"])
     assert rc == 2
     assert "alpha" in capsys.readouterr().err
+
+
+def _with_gamma_db(value):
+    return [*P_FLAGS[:4], f"--gamma-db={value}", *P_FLAGS[6:]]
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        # 10**(x/10) overflows a float above ~3083 dB and is no normal float below ~-3077 dB
+        (["analytic", *_with_gamma_db(4000)], "gamma_db"),
+        (["analytic", *_with_gamma_db(-4000)], "gamma_db"),
+        (["sweep", *P_FLAGS, "--axis", "gamma-db", "--from", "0", "--to", "4000", "--steps", "2"],
+         "gamma_db"),
+        # a zero target needs no density, but the ratio must still be one
+        (["plan", "--epsilon", "0", "--rth", "5", "--pc", "7"], "pc"),
+        (["plan", "--epsilon", "0", "--rth", "5", "--pc", "nan"], "pc"),
+    ],
+    ids=["analytic-4000-dB", "analytic-minus-4000-dB", "sweep-to-4000-dB", "plan-pc-7",
+         "plan-pc-nan"],
+)
+def test_out_of_domain_input_exits_2_naming_its_field(argv, field, tmp_path, capsys):
+    out_flags = ["--out", str(tmp_path)] if argv[0] == "sweep" else []
+    assert main([*argv, *out_flags]) == 2
+    captured = capsys.readouterr()
+    assert f"(field: {field})" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- simulate ----------------------------------------------------------------
@@ -490,6 +520,36 @@ def test_sweep_config_with_non_integer_count_exits_2(section, field, value, tmp_
     assert list(tmp_path.iterdir()) == [config]
 
 
+# (where in the config, the field the refusal names): an axis or series value
+# is checked in the domain of the field it sets
+_REAL_CONFIG_FIELDS = [
+    (("base", "lambda_s"), "lambda_s"), (("base", "alpha"), "alpha"),
+    (("base", "gamma"), "gamma"), (("base", "r_th"), "r_th"),
+    (("values", 0), "gamma_db"), (("series_values", 1), "pc"),
+    (("sim", "window_radius"), "window_radius"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, field, value",
+    [pytest.param(path, field, value, id=f"{path[0]}.{path[1]}-{json.dumps(value)}")
+     for path, field in _REAL_CONFIG_FIELDS for value in (True, False, "0.1", None)
+     if not (field == "window_radius" and value is None)],  # a null window is the default
+)
+def test_sweep_config_with_non_number_exits_2(path, field, value, tmp_path, capsys):
+    # a JSON boolean, string or null is no number, though Python's bool is an
+    # int and float("0.1") parses; it is refused by name before any table is written
+    config = _sim_config(tmp_path)
+    data = {**json.loads(config.read_text()), "series_axis": "pc", "series_values": [0.02, 0.1]}
+    section, key = path
+    data[section][key] = value
+    config.write_text(json.dumps(data), encoding="utf-8")
+    rc = main(["sweep", "--config", str(config), "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"(field: {field})" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config]
+
+
 @pytest.mark.parametrize(
     "edit",
     [lambda c: [c], lambda c: {**c, "sim": 5}, lambda c: {**c, "base": [1]},
@@ -662,6 +722,121 @@ def test_sweep_figure_plan_analytic_exit_with_a_named_code(argv):
         assert main([*argv, *out_flags]) in (0, 2, 3, 4)
 
 
+# what a field may be given, in a config file and as flag text: values that
+# every domain refuses, and numbers that lie in some domains
+_NEVER_NUMBERS = [True, False, math.nan, math.inf, -math.inf, "0.1", None]
+_CONFIG_VALUES = st.sampled_from(
+    _NEVER_NUMBERS + [1e308, 4000.0, -4000.0, 0, 1, 2, 0.02, 0.5, 3.0, 5.0, 100])
+_NEVER_TEXT = ["true", "nan", "inf", "-inf", "abc", ""]
+_FLAG_VALUES = st.sampled_from(
+    _NEVER_TEXT + ["1e308", "4000", "-4000", "0", "1", "2", "0.02", "0.5", "3", "5", "100"])
+# a valid grid of each axis, by config name and by flag value
+_GRIDS = {"lambda_s": (0.01, 0.1), "pc": (0.02, 0.5), "r_th": (1.0, 5.0),
+          "gamma_db": (-10.0, 0.0), "epsilon": (0.1, 0.5)}
+_FLAG_AXES = {"lambda-s": "lambda_s", "pc": "pc", "rth": "r_th", "gamma-db": "gamma_db",
+              "epsilon": "epsilon"}
+
+
+@st.composite
+def fuzzed_config(draw):
+    """A valid sweep config with up to three of its numbers replaced by drawn values.
+
+    Returns the config and whether a replaced value is one every domain refuses.
+    """
+    axis = draw(st.sampled_from(sorted(_GRIDS)))
+    config = {"base": {"lambda_s": 0.1, "alpha": 3.0, "gamma": 0.1, "r_th": 5.0,
+                       "cache_size_d": 2, "library_size": 100},
+              "axis": axis, "values": list(_GRIDS[axis]),
+              "quantity": "optimal_density" if axis == "epsilon"
+              else draw(st.sampled_from(["content_outage", "cache_hit"]))}
+    slots = [("base", key) for key in config["base"]] + [("values", 0), ("values", 1)]
+    series_axis = draw(st.none() | st.sampled_from(sorted(set(_GRIDS) - {axis, "epsilon"})))
+    if series_axis is not None:
+        config.update(series_axis=series_axis, series_values=list(_GRIDS[series_axis]))
+        slots.append(("series_values", 0))
+    if axis != "epsilon" and draw(st.booleans()):
+        config["sim"] = {"trials": 10, "master_seed": 3, "window_radius": 50.0}
+        slots += [("sim", key) for key in config["sim"]]
+    refused = False
+    for section, key in draw(st.lists(st.sampled_from(slots), max_size=3, unique=True)):
+        value = config[section][key] = draw(_CONFIG_VALUES)
+        # a null window is the default one; identity keeps 1 and True apart
+        refused |= any(value is never for never in _NEVER_NUMBERS) and not (
+            key == "window_radius" and value is None)
+    return config, refused
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """A valid command with up to three of its flag values replaced by drawn text.
+
+    Returns the argv and whether a replaced value is one every domain refuses.
+    """
+    model_flags = {"--lambda": "0.1", "--alpha": "3", "--gamma-db": "-10", "--rth": "5",
+                   "--d": "2", "--library": "100"}
+    sim_flags = {"--trials": "10", "--seed": "3", "--window": "50"}
+    command = draw(st.sampled_from(["analytic", "simulate", "plan", "sweep", "figure"]))
+    unknown = draw(st.sampled_from(["--pc", "--lambda"]))
+    flags = {
+        "analytic": {**model_flags, "--epsilon": "0.5"},
+        "simulate": {**model_flags, **sim_flags},
+        "plan": {"--epsilon": "0.5", "--rth": "5", unknown: "0.1"},
+        "sweep": {**model_flags, "--from": "", "--to": "", "--steps": "2", **sim_flags},
+        "figure": {"--fig": "2", **sim_flags},
+    }[command]
+    extra = []
+    if command == "simulate":
+        extra = ["--mode", draw(st.sampled_from(["emulated", "physical"]))]
+    if command == "sweep":
+        axis = draw(st.sampled_from(sorted(_FLAG_AXES)))
+        flags["--from"], flags["--to"] = map(repr, _GRIDS[_FLAG_AXES[axis]])
+        extra = ["--axis", axis, "--quantity", "density" if axis == "epsilon" else "hit"]
+        if axis == "epsilon":
+            del flags["--trials"], flags["--window"]
+    refused = False
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True)):
+        flags[flag] = draw(_FLAG_VALUES)
+        refused |= flags[flag] in _NEVER_TEXT
+    # the NAME=VALUE form keeps a value such as -4000 from reading as a flag
+    return [command, *extra, *(f"{flag}={value}" for flag, value in flags.items())], refused
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=fuzzed_config() | fuzzed_argv())
+def test_no_refused_input_reaches_an_estimator(drawn):
+    # every config and argv exits 0, 2 or 4 with no traceback, and exits 2
+    # if it holds a value no domain admits; the estimators are stand-ins that
+    # fail if a refused input reaches them, and a run that exits 2 called none
+    source, refused = drawn
+    calls = []
+
+    def estimator(params, cfg):
+        try:
+            validate(params)
+        except ParameterError as exc:
+            raise AssertionError(f"a refused input reached an estimator: {exc}") from exc
+        calls.append(params)
+        return Estimate(0.5, 0.0, 1.0, 0.99, cfg.trials, window_radius=cfg.window_radius)
+
+    with tempfile.TemporaryDirectory() as out, \
+            mock.patch.dict(cli._MODES, {mode: (estimator, closed_form)
+                                         for mode, (_, closed_form) in cli._MODES.items()}), \
+            mock.patch.object(sweep, "estimate_content_outage", estimator), \
+            mock.patch.object(sweep, "estimate_cache_hit", estimator):
+        argv = source
+        if isinstance(source, dict):
+            config = Path(out) / "spec.json"
+            config.write_text(json.dumps(source), encoding="utf-8")
+            argv = ["sweep", "--config", str(config)]
+        if argv[0] in ("sweep", "figure"):
+            argv = [*argv, "--out", out]
+        code, _, err = _run_main(argv)
+    assert code == 2 if refused else code in (0, 2, 4), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert calls == []
+
+
 # -- plan -------------------------------------------------------------------------
 
 
@@ -774,6 +949,20 @@ def test_readme_commands_exit_with_their_documented_codes(tmp_path, capsys):
             argv[argv.index("--out") + 1] = str(tmp_path)
         assert main(argv) == code, argv
         capsys.readouterr()
+
+
+def test_readme_inputs_table_matches_the_model_domains():
+    # each row of the README's inputs table gives its field's kind and
+    # interval as `model` writes them, in the same order
+    rows = re.findall(r"^\| `(\w+)` \| (real|integer) in ([\[(])(\S+), (\S+?)([\])])",
+                      README.read_text(encoding="utf-8"), re.M)
+    bounds = {"∞": math.inf, "−∞": -math.inf, "2^64": 2**64}
+    kinds = {"real": model._REAL, "integer": int}
+    assert [row[0] for row in rows] == list(model._DOMAINS)
+    for field, kind, left, low, high, right in rows:
+        documented = (kinds[kind], bounds.get(low) or float(low), bounds.get(high) or float(high),
+                      left + right)
+        assert documented == model._DOMAINS[field], field
 
 
 def test_readme_python_block_prints_its_documented_values():
