@@ -40,7 +40,6 @@ from .simulate import (
     estimate_content_outage,
     estimate_physical,
     outage_exponent,
-    sample_ppp,
     trial_stream,
 )
 from .sweep import (
@@ -80,7 +79,6 @@ __all__ = [
     "PointSet",
     "DegenerateSampleError",
     "trial_stream",
-    "sample_ppp",
     "draw_serving_distance",
     "outage_exponent",
     "interference_tail_exponent",

@@ -3,8 +3,8 @@
 Trials run in consecutive blocks, vectorised within each block. Every
 block draws from its own PCG64DXSM stream, seeded by the master seed with
 the block index as its spawn key, and the block size follows from the mean
-number of points a trial samples, so estimates are a function of (params,
-config, seed) and bit-identical across runs.
+number of candidates a trial samples, so estimates are a function of
+(params, config, seed) and bit-identical across runs.
 
 Interferers are sampled on a disc of radius R, the window, and the field
 beyond it enters in closed form. With Rayleigh fading every interferer's
@@ -55,7 +55,6 @@ __all__ = [
     "PointSet",
     "DegenerateSampleError",
     "trial_stream",
-    "sample_ppp",
     "draw_serving_distance",
     "outage_exponent",
     "interference_tail_exponent",
@@ -66,9 +65,9 @@ __all__ = [
     "binomial_ci",
 ]
 
-_MAX_POINTS_PER_TRIAL = 5 * 10**7  # mean SBS count of a sampled disc, refused above this
+_MAX_POINTS_PER_TRIAL = 5 * 10**7  # mean candidates of an outage trial, or SBSs a hit trial counts
 _BLOCK_POINTS = 2**16  # mean points sampled per block of trials
-_BLOCK_TRIALS = 4096  # most trials per block, reached on fields of few points
+_BLOCK_TRIALS = 4096  # most trials per block, reached on few points and by every hit block
 
 
 class DegenerateSampleError(RuntimeError):
@@ -133,11 +132,6 @@ class PointSet:
     r: np.ndarray  # shape (n,), meters, grouped by field
     counts: np.ndarray  # shape (fields,), points per field
 
-    @property
-    def n(self) -> int:
-        """Points over all fields."""
-        return self.r.shape[0]
-
     def radii(self) -> np.ndarray:
         """Distances of all points from the origin."""
         return self.r
@@ -157,39 +151,6 @@ def trial_stream(master_seed: int, block_index: int) -> np.random.Generator:
     """
     seed = np.random.SeedSequence(master_seed, spawn_key=(block_index,))
     return np.random.Generator(np.random.PCG64DXSM(seed))
-
-
-def sample_ppp(
-    lambda_s: float, window_radius: float, rng: np.random.Generator, size: int
-) -> PointSet:
-    """``size`` independent realizations of a homogeneous Poisson field on the disc.
-
-    Each field's count is Poisson with mean lambda_s * pi * window_radius**2
-    and its points are i.i.d. uniform on the disc, so each distance is
-    window_radius times the sqrt of a uniform draw; no angle is drawn.
-    Raises ParameterError, before any draw, when the mean count of a field
-    exceeds the per-trial point cap. The cache-hit estimator passes its
-    block's stream and size, about 2**16 points' worth of fields, so the
-    draws are a function of (params, config, seed).
-    """
-    counts = rng.poisson(_field_mean(lambda_s, window_radius), size)
-    r = rng.random(int(counts.sum()))
-    np.sqrt(r, out=r)
-    r *= window_radius
-    return PointSet(r=r, counts=counts)
-
-
-def _field_mean(lambda_s: float, window_radius: float) -> float:
-    """Mean point count of a field on the disc; ParameterError above the per-trial cap."""
-    lambda_s, window_radius = checked("lambda_s", lambda_s), checked("window_radius", window_radius)
-    mean = lambda_s * math.pi * (window_radius * window_radius)
-    if mean > _MAX_POINTS_PER_TRIAL:
-        raise ParameterError(
-            "window_radius",
-            f"window_radius {window_radius:g} m at lambda_s {lambda_s:g} holds {mean:.3g} "
-            f"points per trial on average, above the cap of {_MAX_POINTS_PER_TRIAL:.0e}",
-        )
-    return mean
 
 
 def draw_serving_distance(
@@ -232,12 +193,13 @@ def outage_exponent(
     Nothing is drawn: a trial is in outage iff its serving fade is below
     its exponent. A field without candidates gives its tail; r_i = 0, or a
     candidate of a field with s = 0 (where candidates have intensity 0),
-    gives inf, an outage, the limit of the exact term; and
-    r0 = r_i = 0 gives NaN, which h0 < NaN counts as coverage.
+    gives inf, an outage, the limit of the exact term, as does a term or
+    sum that overflows at an extreme alpha; and r0 = r_i = 0 gives NaN,
+    which h0 < NaN counts as coverage.
     """
     sets = (interferers,) if isinstance(interferers, PointSet) else interferers
     exponent = np.zeros(serving_r.size) + tail
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_reach = np.log(gamma ** (1.0 / alpha) * serving_r)
         for points in sets:
             a = np.log(points.r)
@@ -265,13 +227,14 @@ def _field_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _blocks(cfg: SimConfig, points_per_trial: float):
+def _blocks(cfg: SimConfig, points_per_trial: float = 0.0):
     """Yield the stream and the trial count of each consecutive block of the run.
 
     ``points_per_trial`` is the mean number of points a trial samples. A
     block holds about _BLOCK_POINTS points on average, and between one and
-    _BLOCK_TRIALS trials; its stream's spawn key is its index. A mean
-    that underflows to 0 on a tiny disc takes _BLOCK_TRIALS.
+    _BLOCK_TRIALS trials; its stream's spawn key is its index. A trial
+    that samples no points, or a mean that underflows to 0, takes
+    _BLOCK_TRIALS.
     """
     per_block = _BLOCK_TRIALS
     if points_per_trial > 0:
@@ -284,11 +247,12 @@ def _resolve_window(params: SystemParams, cfg: SimConfig) -> float:
     """The window radius of an outage run: ``cfg.window_radius``, by default 10 * r_th.
 
     Refuses, before any block is drawn, a run whose serving-distance law
-    is undefined (pc = 0 or an underflowing hit probability) and a window
-    that does not cover r_th.
+    is undefined (pc = 0 or an underflowing hit probability), a default
+    window that overflows, and a window that does not cover r_th.
     """
     _serving_distance_law(params)
     window = 10.0 * params.r_th if cfg.window_radius is None else cfg.window_radius
+    window = checked("window_radius", window)
     if window < params.r_th:
         raise ParameterError(
             "window_radius",
@@ -306,16 +270,24 @@ def _outage_blocks(params: SystemParams, cfg: SimConfig, window: float, physical
     fade. A physical block first draws how many of its trials have a hit,
     and only those go on; their field holds the SBSs without the content,
     none at pc = 1, and the caching ones beyond the server. Blocks are
-    sized by the candidate mean at r0 = r_th, which bounds every trial's,
-    and the window's SBS count is held to the per-trial cap before any
-    draw. One block's arrays live at a time.
+    sized by the candidate mean at r0 = r_th, which bounds every trial's
+    and is held to the per-trial cap before any draw. One block's arrays
+    live at a time.
     """
     hit, pc = (cache_hit_prob(params), params.pc) if physical else (1.0, 0.0)
     lam, alpha = params.lambda_s, params.alpha
     others = lam * (1.0 - pc)
     reach = params.gamma ** (1.0 / alpha)
     disc, beyond, _ = _candidate_shares(np.array([reach * params.r_th]), 0.0, window, alpha)
-    for rng, size in _blocks(cfg, hit * _field_mean(lam, window) * float(disc[0] + beyond[0])):
+    field, share = lam * math.pi * (window * window), float(disc[0] + beyond[0])
+    if not field * share <= _MAX_POINTS_PER_TRIAL:  # NaN where the window's area overflows
+        raise ParameterError(
+            "window_radius",
+            f"window_radius {window:g} m at lambda_s {lam:g} holds {field:.3g} SBSs, of which a "
+            f"trial samples {field * share:.3g} candidates on average, above the cap of "
+            f"{_MAX_POINTS_PER_TRIAL:.0e}",
+        )
+    for rng, size in _blocks(cfg, hit * field * share):
         served = rng.binomial(size, hit) if physical else size
         r0 = draw_serving_distance(params, rng, served)
         s = reach * r0
@@ -398,16 +370,25 @@ def estimate_content_outage(params: SystemParams, cfg: SimConfig) -> Estimate:
 def estimate_cache_hit(params: SystemParams, cfg: SimConfig) -> Estimate:
     """Binomial estimate of the probability that some SBS within r_th caches the content.
 
-    Each trial samples the field on the disc of radius r_th and marks each
-    SBS as holding the requested content independently with probability
-    pc; under uniform popularity this is exactly drawing d of |C| contents
-    without replacement and checking membership. A hit is at least one
-    marked SBS, so the marked count of a field is Binomial(count, pc).
+    Each trial draws the Poisson count of SBSs on the disc of radius r_th
+    and marks each SBS as holding the requested content independently with
+    probability pc; under uniform popularity this is exactly drawing d of
+    |C| contents without replacement and checking membership. A hit is at
+    least one marked SBS, and the marked count is Binomial(count, pc), so
+    no distance is drawn. A disc whose mean count exceeds the per-trial
+    cap is refused before any draw.
     """
+    lam, r_th = params.lambda_s, params.r_th
+    mean = lam * math.pi * (r_th * r_th)
+    if mean > _MAX_POINTS_PER_TRIAL:
+        raise ParameterError(
+            "window_radius",
+            f"window_radius {r_th:g} m at lambda_s {lam:g} holds {mean:.3g} "
+            f"points per trial on average, above the cap of {_MAX_POINTS_PER_TRIAL:.0e}",
+        )
     hits = 0
-    for rng, size in _blocks(cfg, _field_mean(params.lambda_s, params.r_th)):
-        field = sample_ppp(params.lambda_s, params.r_th, rng, size)
-        hits += int(np.count_nonzero(rng.binomial(field.counts, params.pc)))
+    for rng, size in _blocks(cfg):
+        hits += int(np.count_nonzero(rng.binomial(rng.poisson(mean, size), params.pc)))
     return _binomial_estimate(hits, cfg.trials, window_radius=params.r_th)
 
 

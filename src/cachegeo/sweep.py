@@ -25,12 +25,7 @@ from .model import (
     validate,
     with_replication_ratio,
 )
-from .simulate import (
-    DegenerateSampleError,
-    SimConfig,
-    estimate_cache_hit,
-    estimate_content_outage,
-)
+from .simulate import SimConfig, estimate_cache_hit, estimate_content_outage
 
 __all__ = [
     "Axis",
@@ -204,7 +199,7 @@ def _cell_row(spec: SweepSpec, params: SystemParams, axis_value: float,
     cfg = replace(spec.sim, master_seed=(spec.sim.master_seed + cell_index) % 2**64)
     try:
         est = estimator(params, cfg)
-    except (ParameterError, DegenerateSampleError) as exc:
+    except ParameterError as exc:
         return SweepRow(*cell, analytic, error=str(exc))
     return SweepRow(*cell, analytic, est.mean, est.ci_low, est.ci_high)
 
@@ -213,8 +208,8 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate every grid cell of ``spec`` into an ordered table.
 
     Rows follow the axis order within each series curve. Cell-level domain
-    errors (a pc = 0 cell, a degenerate conditioning event) are recorded
-    in the row without aborting the sweep.
+    errors (a pc = 0 cell, a field above the per-trial point cap) are
+    recorded in the row without aborting the sweep.
     """
     rows = [
         _cell_row(spec, params, axis_value, series_value, cell_index)

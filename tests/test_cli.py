@@ -167,9 +167,12 @@ def _with_gamma_db(value):
         # a zero target needs no density, but the ratio must still be one
         (["plan", "--epsilon", "0", "--rth", "5", "--pc", "7"], "pc"),
         (["plan", "--epsilon", "0", "--rth", "5", "--pc", "nan"], "pc"),
+        # the default window 10 * r_th overflows to inf
+        (["simulate", "--lambda", "1e-300", "--alpha", "3", "--gamma-db", "-10", "--rth", "1e308",
+          "--d", "2", "--library", "100", "--trials", "5"], "window_radius"),
     ],
     ids=["analytic-4000-dB", "analytic-minus-4000-dB", "sweep-to-4000-dB", "plan-pc-7",
-         "plan-pc-nan"],
+         "plan-pc-nan", "simulate-default-window-overflows"],
 )
 def test_out_of_domain_input_exits_2_naming_its_field(argv, field, tmp_path, capsys):
     out_flags = ["--out", str(tmp_path)] if argv[0] == "sweep" else []
@@ -263,17 +266,36 @@ def test_simulate_degenerate_physical_exits_3(capsys):
     assert "effective sample size 0" in capsys.readouterr().err
 
 
-def test_simulate_physical_oversized_window_exits_2_before_any_draw(monkeypatch, capsys):
-    # a 20 km window holds 1.26e8 points per trial on average; physical mode
-    # samples only the trials with a hit, so the cap must hold the whole
-    # window to account before any block opens its stream
+def test_simulate_physical_runs_at_a_20_km_window(capsys):
+    # a 20 km window holds 1.26e8 SBSs at the reference point, yet a trial
+    # samples about 5 candidates: the point cap counts the candidates
+    rc = main(["simulate", *P_FLAGS, "--mode", "physical", "--window", "20000", "--json"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["window_radius"], payload["verdict"]) == (20000.0, "PASS")
+
+
+def _assert_above_the_candidate_cap_exits_2_before_any_draw(mode, monkeypatch, capsys):
+    # at 80 dB the reach 464 * r_th passes a 20 km window, so every SBS on
+    # it is a candidate: 1.26e8 per trial, refused before any block opens
+    # its stream
     def no_draw(*args):
         raise AssertionError("a block stream was opened")
 
     monkeypatch.setattr("cachegeo.simulate.trial_stream", no_draw)
-    rc = main(["simulate", *P_FLAGS, "--mode", "physical", "--window", "20000"])
+    rc = main(["simulate", "--lambda", "0.1", "--alpha", "3", "--gamma-db", "80", "--rth", "50",
+               "--d", "2", "--library", "100", "--mode", mode, "--window", "20000"])
     assert rc == 2
-    assert "(field: window_radius)" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "1.26e+08 candidates" in err and "(field: window_radius)" in err
+
+
+def test_simulate_physical_oversized_window_exits_2_before_any_draw(monkeypatch, capsys):
+    _assert_above_the_candidate_cap_exits_2_before_any_draw("physical", monkeypatch, capsys)
+
+
+def test_simulate_emulated_above_the_candidate_cap_exits_2_before_any_draw(monkeypatch, capsys):
+    _assert_above_the_candidate_cap_exits_2_before_any_draw("emulated", monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("alpha", ["2.005", "2.1", "2.3"])
@@ -307,12 +329,16 @@ def test_simulate_window_below_threshold_distance_exits_2(mode, capsys):
     "extra",
     [["--alpha", "400"],
      ["--alpha", "400", "--mode", "physical", "--window", "60"],
-     ["--alpha", "500", "--mode", "physical", "--window", "60"]],
-    ids=["emulated-400", "physical-400", "physical-500"],
+     ["--alpha", "500", "--mode", "physical", "--window", "60"],
+     ["--alpha", "1e308", "--gamma-db", "0", "--d", "1", "--library", "2"],
+     ["--alpha", "1e308", "--gamma-db", "0", "--d", "1", "--library", "2", "--mode", "physical"]],
+    ids=["emulated-400", "physical-400", "physical-500", "emulated-1e308", "physical-1e308"],
 )
 def test_simulate_at_huge_alpha_runs_cleanly(extra, capsys):
     # an interferer much nearer than the server makes its path gain
-    # overflow a float at these exponents; the run must neither raise nor warn
+    # overflow a float at these exponents, and at alpha = 1e308 so do a
+    # candidate's term and a field's sum, whose limit inf is exact; the run
+    # must neither raise nor warn
     argv = ["simulate", "--lambda", "0.1", "--gamma-db", "-10", "--rth", "5", "--d", "2",
             "--library", "100", "--trials", "5000", *extra]
     with warnings.catch_warnings():

@@ -29,7 +29,6 @@ from cachegeo.simulate import (
     estimate_physical,
     interference_tail_exponent,
     outage_exponent,
-    sample_ppp,
     trial_stream,
 )
 from cachegeo.simulate import _candidate_shares, _candidates
@@ -68,75 +67,6 @@ def test_trial_streams_are_reproducible_and_distinct():
     assert (a == b).all()
     assert (a != c).any()
     assert (a != d).any()
-
-
-# -- PPP sampling -----------------------------------------------------------------
-
-
-def test_ppp_mean_count_matches_intensity():
-    rng = trial_stream(1, 0)
-    draws = 10_000
-    expected = 0.1 * math.pi * 400.0  # 125.66...
-    fields = sample_ppp(0.1, 20.0, rng, draws)
-    total = fields.n
-    assert fields.counts.shape == (draws,) and fields.counts.sum() == total
-    sigma = math.sqrt(expected / draws)
-    assert abs(total / draws - expected) <= 3.0 * sigma
-
-
-def test_ppp_points_stay_inside_window_and_fill_it_uniformly():
-    rng = trial_stream(2, 0)
-    radii = sample_ppp(0.2, 15.0, rng, 200).radii()
-    assert (radii <= 15.0 + 1e-9).all()
-    # uniform on the disc: (r/R)^2 is uniform on [0, 1]
-    result = stats.kstest((radii / 15.0) ** 2, "uniform")
-    assert result.statistic < stats.kstwobign.ppf(0.99) / math.sqrt(radii.size)
-
-
-def test_ppp_count_distribution_is_poisson():
-    rng = trial_stream(3, 0)
-    mu = 0.1 * math.pi * 25.0
-    counts = sample_ppp(0.1, 5.0, rng, 10_000).counts
-    # merge bins until every expected count is at least 5
-    kmax = int(counts.max())
-    observed = np.bincount(counts, minlength=kmax + 1).astype(float)
-    expected = stats.poisson.pmf(np.arange(kmax + 1), mu) * counts.size
-    expected[-1] = counts.size - expected[:-1].sum()  # fold the tail into the last bin
-    while expected[-1] < 5.0:
-        expected[-2] += expected[-1]
-        observed[-2] += observed[-1]
-        expected, observed = expected[:-1], observed[:-1]
-    while expected[0] < 5.0:
-        expected[1] += expected[0]
-        observed[1] += observed[0]
-        expected, observed = expected[1:], observed[1:]
-    result = stats.chisquare(observed, expected)
-    assert result.pvalue > 0.01
-
-
-def test_ppp_distances_are_the_window_times_the_root_of_a_uniform():
-    # the distances are written in place; they must equal R * sqrt(u) bit for bit
-    field = sample_ppp(0.1, 20.0, trial_stream(11, 0), 300)
-    rng = trial_stream(11, 0)
-    counts = rng.poisson(0.1 * math.pi * 400.0, 300)
-    assert np.array_equal(field.counts, counts)
-    assert np.array_equal(field.r, 20.0 * np.sqrt(rng.random(int(counts.sum()))))
-
-
-def test_ppp_rejects_bad_arguments():
-    rng = trial_stream(0, 0)
-    with pytest.raises(ParameterError):
-        sample_ppp(0.0, 10.0, rng, 1)
-    with pytest.raises(ParameterError):
-        sample_ppp(0.1, 0.0, rng, 1)
-
-
-def test_ppp_point_cap_rejects_before_any_draw():
-    rng = trial_stream(0, 0)
-    with pytest.raises(ParameterError) as excinfo:
-        sample_ppp(0.1, 1e5, rng, 1)  # ~3.1e9 points per trial on average
-    assert excinfo.value.field == "window_radius"
-    assert rng.random() == trial_stream(0, 0).random()
 
 
 # -- serving distance sampler --------------------------------------------------------
@@ -202,10 +132,10 @@ def test_sir_block_matches_per_field_loop():
     # reference: each field's exponent from the absolute path gains, one field
     # at a time, with each candidate's term log1p(max(x, 1/x))
     rng = trial_stream(9, 0)
-    block = sample_ppp(0.05, 12.0, rng, 50)
     r0 = draw_serving_distance(make_params(), rng, 50)
+    block = _candidates(0.5, 0.1 ** (1.0 / 3.5) * r0, 0.0, 12.0, 3.5, rng)
     exponent = outage_exponent(r0, block, 3.5, 0.1)
-    radii = np.split(block.radii(), np.cumsum(block.counts)[:-1])
+    radii = np.split(block.r, np.cumsum(block.counts)[:-1])
     for k in range(50):
         x = 0.1 * r0[k] ** 3.5 * radii[k] ** -3.5
         reference = np.sum(np.log1p(np.maximum(x, 1.0 / x)))
@@ -365,6 +295,17 @@ def test_cache_hit_estimate_zero_where_the_field_mean_underflows():
     # lambda_s*pi*r_th**2 underflows to 0 at r_th = 1e-300: no field holds a point
     est = estimate_cache_hit(make_params(r_th=1e-300), SimConfig(trials=5000, master_seed=2))
     assert (est.mean, est.n) == (0.0, 5000)
+
+
+def test_cache_hit_point_cap_refuses_before_any_draw(monkeypatch):
+    # lambda_s*pi*r_th**2 = 3.1e10 SBSs per disc on average, above the cap
+    def no_draw(*args):
+        raise AssertionError("a block stream was opened")
+
+    monkeypatch.setattr("cachegeo.simulate.trial_stream", no_draw)
+    with pytest.raises(ParameterError) as excinfo:
+        estimate_cache_hit(make_params(lambda_s=1.0, r_th=1e5), SimConfig(trials=10))
+    assert excinfo.value.field == "window_radius"
 
 
 def test_cache_hit_estimate_covers_half_at_log2_product():
@@ -585,16 +526,16 @@ def test_candidates_follow_the_dominating_law_with_poisson_counts(case):
     reach = np.full(fields, s)
     inners = np.full(fields, inner) if inner > 0 else 0.0
     cands = _candidates(lam, reach, inners, window, alpha, trial_stream(13, 0))
-    assert cands.counts.shape == (fields,) and cands.counts.sum() == cands.n
+    assert cands.counts.shape == (fields,) and cands.counts.sum() == cands.r.size
     assert ((cands.r >= inner) & (cands.r <= window)).all()
     mean = fields * per_field
-    assert abs(cands.n - mean) <= 4.5 * math.sqrt(mean)
+    assert abs(cands.r.size - mean) <= 4.5 * math.sqrt(mean)
     dispersion = cands.counts.var(ddof=1) / cands.counts.mean()
     assert abs(dispersion - 1.0) <= 4.5 * math.sqrt(2.0 / (fields - 1))
     grid = np.union1d(np.linspace(inner, window, 20_001), kink)
     cdf = integrate.cumulative_trapezoid([density(r) for r in grid], grid, initial=0.0)
     result = stats.kstest(cands.r, lambda x: np.interp(x, grid, cdf / cdf[-1]))
-    assert result.statistic < stats.kstwobign.ppf(0.999) / math.sqrt(cands.n)
+    assert result.statistic < stats.kstwobign.ppf(0.999) / math.sqrt(cands.r.size)
 
 
 @pytest.mark.parametrize("gamma", [0.1, 3.16])
@@ -698,7 +639,8 @@ def test_trial_stream_layout_is_pinned():
     # draws changes these numbers, while the tests above would still pass.
     # A block draws its serving distances, then its candidates, then the
     # serving fades, so a change to the candidates or the fades moves the
-    # outage count but not the distances
+    # outage count but not the distances. A cache-hit block of up to 4096
+    # trials draws their disc counts, then their caching counts
     p = make_params()
     distances, outages = content_outage_trials(
         p, SimConfig(trials=1000, master_seed=7, window_radius=100.0)
@@ -708,8 +650,8 @@ def test_trial_stream_layout_is_pinned():
         2.7549555292430346, 2.961879642313583, 4.117415195113489, 4.013469186020196
     ]
     hit = estimate_cache_hit(p, SimConfig(trials=3000, master_seed=8))
-    assert (hit.mean, hit.n, hit.n_discarded) == (434 / 3000, 3000, 0)
-    assert (hit.ci_low, hit.ci_high) == (0.1289076919785731, 0.16199390621340876)
+    assert (hit.mean, hit.n, hit.n_discarded) == (435 / 3000, 3000, 0)
+    assert (hit.ci_low, hit.ci_high) == (0.12922453970469513, 0.16234225398616856)
 
 
 def test_physical_trial_stream_is_pinned():
