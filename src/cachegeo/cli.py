@@ -192,10 +192,11 @@ def _grid_from_flags(args: argparse.Namespace) -> tuple[float, ...]:
             raise ParameterError("from", "log-spaced grids need positive endpoints")
         lo, hi = math.log10(args.start), math.log10(args.stop)
         return tuple(10 ** (lo + (hi - lo) * i / (args.steps - 1)) for i in range(args.steps))
-    return tuple(
-        args.start + (args.stop - args.start) * i / (args.steps - 1)
-        for i in range(args.steps)
-    )
+    start, stop, span = args.start, args.stop, args.steps - 1
+    points = (start + (stop - start) * i / span for i in range(args.steps))
+    # where (stop - start) * i overflows, the weighted mean gives the finite point
+    return tuple(point if math.isfinite(point) else start * (1.0 - i / span) + stop * (i / span)
+                 for i, point in enumerate(points))
 
 
 def _write_table(spec: SweepSpec, out_dir: str, name: str, seed: int) -> int:
@@ -305,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="master seed (default %(default)s)")
     p.add_argument("--mode", choices=list(_MODES), default="emulated")
     p.add_argument("--window", type=float, default=None,
-                   help="radius [m] out to which interferers are sampled one by one; the "
-                   "field beyond is added exactly (default: 10 * rth, at least rth)")
+                   help="radius [m], at least rth, out to which interferers are sampled; "
+                   "the field beyond is added exactly (default: the whole plane)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_simulate)
 
@@ -327,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="attach Monte Carlo columns with this many trials")
     p.add_argument("--seed", type=int, default=None,
                    help=f"master seed (default: config value, else {SimConfig.master_seed})")
-    p.add_argument("--window", type=float, default=None, help="interference window radius [m]")
+    p.add_argument("--window", type=float, default=None,
+                   help="interference window radius [m] (default: the whole plane)")
     p.add_argument("--out", default=".", help="output directory (default: current)")
     p.add_argument("--name", default=None, help="output basename (default: spec label)")
     p.set_defaults(func=cmd_sweep)
@@ -338,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="master seed (default %(default)s)")
     p.add_argument("--trials", type=int, default=None,
                    help="attach Monte Carlo columns with this many trials")
-    p.add_argument("--window", type=float, default=None, help="interference window radius [m]")
+    p.add_argument("--window", type=float, default=None,
+                   help="interference window radius [m] (default: the whole plane)")
     p.add_argument("--out", default=".", help="output directory (default: current)")
     p.set_defaults(func=cmd_figure)
 

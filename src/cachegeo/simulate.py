@@ -1,40 +1,35 @@
 """Monte Carlo engine: Poisson fields, conditional serving distances, outage draws.
 
-Trials run in consecutive blocks, vectorised within each block. Every
-block draws from its own PCG64DXSM stream, seeded by the master seed with
-the block index as its spawn key, and the block size follows from the mean
-number of candidates a trial samples, so estimates are a function of
-(params, config, seed) and bit-identical across runs.
+Trials run in consecutive blocks of _BLOCK_TRIALS, vectorised within each
+block. Every block draws from its own PCG64DXSM stream, seeded by the
+master seed with the block index as its spawn key, so estimates are a
+function of (params, config, seed) and bit-identical across runs.
 
-Interferers are sampled on a disc of radius R, the window, and the field
-beyond it enters in closed form. With Rayleigh fading every interferer's
-fade integrates out, E[exp(-s*h)] = 1/(1 + s), so given the serving
-distance r0 an interferer at r blocks the link, independently of the
-others, with probability q = x/(1 + x), x = (s/r)**alpha at the reach
-s = gamma**(1/alpha) * r0. The blocking SBSs are thus a Poisson field of
-intensity lambda_s * q, and a trial samples it exactly by thinning
-(Lewis & Shedler 1979): it draws the candidates, a Poisson field of the
-dominating intensity lambda_s * min(1, x) whose mean count has a closed
-form and is at most lambda_s * pi * R**2, and each candidate blocks with
-probability q / min(1, x). A trial is in outage iff its serving fade
-h0 ~ Exp(1), the one fade drawn, is below E = T_R + sum over candidates
-of -ln(1 - q/min(1, x)) = log1p(max(x, 1/x)): -ln of the coverage given
-the candidates, sampled inside R and integrated beyond it (T_R,
-:func:`~cachegeo.analytic.interference_tail_exponent`). Given r0 that
-event has the probability it has with every SBS on the window sampled and
-every fade drawn, so the estimate is unbiased for the infinite plane at
-every window.
+With Rayleigh fading every interferer's fade integrates out,
+E[exp(-s*h)] = 1/(1 + s), so given the serving distance r0 an interferer
+at r blocks the link, independently of the others, with probability
+q = x/(1 + x), x = (s/r)**alpha at the reach s = gamma**(1/alpha) * r0.
+The blocking SBSs are thus a Poisson field of intensity lambda_s * q, and
+a trial samples it exactly by thinning (Lewis & Shedler 1979): it draws
+the candidates, a Poisson field of the dominating intensity
+lambda_s * min(1, x), whose mean count is finite on the whole plane, and
+each blocks with probability q / min(1, x). A trial is in outage iff its
+serving fade h0 ~ Exp(1), the one fade drawn, is below E = T_R + sum over
+candidates of -ln(1 - q/min(1, x)) = log1p(max(x, 1/x)): -ln of the
+coverage given the candidates. Candidates are sampled on the whole plane,
+or on a disc of radius R, the window, beyond which T_R adds the field in
+closed form (:func:`~cachegeo.analytic.interference_tail_exponent`), so
+the estimate is unbiased for the infinite plane at every window. As a
+term is at least ln 2, a trial with h0 < T_R + _FLOOR * N, N its count of
+candidates, is in outage wherever they lie; only the others place them.
 
 Both associations run one block loop. Physical mode keeps the trials with
 a hit, Binomial(trials, hit probability) of them, and samples them given
 the hit: by independent thinning the SBSs with and without the content
 are independent Poisson fields, so given the server at r0 the interferers
-are the SBSs without the content on the window and the caching SBSs on
-r0 < r <= R, each field sampled through its candidates.
+are the SBSs without the content and the caching SBSs beyond r0.
 
-This module imports no scipy; the tail exponent loads ``scipy.special``
-on its first call, so the cache-hit estimate and the CLI commands without
-Monte Carlo outage run without loading it.
+This module imports no scipy; only T_R loads ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -65,9 +60,9 @@ __all__ = [
     "binomial_ci",
 ]
 
-_MAX_POINTS_PER_TRIAL = 5 * 10**7  # mean candidates of an outage trial, or SBSs a hit trial counts
-_BLOCK_POINTS = 2**16  # mean points sampled per block of trials
-_BLOCK_TRIALS = 4096  # most trials per block, reached on few points and by every hit block
+_MAX_POINTS_PER_TRIAL = 10**18  # largest mean a count draw takes: candidates, or SBSs on a hit disc
+_BLOCK_TRIALS = 4096  # trials per block
+_FLOOR = 0.69  # below ln 2, the least term a candidate adds to an outage exponent
 
 
 class DegenerateSampleError(RuntimeError):
@@ -80,9 +75,9 @@ class SimConfig:
 
     ``window_radius`` is the radius of the disc on which interferers are
     sampled, through the candidates that may block; the field beyond it
-    enters in closed form. None resolves to 10 * r_th, and a window must
-    cover r_th. Each field is checked in its domain, and a window is kept
-    as a float.
+    enters in closed form, and a window must cover r_th. None, the
+    default, samples them on the whole plane. Each field is checked in its
+    domain, and a window is kept as a float.
     """
 
     trials: int = 5000
@@ -104,7 +99,7 @@ class Estimate:
     without a caching SBS within r_th, which physical mode discards, so
     that ``n`` is Binomial(trials, hit probability) there (0 when emulated);
     ``window_radius`` is the radius of the disc the fields were sampled
-    on.
+    on, None for the whole plane.
     """
 
     mean: float
@@ -145,9 +140,7 @@ def trial_stream(master_seed: int, block_index: int) -> np.random.Generator:
     child ``block_index`` that ``SeedSequence(master_seed).spawn`` would
     give: the seed sequence hashes the seed and the key into the
     generator's state, so the blocks of one run, and the runs of distinct
-    seeds, draw from unrelated streams. The trials of a run fill
-    consecutive blocks whose size follows the mean field size, so results
-    are a function of (params, config, seed).
+    seeds, draw from unrelated streams.
     """
     seed = np.random.SeedSequence(master_seed, spawn_key=(block_index,))
     return np.random.Generator(np.random.PCG64DXSM(seed))
@@ -187,9 +180,9 @@ def outage_exponent(
     that an SBS at r_i does, and its term is -ln(1 - q/min(1, x)) =
     log1p(max(x, 1/x)), computed as a + log1p(exp(-a)) with
     a = alpha * |ln r_i - ln s|, which stays finite wherever r_i and s are
-    positive: a term is ln 2 at r_i = s and grows both ways.
-    ``tail`` is each field's exponent from beyond the window
-    (:func:`interference_tail_exponent`).
+    positive: a term is ln 2 at r_i = s and grows both ways, so it is never
+    below _FLOOR. ``tail`` is each field's exponent from beyond the window
+    (:func:`interference_tail_exponent`), 0 on the whole plane.
     Nothing is drawn: a trial is in outage iff its serving fade is below
     its exponent. A field without candidates gives its tail; r_i = 0, or a
     candidate of a field with s = 0 (where candidates have intensity 0),
@@ -227,95 +220,100 @@ def _field_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _blocks(cfg: SimConfig, points_per_trial: float = 0.0):
-    """Yield the stream and the trial count of each consecutive block of the run.
-
-    ``points_per_trial`` is the mean number of points a trial samples. A
-    block holds about _BLOCK_POINTS points on average, and between one and
-    _BLOCK_TRIALS trials; its stream's spawn key is its index. A trial
-    that samples no points, or a mean that underflows to 0, takes
-    _BLOCK_TRIALS.
-    """
-    per_block = _BLOCK_TRIALS
-    if points_per_trial > 0:
-        per_block = int(min(_BLOCK_TRIALS, max(1.0, _BLOCK_POINTS / points_per_trial)))
-    for index, start in enumerate(range(0, cfg.trials, per_block)):
-        yield trial_stream(cfg.master_seed, index), min(per_block, cfg.trials - start)
+def _blocks(cfg: SimConfig):
+    """Yield the stream, keyed by its index, and the trial count of each block of the run."""
+    for index, start in enumerate(range(0, cfg.trials, _BLOCK_TRIALS)):
+        yield trial_stream(cfg.master_seed, index), min(_BLOCK_TRIALS, cfg.trials - start)
 
 
-def _resolve_window(params: SystemParams, cfg: SimConfig) -> float:
-    """The window radius of an outage run: ``cfg.window_radius``, by default 10 * r_th.
+def _capped(mean: float, subject: str, what: str) -> float:
+    """``mean`` if a count draw takes it; else the run is refused, naming the window."""
+    if not mean <= _MAX_POINTS_PER_TRIAL:  # NaN where the reach overflows
+        raise ParameterError("window_radius", f"window_radius: {subject} has {mean:.3g} {what} "
+                             f"on average, above the cap of {_MAX_POINTS_PER_TRIAL:.0e}")
+    return mean
 
-    Refuses, before any block is drawn, a run whose serving-distance law
-    is undefined (pc = 0 or an underflowing hit probability), a default
-    window that overflows, and a window that does not cover r_th.
+
+def _outage_blocks(params: SystemParams, cfg: SimConfig, physical=False):
+    """Yield each block's serving distances and outage indicators under either association.
+
+    A block draws its trials' serving distances, then each field's
+    candidate count, then the serving fades h0. A candidate adds at least
+    _FLOOR to a trial's :func:`outage_exponent`, so a trial with N of them
+    and h0 < T + _FLOOR * N, T its exponent from beyond the window (0 on
+    the whole plane), is in outage; only the other trials' candidates are
+    placed (:func:`_place`). A physical block first draws how many of
+    its trials have a hit, and only those go on; their fields are the SBSs
+    without the content, none at pc = 1, and the caching ones beyond the
+    server. Refused before any draw: an undefined serving-distance law, a
+    window that does not cover r_th, and a link at r_th whose candidate
+    mean, which bounds every trial's, is above the cap.
     """
     _serving_distance_law(params)
-    window = 10.0 * params.r_th if cfg.window_radius is None else cfg.window_radius
-    window = checked("window_radius", window)
+    window = math.inf if cfg.window_radius is None else cfg.window_radius
     if window < params.r_th:
         raise ParameterError(
             "window_radius",
             f"window_radius {window} must cover the threshold distance {params.r_th}",
         )
-    return window
-
-
-def _outage_blocks(params: SystemParams, cfg: SimConfig, window: float, physical=False):
-    """Yield each block's serving distances and outage indicators under either association.
-
-    A trial draws a serving distance from the conditional law, samples the
-    candidates of its field on the window (:func:`_candidates`), takes its
-    :func:`outage_exponent`, far field included, and draws its serving
-    fade. A physical block first draws how many of its trials have a hit,
-    and only those go on; their field holds the SBSs without the content,
-    none at pc = 1, and the caching ones beyond the server. Blocks are
-    sized by the candidate mean at r0 = r_th, which bounds every trial's
-    and is held to the per-trial cap before any draw. One block's arrays
-    live at a time.
-    """
     hit, pc = (cache_hit_prob(params), params.pc) if physical else (1.0, 0.0)
-    lam, alpha = params.lambda_s, params.alpha
-    others = lam * (1.0 - pc)
-    reach = params.gamma ** (1.0 / alpha)
-    disc, beyond, _ = _candidate_shares(np.array([reach * params.r_th]), 0.0, window, alpha)
-    field, share = lam * math.pi * (window * window), float(disc[0] + beyond[0])
-    if not field * share <= _MAX_POINTS_PER_TRIAL:  # NaN where the window's area overflows
-        raise ParameterError(
-            "window_radius",
-            f"window_radius {window:g} m at lambda_s {lam:g} holds {field:.3g} SBSs, of which a "
-            f"trial samples {field * share:.3g} candidates on average, above the cap of "
-            f"{_MAX_POINTS_PER_TRIAL:.0e}",
-        )
-    for rng, size in _blocks(cfg, hit * field * share):
+    lam, alpha, gamma = params.lambda_s, params.alpha, params.gamma
+    reach = gamma ** (1.0 / alpha)
+    region = "the whole plane" if window == math.inf else f"a {window:g} m window"
+    link = np.array([reach * params.r_th])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing mean is refused
+        mean = _candidate_mean(lam, _candidate_shares(link, 0.0, window, alpha))[0]
+    _capped(mean, f"a link at r_th {params.r_th:g} m on {region} at lambda_s {lam:g}", "candidates")
+    for rng, size in _blocks(cfg):
         served = rng.binomial(size, hit) if physical else size
         r0 = draw_serving_distance(params, rng, served)
         s = reach * r0
-        fields = (_candidates(others, s, 0.0, window, alpha, rng),) if others > 0 else ()
+        # each field's density and shares: the SBSs without the content, the caching ones
+        fields = [] if pc == 1.0 else [(lam * (1.0 - pc), _candidate_shares(s, 0.0, window, alpha))]
         if physical:
-            fields += (_candidates(lam * pc, s, r0, window, alpha, rng),)
-        tail = interference_tail_exponent(lam, alpha, params.gamma, r0, window)
-        exponent = outage_exponent(r0, fields, alpha, params.gamma, tail)
-        yield r0, rng.standard_exponential(served) < exponent
+            fields.append((lam * pc, _candidate_shares(s, r0, window, alpha)))
+        counts = [rng.poisson(_candidate_mean(density, shares)) for density, shares in fields]
+        h0 = rng.standard_exponential(served)
+        tail = (np.zeros(served) if window == math.inf
+                else interference_tail_exponent(lam, alpha, gamma, r0, window))
+        out = h0 < tail + _FLOOR * sum(counts)
+        # a decided trial places none of its candidates
+        sets = tuple(_place(shares, np.where(out, 0, n), window, alpha, rng)
+                     for (_, shares), n in zip(fields, counts))
+        out |= h0 < outage_exponent(r0, sets, alpha, gamma, tail)
+        yield r0, out
 
 
 def _candidate_shares(s: np.ndarray, inner, window_radius: float, alpha: float):
-    """Per field, the candidate mean on either side of the reach, in units of pi * R**2.
+    """Per field, the candidate mean on either side of the reach, in units of pi * s**2.
 
-    With c = min(s/R, 1), i = inner/R and b = max(i, c), the dominating
-    intensity min(1, (s/r)**alpha) integrates over inner < r <= R to
-    pi * R**2 times disc + beyond: disc = max(c**2 - i**2, 0) where it is 1
-    and beyond = 2 * c**2 / (alpha - 2) * ((c/b)**(alpha - 2) - c**(alpha - 2))
-    past b, where it is (s/r)**alpha. Every ratio is at most 1, so nothing
-    overflows, and disc + beyond <= 1 - i**2. Returns (disc, beyond, b).
+    With u = inner/s, w = R/s and b = max(u, 1), the dominating intensity
+    min(1, (s/r)**alpha) integrates over inner < r <= R to pi * s**2 times
+    disc + beyond: disc = max(min(w, 1)**2 - u**2, 0) where it is 1, and
+    beyond = 2/(alpha - 2) * b**(2 - alpha) * m past b. The share of that
+    power law within R, m = 1 - (b/w)**(alpha - 2), is computed as
+    -expm1((alpha - 2) * log(min(b/w, 1))): it keeps its digits as b nears
+    w and is 1 on the whole plane (w = inf). s = 0 takes u = 0. Returns
+    (s, disc, beyond, u, m), each over the fields.
     """
-    c = np.minimum(s / window_radius, 1.0)
-    i = inner / window_radius
-    b = np.maximum(i, c)
     k = alpha - 2.0
-    ratio = np.divide(c, b, out=np.ones_like(b), where=b > 0)
-    disc = np.maximum(c * c - i * i, 0.0)
-    return disc, 2.0 * (c * c) / k * (ratio**k - c**k), b
+    with np.errstate(divide="ignore", over="ignore"):
+        u = np.divide(inner, s, out=np.zeros_like(s), where=s > 0)
+        b = np.maximum(u, 1.0)
+        w = window_radius / s
+        m = -np.expm1(k * np.log(np.minimum(b / w, 1.0)))
+    disc = np.maximum(np.minimum(w, 1.0) ** 2 - u * u, 0.0)
+    return s, disc, 2.0 / k * b**-k * m, u, m
+
+
+def _candidate_mean(density: float, shares) -> np.ndarray:
+    """Per field, the mean candidate count (density * s) * s * pi * (disc + beyond).
+
+    The product is taken in that order so that it overflows only where the
+    mean does; it is 0 where s = 0. See :func:`_candidate_shares`.
+    """
+    s, disc, beyond = shares[:3]
+    return (density * s) * s * math.pi * (disc + beyond)
 
 
 def _candidates(
@@ -324,31 +322,34 @@ def _candidates(
 ) -> PointSet:
     """Per reach s[k], a Poisson field of intensity density * min(1, (s[k]/r)**alpha).
 
-    Field k's candidates lie on inner[k] < r <= R, R the window radius;
-    ``inner`` is 0 or an array over the fields. Field k's count is Poisson
-    with mean density * pi * R**2 * (disc + beyond) (:func:`_candidate_shares`).
-    A candidate lies where the intensity is the density with probability
-    disc / (disc + beyond), uniform in area there, at R * sqrt(i**2 + v)
-    for v uniform on [0, disc); beyond that, the power law's inverse CDF
-    puts it at R * b * (1 - f * (1 - b**(alpha - 2)))**(-1/(alpha - 2)) for
-    f uniform on [0, 1). One uniform draw per candidate picks both, and a
-    distance that rounds past R is held at R.
+    Field k's candidates lie on inner[k] < r <= R, R the window radius or
+    inf; ``inner`` is 0 or an array over the fields. Their counts are
+    Poisson of mean :func:`_candidate_mean`, and :func:`_place` places them.
     """
-    disc, beyond, b = _candidate_shares(s, inner, window_radius, alpha)
-    whole = disc + beyond
-    counts = rng.poisson(density * math.pi * (window_radius * window_radius) * whole)
-    i2 = np.broadcast_to((inner / window_radius) ** 2, s.shape)
-    first, total, near, start = (np.repeat(x, counts) for x in (disc, whole, i2, b))
+    shares = _candidate_shares(s, inner, window_radius, alpha)
+    return _place(shares, rng.poisson(_candidate_mean(density, shares)), window_radius, alpha, rng)
+
+
+def _place(shares, counts, window_radius: float, alpha: float, rng) -> PointSet:
+    """The distances of ``counts[k]`` candidates of field k, given its :func:`_candidate_shares`.
+
+    With v uniform on [0, disc + beyond), a candidate lies at
+    s * sqrt(u**2 + v), uniform in area, for v <= disc, and else at the
+    power law's inverse CDF, s * b * (1 - f * m)**(-1/(alpha - 2)) with
+    f = (v - disc)/beyond. A distance that rounds past R is held at R, and
+    one that overflows near alpha = 2 is inf, the exact limit.
+    """
+    scale, first, far_share, near, mass = (np.repeat(x, counts) for x in shares)
     v = rng.random(int(counts.sum()))
-    v *= total
+    v *= first + far_share
     k = alpha - 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # only the candidates beyond the disc part use these; the others may give NaN
-        f = (v - first) / (total - first)
-        far = start * (1.0 - f * (1.0 - start**k)) ** (-1.0 / k)
-    r = np.where(v < first, np.sqrt(near + v), far)
-    np.minimum(r, 1.0, out=r)
-    r *= window_radius
+        f = (v - first) / far_share
+        far = np.maximum(near, 1.0) * np.exp(np.log1p(-f * mass) / -k)
+        r = np.where(v <= first, np.sqrt(near * near + v), far)
+        r *= scale
+    np.minimum(r, window_radius, out=r)
     return PointSet(r=r, counts=counts)
 
 
@@ -358,7 +359,7 @@ def content_outage_trials(params: SystemParams, cfg: SimConfig):
     The trials of :func:`estimate_content_outage`, as two arrays ordered by
     trial index, so callers can bin them by distance for conditional checks.
     """
-    distances, outages = zip(*_outage_blocks(params, cfg, _resolve_window(params, cfg)))
+    distances, outages = zip(*_outage_blocks(params, cfg))
     return np.concatenate(distances), np.concatenate(outages)
 
 
@@ -379,13 +380,8 @@ def estimate_cache_hit(params: SystemParams, cfg: SimConfig) -> Estimate:
     cap is refused before any draw.
     """
     lam, r_th = params.lambda_s, params.r_th
-    mean = lam * math.pi * (r_th * r_th)
-    if mean > _MAX_POINTS_PER_TRIAL:
-        raise ParameterError(
-            "window_radius",
-            f"window_radius {r_th:g} m at lambda_s {lam:g} holds {mean:.3g} "
-            f"points per trial on average, above the cap of {_MAX_POINTS_PER_TRIAL:.0e}",
-        )
+    mean = _capped(lam * math.pi * (r_th * r_th),
+                   f"the disc of radius r_th {r_th:g} m at lambda_s {lam:g}", "SBSs")
     hits = 0
     for rng, size in _blocks(cfg):
         hits += int(np.count_nonzero(rng.binomial(rng.poisson(mean, size), params.pc)))
@@ -400,7 +396,7 @@ def estimate_physical(params: SystemParams, cfg: SimConfig) -> Estimate:
     independently with probability pc, as in :func:`estimate_cache_hit`.
     Trials without a hit are discarded and counted in ``n_discarded``, so
     ``n`` is Binomial(trials, hit probability); the others are sampled
-    given the hit (module docstring), and beyond the window every SBS
+    given the hit (module docstring), and beyond a window every SBS
     interferes, in closed form as in emulated mode. Raises
     :class:`DegenerateSampleError` when no trial has a hit.
     """
@@ -409,9 +405,8 @@ def estimate_physical(params: SystemParams, cfg: SimConfig) -> Estimate:
 
 def _estimate_outage(params: SystemParams, cfg: SimConfig, physical: bool) -> Estimate:
     """Binomial outage estimate over the trials that have a server, all of them if emulated."""
-    window = _resolve_window(params, cfg)
     outages = served = 0
-    for _, out in _outage_blocks(params, cfg, window, physical):
+    for _, out in _outage_blocks(params, cfg, physical):
         outages += int(np.count_nonzero(out))
         served += out.size
     if served == 0:
@@ -420,7 +415,9 @@ def _estimate_outage(params: SystemParams, cfg: SimConfig, physical: bool) -> Es
             "(effective sample size 0)"
         )
     n_discarded = cfg.trials - served
-    return _binomial_estimate(outages, served, n_discarded=n_discarded, window_radius=window)
+    return _binomial_estimate(
+        outages, served, n_discarded=n_discarded, window_radius=cfg.window_radius
+    )
 
 
 def binomial_ci(successes: float, n: int, confidence: float = 0.99) -> tuple[float, float]:

@@ -11,12 +11,11 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cachegeo.analytic import (
@@ -33,7 +32,6 @@ from cachegeo.model import (
     SystemParams,
     db_to_linear,
     validate,
-    with_replication_ratio,
 )
 from cachegeo.simulate import Estimate
 from cachegeo.sweep import FIGURE_NUMBERS, Axis, SweepSpec, read_json, spec_to_dict
@@ -167,7 +165,7 @@ def _with_gamma_db(value):
         # a zero target needs no density, but the ratio must still be one
         (["plan", "--epsilon", "0", "--rth", "5", "--pc", "7"], "pc"),
         (["plan", "--epsilon", "0", "--rth", "5", "--pc", "nan"], "pc"),
-        # the default window 10 * r_th overflows to inf
+        # the candidate mean of a link at r_th on the whole plane overflows to inf
         (["simulate", "--lambda", "1e-300", "--alpha", "3", "--gamma-db", "-10", "--rth", "1e308",
           "--d", "2", "--library", "100", "--trials", "5"], "window_radius"),
     ],
@@ -277,17 +275,17 @@ def test_simulate_physical_runs_at_a_20_km_window(capsys):
 
 def _assert_above_the_candidate_cap_exits_2_before_any_draw(mode, monkeypatch, capsys):
     # at 80 dB the reach 464 * r_th passes a 20 km window, so every SBS on
-    # it is a candidate: 1.26e8 per trial, refused before any block opens
-    # its stream
+    # it is a candidate: 1.26e19 per trial at lambda_s = 1e10, above what a
+    # count draw takes, refused before any block opens its stream
     def no_draw(*args):
         raise AssertionError("a block stream was opened")
 
     monkeypatch.setattr("cachegeo.simulate.trial_stream", no_draw)
-    rc = main(["simulate", "--lambda", "0.1", "--alpha", "3", "--gamma-db", "80", "--rth", "50",
+    rc = main(["simulate", "--lambda", "1e10", "--alpha", "3", "--gamma-db", "80", "--rth", "50",
                "--d", "2", "--library", "100", "--mode", mode, "--window", "20000"])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "1.26e+08 candidates" in err and "(field: window_radius)" in err
+    assert "1.26e+19 candidates" in err and "(field: window_radius)" in err
 
 
 def test_simulate_physical_oversized_window_exits_2_before_any_draw(monkeypatch, capsys):
@@ -309,12 +307,12 @@ def test_simulate_near_pole_runs_at_a_50_m_window(alpha, capsys):
 
 
 def test_simulate_near_pole_default_window_fits_a_small_run(capsys):
-    # alpha = 2.5 runs at the default window of 10 * r_th
+    # alpha = 2.5 runs on the whole plane by default, reported as null
     rc = main(["simulate", "--lambda", "0.1", "--alpha", "2.5", "--gamma-db", "-10",
                "--rth", "5", "--d", "2", "--library", "100", "--trials", "5", "--json"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["window_radius"] == 50.0
+    assert payload["window_radius"] is None
     assert "truncation_bias" not in payload
 
 
@@ -348,9 +346,6 @@ def test_simulate_at_huge_alpha_runs_cleanly(extra, capsys):
     assert capsys.readouterr().err == ""
 
 
-_FIELD_POINT_LIMIT = 2e5  # largest mean field a generated run may sample
-
-
 # decimal exponents of a lambda_s or r_th down to 1e-300, where lambda_s*pi*r_th**2
 # underflows to 0
 _TINY_EXPONENTS = st.floats(-300.0, -4.0)
@@ -379,9 +374,8 @@ def model_flags(draw):
 def simulate_argv(draw):
     params, flags = draw(model_flags())
     trials = draw(st.integers(1, 200))
+    # a trial's work does not grow with its field, so any field may be drawn
     window = draw(st.none() | st.floats(0.5, 50.0).map(lambda k: k * params.r_th))
-    radius = window or 10.0 * params.r_th
-    assume(params.lambda_s * math.pi * radius**2 <= _FIELD_POINT_LIMIT)
     argv = ["simulate", *flags, "--trials", str(trials),
             "--seed", str(draw(st.integers(0, 2**64 - 1))),
             "--mode", draw(st.sampled_from(["emulated", "physical"]))]
@@ -414,12 +408,28 @@ def test_sweep_writes_requested_grid(tmp_path, capsys):
 def test_sweep_records_oversized_fields_as_row_errors(tmp_path, capsys):
     rc = main(["sweep", "--quantity", "hit", "--axis", "pc", "--from", "0.02", "--to", "1",
                "--steps", "3", "--lambda", "1", "--alpha", "3", "--gamma-db", "-10",
-               "--rth", "100000", "--d", "2", "--library", "100", "--trials", "10",
+               "--rth", "1e10", "--d", "2", "--library", "100", "--trials", "10",
                "--out", str(tmp_path), "--name", "huge"])
     assert rc == 0
     assert "3 cell(s) recorded errors" in capsys.readouterr().err
     rows = read_json(tmp_path / "huge_0.json").rows
     assert all("window_radius" in row.error and row.sim_mean is None for row in rows)
+
+
+def test_linear_grid_keeps_its_points_and_spans_the_float_range(tmp_path):
+    # the benchmark's pc grid keeps the bytes of start + (stop - start) * i
+    # / (steps - 1); where (stop - start) * i overflows, the points are
+    # still the finite ones between the endpoints
+    def grid(start, stop, steps):
+        argv = ["sweep", f"--from={start!r}", f"--to={stop!r}", "--steps", str(steps)]
+        return cli._grid_from_flags(build_parser().parse_args(argv))
+
+    assert grid(0.02, 1.0, 50) == tuple(0.02 + (1.0 - 0.02) * i / 49 for i in range(50))
+    assert grid(1.0, 1e308, 3) == (1.0, 5e307, 1e308)
+    assert grid(-1e308, 1e308, 3) == (-1e308, 0.0, 1e308)
+    rc = main(["sweep", "--axis", "rth", "--from", "1", "--to", "1e308", "--steps", "3",
+               *P_FLAGS, "--out", str(tmp_path)])
+    assert rc == 0
 
 
 def test_sweep_invalid_grid_exits_2(tmp_path):
@@ -635,76 +645,39 @@ def test_figure_preset_with_window_alone_attaches_sim(tmp_path, capsys):
     assert "(field: sim)" in capsys.readouterr().err
 
 
-_SWEEP_POINT_LIMIT = 4e6  # most points a generated sweep may sample over all its cells
-
-# flag value -> (range the generator draws from, the cell parameters it sets)
+# flag value -> the range the generator draws its values from
 _SWEEP_AXES = {
-    "lambda-s": (st.floats(1e-4, 1.0) | _TINY_EXPONENTS.map(lambda e: 10.0**e),
-                 lambda p, v: replace(p, lambda_s=v)),
-    "pc": (st.floats(0.0, 1.0), with_replication_ratio),
-    "rth": (st.floats(0.01, 20.0) | _TINY_EXPONENTS.map(lambda e: 10.0**e),
-            lambda p, v: replace(p, r_th=v)),
-    "gamma-db": (st.floats(-60.0, 80.0), lambda p, v: replace(p, gamma=db_to_linear(v))),
-    "epsilon": (st.floats(0.0, 0.99), lambda p, v: p),
+    "lambda-s": st.floats(1e-4, 1.0) | _TINY_EXPONENTS.map(lambda e: 10.0**e),
+    "pc": st.floats(0.0, 1.0),
+    "rth": st.floats(0.01, 20.0) | _TINY_EXPONENTS.map(lambda e: 10.0**e),
+    "gamma-db": st.floats(-60.0, 80.0),
+    "epsilon": st.floats(0.0, 0.99),
 }
-
-
-def _cell_points(params, trials, window):
-    """Mean points a Monte Carlo cell samples; 0 where the cell is refused before any draw."""
-    try:
-        params = validate(params)
-    except ParameterError:
-        return 0.0
-    # a cache-hit cell samples the r_th disc even where the outage window is refused
-    radius = max(window or 10.0 * params.r_th, params.r_th)
-    return trials * params.lambda_s * math.pi * radius**2
 
 
 @st.composite
 def sweep_argv(draw):
     params, flags = draw(model_flags())
     axis = draw(st.sampled_from(sorted(_SWEEP_AXES)))
-    axis_range, set_axis = _SWEEP_AXES[axis]
-    start, stop = sorted(draw(st.lists(axis_range, min_size=2, max_size=2)))
+    start, stop = sorted(draw(st.lists(_SWEEP_AXES[axis], min_size=2, max_size=2)))
     steps, log = draw(st.integers(1, 4)), draw(st.booleans())
     quantity = draw(st.sampled_from(["density"] if axis == "epsilon" else ["outage", "hit"])
                     | st.sampled_from(["outage", "hit", "density"]))
     # the NAME=VALUE form keeps a value such as -1e-05 from reading as a flag
     argv = ["sweep", *flags, "--axis", axis, f"--from={start!r}", f"--to={stop!r}",
             "--steps", str(steps), "--quantity", quantity, *(["--log"] if log else [])]
-    curves = [params]
     if draw(st.booleans()):
         series_axis = draw(st.sampled_from(sorted(_SWEEP_AXES)))
-        series_range, set_series = _SWEEP_AXES[series_axis]
-        series = draw(st.lists(series_range, min_size=1, max_size=3))
+        series = draw(st.lists(_SWEEP_AXES[series_axis], min_size=1, max_size=3))
         text = draw(st.just(",".join(map(repr, series)))
                     | st.sampled_from(["", "abc", "0.1,abc"]))
         argv += ["--series-axis", series_axis, f"--series-values={text}"]
-        curves = [set_series(params, v) for v in series]
     trials = draw(st.none() | st.integers(1, 20))
     window = draw(st.none() | st.floats(0.5, 50.0).map(lambda k: k * params.r_th))
     seed = draw(st.none() | st.integers(0, 2**64 - 1))
     argv += [*(["--trials", str(trials)] if trials else []),
              *(["--window", repr(window)] if window else []),
              *(["--seed", str(seed)] if seed is not None else [])]
-    if (trials or window) and not (log and start <= 0.0):
-        # --window alone attaches Monte Carlo columns at the default 5000 trials
-        if steps == 1:
-            values = [start]
-        elif log:
-            lo, hi = math.log10(start), math.log10(stop)
-            values = [10 ** (lo + (hi - lo) * i / (steps - 1)) for i in range(steps)]
-        else:
-            values = [start + (stop - start) * i / (steps - 1) for i in range(steps)]
-        points = 0.0
-        for curve in curves:
-            for value in values:
-                try:
-                    cell = set_axis(curve, value)
-                except ParameterError:
-                    continue
-                points += _cell_points(cell, trials or 5000, window)
-        assume(points <= _SWEEP_POINT_LIMIT)
     return argv
 
 
@@ -1042,8 +1015,8 @@ def test_only_window_solves_load_scipy(tmp_path):
         ("figure 2", ["figure", "--fig", "2", "--out", out]),
         ("sweep hit", ["sweep", *P_FLAGS, "--quantity", "hit", "--axis", "pc", "--from", "0.02",
                        "--to", "1", "--steps", "5", "--trials", "20", "--out", out]),
-        # the far field beyond the window needs scipy.special's hyp2f1, and
-        # nothing in either mode needs a quadrature or a root find
+        # an emulated run on the whole plane has no far field, so it needs no
+        # scipy.special; neither mode needs a quadrature or a root find
         ("simulate", ["simulate", *P_FLAGS, "--trials", "8"]),
         # at pc = 0.5 a trial has a hit with probability 0.98, so 8 trials
         # are never all discarded
@@ -1059,6 +1032,6 @@ def test_only_window_solves_load_scipy(tmp_path):
     )
     loaded = json.loads(result.stdout)
     assert loaded.pop("import") == []
-    assert loaded.pop("simulate") == [0, ["scipy", "scipy.special"]]
+    # the physical closed form's rho needs scipy.special's hyp2f1
     assert loaded.pop("simulate physical") == [0, ["scipy", "scipy.special"]]
-    assert loaded == {label: [0, []] for label, _ in steps[:-2]}
+    assert loaded == {label: [0, []] for label, _ in steps[:-1]}

@@ -31,7 +31,7 @@ from cachegeo.simulate import (
     outage_exponent,
     trial_stream,
 )
-from cachegeo.simulate import _candidate_shares, _candidates
+from cachegeo.simulate import _FLOOR, _candidate_mean, _candidate_shares, _candidates, _place
 
 WILSON_50_100_95 = (0.403831530366, 0.596168469634)  # direct-formula oracle
 
@@ -266,8 +266,8 @@ def test_conditional_outage_by_distance_bin_matches_fixed_distance_law():
 
 
 def test_outage_estimate_memory_does_not_grow_with_trials():
-    # fields of ~3 points give full blocks of 4096 trials; 32 times the
-    # blocks must not raise the peak, as keeping every trial's draw would
+    # every block holds 4096 trials; 32 times the blocks must not raise
+    # the peak, as keeping every trial's draw would
     p = make_params(lambda_s=0.01, r_th=1.0)
 
     def peak(trials):
@@ -298,13 +298,13 @@ def test_cache_hit_estimate_zero_where_the_field_mean_underflows():
 
 
 def test_cache_hit_point_cap_refuses_before_any_draw(monkeypatch):
-    # lambda_s*pi*r_th**2 = 3.1e10 SBSs per disc on average, above the cap
+    # lambda_s*pi*r_th**2 = 3.1e20 SBSs per disc on average, above the cap
     def no_draw(*args):
         raise AssertionError("a block stream was opened")
 
     monkeypatch.setattr("cachegeo.simulate.trial_stream", no_draw)
     with pytest.raises(ParameterError) as excinfo:
-        estimate_cache_hit(make_params(lambda_s=1.0, r_th=1e5), SimConfig(trials=10))
+        estimate_cache_hit(make_params(lambda_s=1.0, r_th=1e10), SimConfig(trials=10))
     assert excinfo.value.field == "window_radius"
 
 
@@ -568,33 +568,100 @@ def test_thinned_candidates_give_the_window_coverage_at_fixed_distance(alpha, ga
     alpha=st.floats(2.0001, 400.0),
     log_gamma=st.floats(-8.0, 8.0),
     spread=st.floats(1.0, 100.0),
+    plane=st.booleans(),
     at=st.floats(0.0, 1.0),
     from_server=st.booleans(),
 )
 def test_candidate_mean_is_bounded_and_sampling_stays_finite(
-    log_r_th, alpha, log_gamma, spread, at, from_server
+    log_r_th, alpha, log_gamma, spread, plane, at, from_server
 ):
-    # the candidate mean never exceeds the field's on inner < r <= R, and
-    # sampling, with about 20 SBSs per window where the density is a float,
-    # gives finite distances in [inner, R] and finite or inf exponents
-    # without a warning, from r_th = 1e-300 to alpha = 400
+    # the candidate mean is finite and never exceeds the field's on
+    # inner < r <= R, and sampling, with about 20 SBSs per spread * r_th
+    # disc where the density is a float, gives distances in [inner, R] and
+    # finite or inf exponents without a warning, from r_th = 1e-300 to
+    # alpha = 400, on a window and on the whole plane (R = inf). There a
+    # distance may overflow to inf near alpha = 2, the exact limit; the
+    # counts are held to 100, as a block places few candidates per trial
     r_th = 10.0 ** log_r_th
-    window, gamma = spread * r_th, 10.0 ** log_gamma
+    scale, gamma = spread * r_th, 10.0 ** log_gamma
+    window = math.inf if plane else scale
     r0 = np.full(50, at * r_th)
     lower = at * r_th if from_server else 0.0
+    inner = r0 if from_server else 0.0
     s = gamma ** (1.0 / alpha) * r0
-    lam = 10.0 ** min(300.0, math.log10(20.0 / math.pi) - 2.0 * math.log10(window))
+    lam = 10.0 ** min(300.0, math.log10(20.0 / math.pi) - 2.0 * math.log10(scale))
+    rng = trial_stream(15, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        disc, beyond, _ = _candidate_shares(s, r0 if from_server else 0.0, window, alpha)
-        mean = lam * math.pi * window**2 * (disc[0] + beyond[0])
-        assert 0.0 <= mean <= lam * math.pi * (window**2 - lower**2) * (1.0 + 1e-12)
-        cands = _candidates(lam, s, r0 if from_server else 0.0, window, alpha,
-                            trial_stream(15, 0))
+        shares = _candidate_shares(s, inner, window, alpha)
+        mean = _candidate_mean(lam, shares)
+        # (R - lower) * (R + lower) keeps its digits where R nears lower
+        bound = lam * math.pi * (window - lower) * (window + lower)
+        assert 0.0 <= mean[0] <= bound * (1.0 + 1e-12)
+        assert math.isfinite(mean[0])
+        counts = rng.poisson(np.minimum(mean, 100.0))
+        cands = _place(shares, counts, window, alpha, rng)
         exponent = outage_exponent(r0, cands, alpha, gamma)
-    assert np.isfinite(cands.r).all()
+    assert not np.isnan(cands.r).any() and (plane or np.isfinite(cands.r).all())
     assert ((cands.r >= lower * (1.0 - 1e-12)) & (cands.r <= window)).all()
     assert not np.isnan(exponent).any() or at == 0.0
+
+
+_POSITIVE_FLOATS = st.floats(0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.floats(2.0, 1e308, exclude_min=True), r=_POSITIVE_FLOATS,
+       reach=_POSITIVE_FLOATS, at_reach=st.booleans())
+def test_every_candidate_term_is_at_least_the_floor(alpha, r, reach, at_reach):
+    # a candidate's term log1p(max(x, 1/x)) is ln 2 at r_i = s and grows
+    # both ways, so N candidates add at least _FLOOR * N to an exponent;
+    # gamma = 1 makes the reach s the serving distance
+    s = r if at_reach else reach
+    one = PointSet(r=np.array([r]), counts=np.array([1]))
+    assert _FLOOR < math.log(2.0)
+    assert outage_exponent(np.array([s]), one, alpha, 1.0)[0] >= _FLOOR
+
+
+@pytest.mark.parametrize("window", [math.inf, 20.0], ids=["plane", "window"])
+@pytest.mark.parametrize("gamma", [0.1, 10.0])
+def test_count_first_decision_matches_the_full_kernel(window, gamma):
+    # one block of physical fields with every candidate placed: each trial
+    # that h0 < T + _FLOOR * N decides by its count is an outage under the
+    # full kernel, so deciding those by count and the others by the kernel
+    # gives the full kernel's indicators
+    p = make_params(gamma=gamma, cache_size_d=50)
+    lam, alpha, pc = p.lambda_s, p.alpha, p.pc
+    rng = trial_stream(21, 0)
+    r0 = draw_serving_distance(p, rng, 4096)
+    s = gamma ** (1.0 / alpha) * r0
+    sets = tuple(_candidates(density, s, inner, window, alpha, rng)
+                 for density, inner in ((lam * (1.0 - pc), 0.0), (lam * pc, r0)))
+    h0 = rng.standard_exponential(r0.size)
+    tail = (np.zeros(r0.size) if window == math.inf
+            else interference_tail_exponent(lam, alpha, gamma, r0, window))
+    full = h0 < outage_exponent(r0, sets, alpha, gamma, tail)
+    by_count = h0 < tail + _FLOOR * sum(points.counts for points in sets)
+    assert 0 < by_count.sum() < full.sum()
+    assert full[by_count].all()
+
+
+def test_an_outage_trial_places_few_candidates_at_a_60_db_cell(monkeypatch):
+    # at lambda_s = 0.1, alpha = 3, gamma = 60 dB and r_th = 10 m the reach
+    # of a link at r_th is 1 km, and it has 9.4e5 candidates on the whole
+    # plane; nearly every trial is decided by its count, so the kernel is
+    # passed fewer than 2 candidates per trial
+    placed = []
+
+    def counting(serving_r, interferers, *args):
+        placed.append(sum(points.r.size for points in interferers))
+        return outage_exponent(serving_r, interferers, *args)
+
+    monkeypatch.setattr("cachegeo.simulate.outage_exponent", counting)
+    p = make_params(gamma=db_to_linear(60.0), r_th=10.0)
+    est = estimate_content_outage(p, SimConfig(trials=2000, master_seed=1))
+    assert est.window_radius is None and placed
+    assert sum(placed) < 2 * 2000
 
 
 # -- Wilson interval -----------------------------------------------------------------------------
@@ -637,18 +704,28 @@ def test_wilson_interval_rejects_bad_inputs():
 def test_trial_stream_layout_is_pinned():
     # exact outputs for fixed seeds: a refactor that shifts any trial's
     # draws changes these numbers, while the tests above would still pass.
-    # A block draws its serving distances, then its candidates, then the
-    # serving fades, so a change to the candidates or the fades moves the
-    # outage count but not the distances. A cache-hit block of up to 4096
-    # trials draws their disc counts, then their caching counts
+    # A block draws its serving distances, then its candidate counts, then
+    # the serving fades, then the distances of the candidates of the trials
+    # that their counts leave undecided, so a change to the counts, the
+    # fades or the distances moves the outage indicators but not the
+    # serving distances; the first covered trials pin where they move. A
+    # cache-hit block of up to 4096 trials draws their disc counts, then
+    # their caching counts
     p = make_params()
     distances, outages = content_outage_trials(
         p, SimConfig(trials=1000, master_seed=7, window_radius=100.0)
     )
     assert int(outages.sum()) == 776
+    assert np.flatnonzero(~outages)[:6].tolist() == [5, 10, 13, 19, 22, 41]
     assert distances[:4].tolist() == [
         2.7549555292430346, 2.961879642313583, 4.117415195113489, 4.013469186020196
     ]
+    plane_distances, plane_outages = content_outage_trials(
+        p, SimConfig(trials=1000, master_seed=7)
+    )
+    assert np.array_equal(plane_distances, distances)
+    assert int(plane_outages.sum()) == 758
+    assert np.flatnonzero(~plane_outages)[:6].tolist() == [10, 13, 19, 22, 27, 36]
     hit = estimate_cache_hit(p, SimConfig(trials=3000, master_seed=8))
     assert (hit.mean, hit.n, hit.n_discarded) == (435 / 3000, 3000, 0)
     assert (hit.ci_low, hit.ci_high) == (0.12922453970469513, 0.16234225398616856)
@@ -656,14 +733,17 @@ def test_trial_stream_layout_is_pinned():
 
 def test_physical_trial_stream_is_pinned():
     # exact outputs for a fixed seed: a block draws its count of trials with
-    # a hit, then for those the serving distances, the candidates without
-    # the content, the caching candidates beyond the servers and the serving
-    # fades, so a change to any draw after the first moves the outage count
-    # but not n
+    # a hit, then for those the serving distances, the counts of the
+    # candidates without the content and of the caching candidates beyond
+    # the servers, the serving fades and the distances of the candidates of
+    # the trials that their counts leave undecided, so a change to any draw
+    # after the first moves the outage count but not n
     est = estimate_physical(
         make_params(), SimConfig(trials=2000, master_seed=8, window_radius=100.0)
     )
-    assert (est.mean, est.n, est.n_discarded) == (227 / 293, 293, 1707)
+    assert (est.mean, est.n, est.n_discarded) == (230 / 293, 293, 1707)
+    plane = estimate_physical(make_params(), SimConfig(trials=2000, master_seed=8))
+    assert (plane.mean, plane.n, plane.n_discarded) == (214 / 293, 293, 1707)
 
 
 def test_estimate_repeats_bit_identically():
@@ -692,13 +772,14 @@ def test_estimate_interval_brackets_mean():
 # -- window policy ----------------------------------------------------------------------------------
 
 
-def test_recommended_window_covers_ten_thresholds():
-    # with no window the fields are sampled out to 10 * r_th in both modes;
-    # at pc = 1 a physical run of 64 trials has a hit with near certainty
+def test_default_samples_the_whole_plane():
+    # with no window the fields are sampled on the whole plane in both
+    # modes, reported as None; at pc = 1 a physical run of 64 trials has a
+    # hit with near certainty
     for p in (make_params(cache_size_d=100), make_params(alpha=6.0, r_th=2.0, cache_size_d=100)):
         cfg = SimConfig(trials=64, master_seed=0)
-        assert estimate_content_outage(p, cfg).window_radius == 10.0 * p.r_th
-        assert estimate_physical(p, cfg).window_radius == 10.0 * p.r_th
+        assert estimate_content_outage(p, cfg).window_radius is None
+        assert estimate_physical(p, cfg).window_radius is None
 
 
 def test_window_below_threshold_distance_rejected():
