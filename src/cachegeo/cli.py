@@ -191,12 +191,25 @@ def _grid_from_flags(args: argparse.Namespace) -> tuple[float, ...]:
         if args.start <= 0 or args.stop <= 0:
             raise ParameterError("from", "log-spaced grids need positive endpoints")
         lo, hi = math.log10(args.start), math.log10(args.stop)
-        return tuple(10 ** (lo + (hi - lo) * i / (args.steps - 1)) for i in range(args.steps))
+        top = max((lo, args.start), (hi, args.stop))
+        return tuple(_power_of_ten(lo + (hi - lo) * i / (args.steps - 1), *top)
+                     for i in range(args.steps))
     start, stop, span = args.start, args.stop, args.steps - 1
     points = (start + (stop - start) * i / span for i in range(args.steps))
     # where (stop - start) * i overflows, the weighted mean gives the finite point
     return tuple(point if math.isfinite(point) else start * (1.0 - i / span) + stop * (i / span)
                  for i, point in enumerate(points))
+
+
+def _power_of_ten(e: float, top: float, end: float) -> float:
+    """10**e, a point of a log grid whose larger endpoint ``end`` is 10**top.
+
+    Where 10**e rounds past the float range, the point is end * 10**(e - top).
+    """
+    try:
+        return 10 ** e
+    except OverflowError:
+        return end * 10 ** (e - top)
 
 
 def _write_table(spec: SweepSpec, out_dir: str, name: str, seed: int) -> int:

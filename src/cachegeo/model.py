@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from numbers import Real
 
 __all__ = [
@@ -133,14 +132,31 @@ def db_to_linear(x_db: float) -> float:
     return linear
 
 
+_MAX_LIBRARY = 10**6  # largest library size a replication ratio is written with
+
+
 def with_replication_ratio(params: SystemParams, pc: float) -> SystemParams:
     """Copy of ``params`` whose cache and library sizes realize ratio ``pc``.
 
-    The ratio is represented as the smallest fraction d/|C| with
-    denominator at most 10**6 that reproduces the requested value, so
-    decimal ratios such as 0.02 map to exact integer pairs (1/50).
+    The ratio is represented as the closest fraction d/|C| to ``pc`` with
+    denominator at most 10**6, so decimal ratios such as 0.02 map to exact
+    integer pairs (1/50). It is ``Fraction(pc).limit_denominator(10**6)``,
+    computed in ints: the continued-fraction convergents of ``pc`` up to
+    that denominator give the two closest bounds on either side, and the
+    closer one is taken, the last convergent on a tie.
     """
-    frac = Fraction(checked("pc", pc)).limit_denominator(1_000_000)
-    return replace(
-        params, cache_size_d=frac.numerator, library_size=frac.denominator
-    )
+    n, d = checked("pc", pc).as_integer_ratio()  # in lowest terms
+    if d > _MAX_LIBRARY:
+        p0, q0, p1, q1 = 0, 1, 1, 0
+        x, y = n, d
+        while True:
+            a = x // y
+            if q0 + a * q1 > _MAX_LIBRARY:
+                break
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+            x, y = y, x - a * y
+        k = (_MAX_LIBRARY - q0) // q1
+        p2, q2 = p0 + k * p1, q0 + k * q1
+        # |p1/q1 - n/d| <= |p2/q2 - n/d|, cross-multiplied by q1 * q2 * d
+        n, d = (p1, q1) if abs(p1 * d - n * q1) * q2 <= abs(p2 * d - n * q2) * q1 else (p2, q2)
+    return replace(params, cache_size_d=n, library_size=d)

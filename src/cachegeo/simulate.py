@@ -228,7 +228,7 @@ def _blocks(cfg: SimConfig):
 
 def _capped(mean: float, subject: str, what: str) -> float:
     """``mean`` if a count draw takes it; else the run is refused, naming the window."""
-    if not mean <= _MAX_POINTS_PER_TRIAL:  # NaN where the reach overflows
+    if not mean <= _MAX_POINTS_PER_TRIAL:
         raise ParameterError("window_radius", f"window_radius: {subject} has {mean:.3g} {what} "
                              f"on average, above the cap of {_MAX_POINTS_PER_TRIAL:.0e}")
     return mean
@@ -246,8 +246,9 @@ def _outage_blocks(params: SystemParams, cfg: SimConfig, physical=False):
     its trials have a hit, and only those go on; their fields are the SBSs
     without the content, none at pc = 1, and the caching ones beyond the
     server. Refused before any draw: an undefined serving-distance law, a
-    window that does not cover r_th, and a link at r_th whose candidate
-    mean, which bounds every trial's, is above the cap.
+    window that does not cover r_th, a link at r_th whose reach overflows,
+    and one whose candidate mean, which bounds every trial's, is above the
+    cap.
     """
     _serving_distance_law(params)
     window = math.inf if cfg.window_radius is None else cfg.window_radius
@@ -261,6 +262,9 @@ def _outage_blocks(params: SystemParams, cfg: SimConfig, physical=False):
     reach = gamma ** (1.0 / alpha)
     region = "the whole plane" if window == math.inf else f"a {window:g} m window"
     link = np.array([reach * params.r_th])
+    if link[0] == math.inf:  # every share and mean would be NaN
+        raise ParameterError("window_radius", f"window_radius: the reach gamma**(1/alpha) * r_th "
+                             f"= {reach:.3g} * {params.r_th:g} m overflows a float")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing mean is refused
         mean = _candidate_mean(lam, _candidate_shares(link, 0.0, window, alpha))[0]
     _capped(mean, f"a link at r_th {params.r_th:g} m on {region} at lambda_s {lam:g}", "candidates")
@@ -371,20 +375,21 @@ def estimate_content_outage(params: SystemParams, cfg: SimConfig) -> Estimate:
 def estimate_cache_hit(params: SystemParams, cfg: SimConfig) -> Estimate:
     """Binomial estimate of the probability that some SBS within r_th caches the content.
 
-    Each trial draws the Poisson count of SBSs on the disc of radius r_th
-    and marks each SBS as holding the requested content independently with
-    probability pc; under uniform popularity this is exactly drawing d of
-    |C| contents without replacement and checking membership. A hit is at
-    least one marked SBS, and the marked count is Binomial(count, pc), so
-    no distance is drawn. A disc whose mean count exceeds the per-trial
-    cap is refused before any draw.
+    Each SBS holds the requested content independently with probability
+    pc; under uniform popularity this is exactly drawing d of |C| contents
+    without replacement and checking membership. By independent thinning
+    the caching SBSs are a Poisson field of density lambda_s * pc, so each
+    trial draws one count, Poisson of mean lambda_s * pc * pi * r_th**2,
+    of the caching SBSs on the disc of radius r_th, and a hit is a nonzero
+    count; no distance is drawn. A disc whose mean SBS count exceeds the
+    per-trial cap is refused before any draw.
     """
     lam, r_th = params.lambda_s, params.r_th
     mean = _capped(lam * math.pi * (r_th * r_th),
                    f"the disc of radius r_th {r_th:g} m at lambda_s {lam:g}", "SBSs")
     hits = 0
     for rng, size in _blocks(cfg):
-        hits += int(np.count_nonzero(rng.binomial(rng.poisson(mean, size), params.pc)))
+        hits += int(np.count_nonzero(rng.poisson(mean * params.pc, size)))
     return _binomial_estimate(hits, cfg.trials, window_radius=params.r_th)
 
 

@@ -9,7 +9,6 @@ reproducible bit-exactly from (spec, seed, version).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 from operator import attrgetter
@@ -368,8 +367,6 @@ def _format_value(value) -> str:
     # repr keeps full round-trip precision (well above 12 significant digits)
     if value is None:
         return ""
-    if isinstance(value, float) and not math.isfinite(value):
-        return repr(value)
     return repr(float(value))
 
 

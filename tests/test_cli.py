@@ -181,6 +181,19 @@ def test_out_of_domain_input_exits_2_naming_its_field(argv, field, tmp_path, cap
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("mode", ["emulated", "physical"])
+@pytest.mark.parametrize("window", [["--window", "1e201"], []], ids=["window", "plane"])
+def test_simulate_overflowing_reach_exits_2_naming_it(mode, window, capsys):
+    # gamma**(1/alpha) * r_th = 7.2e142 * 1e200 m overflows a float
+    argv = ["simulate", "--lambda", "1e-300", "--alpha", "2.1", "--gamma-db", "3000",
+            "--rth", "1e200", *window, "--d", "2", "--library", "100", "--trials", "50",
+            "--mode", mode]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "reach gamma**(1/alpha) * r_th" in err and "overflows" in err
+    assert "nan" not in err and err.endswith("(field: window_radius)\n")
+
+
 # -- simulate ----------------------------------------------------------------
 
 
@@ -429,6 +442,28 @@ def test_linear_grid_keeps_its_points_and_spans_the_float_range(tmp_path):
     assert grid(-1e308, 1e308, 3) == (-1e308, 0.0, 1e308)
     rc = main(["sweep", "--axis", "rth", "--from", "1", "--to", "1e308", "--steps", "3",
                *P_FLAGS, "--out", str(tmp_path)])
+    assert rc == 0
+
+
+def test_log_grid_keeps_its_points_and_reaches_the_float_maximum(tmp_path):
+    # a log grid keeps the bytes of 10 ** e for e = lo + (hi - lo) * i /
+    # (steps - 1); where 10 ** e rounds past the float range, the point is
+    # the larger endpoint scaled by 10 ** (e - its exponent)
+    def grid(start, stop, steps):
+        argv = ["sweep", "--log", f"--from={start!r}", f"--to={stop!r}", "--steps", str(steps)]
+        return cli._grid_from_flags(build_parser().parse_args(argv))
+
+    def powers(start, stop, steps):
+        lo, hi = math.log10(start), math.log10(stop)
+        return tuple(10 ** (lo + (hi - lo) * i / (steps - 1)) for i in range(steps))
+
+    for start, stop, steps in ((1e-3, 1.0, 25), (1.0, 1e308, 7), (5e-324, 3.0, 4)):
+        assert grid(start, stop, steps) == powers(start, stop, steps)
+    top = sys.float_info.max
+    assert grid(1.0, top, 3) == (1.0, 10 ** (math.log10(top) / 2), top)
+    assert grid(top, 1.0, 3)[0] == top
+    rc = main(["sweep", "--axis", "rth", "--log", "--from", "1", "--to", repr(top),
+               "--steps", "3", *P_FLAGS, "--out", str(tmp_path)])
     assert rc == 0
 
 

@@ -1,9 +1,11 @@
 """Domain types, validation, and unit conversion."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cachegeo.model import (
     ParameterError,
@@ -12,6 +14,7 @@ from cachegeo.model import (
     validate,
     with_replication_ratio,
 )
+from cachegeo.sweep import _PC_GRID
 
 
 def make_params(**overrides):
@@ -87,6 +90,28 @@ def test_with_replication_ratio_exact_for_decimals():
         q = validate(with_replication_ratio(p, pc))
         assert q.pc == pc
     assert with_replication_ratio(p, 0.0).cache_size_d == 0
+
+
+def _limited(pc):
+    frac = Fraction(pc).limit_denominator(10**6)
+    return frac.numerator, frac.denominator
+
+
+@settings(max_examples=500, deadline=None)
+@given(pc=st.floats(0.0, 1.0))
+@example(pc=5e-324)
+@example(pc=5e-7)
+@example(pc=1.0 - 2**-53)
+def test_with_replication_ratio_is_the_closest_fraction(pc):
+    # the closest fraction with denominator at most 10**6, on the stdlib's tie rule
+    q = with_replication_ratio(make_params(), pc)
+    assert (q.cache_size_d, q.library_size) == _limited(pc)
+
+
+def test_with_replication_ratio_on_the_figure_grid():
+    for pc in _PC_GRID:
+        q = with_replication_ratio(make_params(), pc)
+        assert (q.cache_size_d, q.library_size) == _limited(pc)
 
 
 def test_with_replication_ratio_rejects_out_of_range():

@@ -322,6 +322,21 @@ def test_cache_hit_estimate_covers_planned_density_target():
     assert abs(est.mean - cache_hit_prob(p)) <= 3.0 * (est.ci_high - est.ci_low) / 2.0
 
 
+@pytest.mark.parametrize("disc_mean,d,library,seed", [
+    (1.0, 1, 1, 31),  # pc = 1: every SBS caches the content
+    (math.log(2.0) * 1e6, 1, 10**6, 32),  # pc = 1e-6 over ~6.9e5 SBSs on the disc
+    (1e3, 1, 1000, 33),  # ~1e3 SBSs on the disc, one in a thousand caching
+])
+def test_thinned_cache_hit_covers_its_closed_form(disc_mean, d, library, seed):
+    # each trial draws one Poisson(lambda_s * pc * pi * r_th**2) count of
+    # caching SBSs; its hit rate must cover 1 - exp(-lambda_s * pc * pi * r_th**2)
+    p = make_params(lambda_s=disc_mean / (math.pi * 100.0), r_th=10.0,
+                    cache_size_d=d, library_size=library)
+    est = estimate_cache_hit(p, SimConfig(trials=5000, master_seed=seed))
+    assert est.contains(cache_hit_prob(p))
+    assert 0.3 < cache_hit_prob(p) < 0.7
+
+
 # -- physical-mode estimator ---------------------------------------------------------------------
 
 
@@ -709,8 +724,8 @@ def test_trial_stream_layout_is_pinned():
     # that their counts leave undecided, so a change to the counts, the
     # fades or the distances moves the outage indicators but not the
     # serving distances; the first covered trials pin where they move. A
-    # cache-hit block of up to 4096 trials draws their disc counts, then
-    # their caching counts
+    # cache-hit block of up to 4096 trials draws one count per trial, of the
+    # caching SBSs on the disc: Poisson(lambda_s * pc * pi * r_th**2)
     p = make_params()
     distances, outages = content_outage_trials(
         p, SimConfig(trials=1000, master_seed=7, window_radius=100.0)
@@ -727,8 +742,8 @@ def test_trial_stream_layout_is_pinned():
     assert int(plane_outages.sum()) == 758
     assert np.flatnonzero(~plane_outages)[:6].tolist() == [10, 13, 19, 22, 27, 36]
     hit = estimate_cache_hit(p, SimConfig(trials=3000, master_seed=8))
-    assert (hit.mean, hit.n, hit.n_discarded) == (435 / 3000, 3000, 0)
-    assert (hit.ci_low, hit.ci_high) == (0.12922453970469513, 0.16234225398616856)
+    assert (hit.mean, hit.n, hit.n_discarded) == (461 / 3000, 3000, 0)
+    assert (hit.ci_low, hit.ci_high) == (0.13747277576974629, 0.1713891008920447)
 
 
 def test_physical_trial_stream_is_pinned():
