@@ -14,7 +14,6 @@ from .analytic import (
     replication_ratio_bounds,
     content_outage,
     content_outage_quadrature,
-    interference_tail_exponent,
     kappa,
     hit_target_feasible,
     optimal_density,
@@ -39,6 +38,7 @@ from .simulate import (
     estimate_cache_hit,
     estimate_content_outage,
     estimate_physical,
+    interference_tail_exponent,
     outage_exponent,
     trial_stream,
 )

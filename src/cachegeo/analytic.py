@@ -3,8 +3,8 @@
 All functions are pure and operate on validated :class:`~cachegeo.model.SystemParams`.
 Probabilities are computed through ``expm1``/``log1p`` so that the small-exponent
 regimes that sweeps visit do not lose precision. scipy is imported only inside
-the functions that call it (the tail exponent's ``hyp2f1`` and the quadrature's
-``quad``), so the emulated closed forms load without it.
+the functions that call it (:func:`_tail_hypergeometric`'s ``hyp2f1`` and the
+quadrature's ``quad``), so the emulated closed forms load without it.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import ParameterError, SystemParams, checked
 
 __all__ = [
@@ -22,7 +20,6 @@ __all__ = [
     "QuadratureError",
     "kappa",
     "outage_at_distance",
-    "interference_tail_exponent",
     "cache_hit_prob",
     "hit_target_feasible",
     "replication_ratio_bounds",
@@ -92,32 +89,16 @@ def outage_at_distance(params: SystemParams, r: float) -> float:
     return -math.expm1(-exponent)
 
 
-def interference_tail_exponent(
-    lambda_s: float, alpha: float, gamma: float, r0, radius: float
-):
-    """Tail exponent T_R of the faded interference from beyond ``radius``.
+def _tail_hypergeometric(alpha: float, z):
+    """F(alpha, z) = 2F1(1, 1 - 2/alpha; 2 - 2/alpha; -z), of a float or an array ``z`` >= 0.
 
-    The probability generating functional of the Poisson field with
-    unit-mean exponential fading gives, at s = gamma * r0**alpha,
-    T_R(s) = 2*pi*lambda_s * int_R^inf r / (1 + r**alpha / s) dr
-           = -ln E[exp(-s * I_out)],
-    with I_out the interference from beyond R (Haenggi, *Stochastic
-    Geometry for Wireless Networks*, ch. 5), in the unit of
-    :func:`~cachegeo.simulate.outage_exponent`. Its Euler-integral form
-    2*pi*lambda_s * R**2 * v / (alpha - 2) * 2F1(1, 1 - 2/alpha; 2 - 2/alpha; -v),
-    v = gamma * (r0/R)**alpha, stays finite at any alpha and as gamma -> 0,
-    because r0 <= R keeps (r0/R)**alpha <= 1. ``r0`` is a float or an
-    array of serving distances in [0, R]; the result has its shape.
+    2/(alpha - 2) * z * F(alpha, z) = 2 * int_1^inf t / (1 + t**alpha / z) dt
+    (DLMF 15.6.1), the faded interference from beyond a radius. It loads ``scipy.special``.
     """
-    alpha, radius = checked("alpha", alpha), checked("window_radius", radius)
     from scipy.special import hyp2f1
 
     delta = 2.0 / alpha
-    v = gamma * (np.asarray(r0, dtype=float) / radius) ** alpha
-    return (
-        2.0 * math.pi * lambda_s * (radius * radius) / (alpha - 2.0)
-        * (v * hyp2f1(1.0, 1.0 - delta, 2.0 - delta, -v))
-    )
+    return hyp2f1(1.0, 1.0 - delta, 2.0 - delta, -z)
 
 
 def cache_hit_prob(params: SystemParams) -> float:
@@ -246,12 +227,12 @@ def physical_content_outage(params: SystemParams) -> float:
     the serving-distance law, the outage has the shape of
     :func:`content_outage` with that excess in place of
     kappa*gamma**(2/alpha), and since rho <= kappa*gamma**(2/alpha) it is
-    never above it. rho is the tail exponent of the unit field beyond a
-    unit radius, so this loads ``scipy.special``.
+    never above it. The 2F1 factor is :func:`_tail_hypergeometric`, so
+    this loads ``scipy.special``.
     """
     pc = _hit_ratio(params)
     alpha, gamma = params.alpha, params.gamma
-    rho = float(interference_tail_exponent(1.0 / math.pi, alpha, gamma, 1.0, 1.0))
+    rho = 2.0 / (alpha - 2.0) * (gamma * float(_tail_hypergeometric(alpha, gamma)))
     excess = pc * rho + (1.0 - pc) * kappa(alpha) * gamma ** (2.0 / alpha)
     return _conditioned_outage(pc, excess, params.lambda_s * math.pi * (params.r_th * params.r_th))
 

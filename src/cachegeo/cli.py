@@ -89,6 +89,23 @@ def _add_param_flags(parser: argparse.ArgumentParser, required: bool = True) -> 
                         help="library size |C|")
 
 
+def _add_sim_flags(parser: argparse.ArgumentParser, trials: int | None, seed: int | None) -> None:
+    """Declare --trials, --seed and --window, the Monte Carlo flags, with these defaults.
+
+    A None ``trials`` attaches Monte Carlo columns only where --trials or
+    --window is given; a None ``seed`` takes the config's.
+    """
+    parser.add_argument("--trials", type=int, default=trials,
+                        help="attach Monte Carlo columns with this many trials" if trials is None
+                        else "Monte Carlo trials (default %(default)s)")
+    parser.add_argument("--seed", type=int, default=seed,
+                        help=f"master seed (default: config value, else {SimConfig.master_seed})"
+                        if seed is None else "master seed (default %(default)s)")
+    parser.add_argument("--window", type=float, default=None,
+                        help="radius [m], at least rth, out to which interferers are sampled; "
+                        "the field beyond is added exactly (default: the whole plane)")
+
+
 def _param_fields(args: argparse.Namespace) -> dict:
     """The model flags given, as SystemParams fields with gamma converted from dB."""
     fields = {
@@ -151,15 +168,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     estimator, closed_form = _MODES[args.mode]
     analytic_value = closed_form(params)
     estimate = estimator(params, cfg)
-    fields = asdict(estimate)
     out = {
         "params": {**asdict(params), "pc": params.pc},
         "mode": args.mode,
         "trials": cfg.trials,
         "master_seed": cfg.master_seed,
-        "window_radius": fields.pop("window_radius"),
+        "window_radius": cfg.window_radius,
         "analytic_content_outage": analytic_value,
-        "estimate": fields,
+        "estimate": asdict(estimate),
         "verdict": "PASS" if estimate.contains(analytic_value) else "FAIL",
     }
     _report(out, args.json)
@@ -313,14 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo estimate vs closed form")
     _add_param_flags(p)
-    p.add_argument("--trials", type=int, default=SimConfig.trials,
-                   help="Monte Carlo trials (default %(default)s)")
-    p.add_argument("--seed", type=int, default=SimConfig.master_seed,
-                   help="master seed (default %(default)s)")
+    _add_sim_flags(p, SimConfig.trials, SimConfig.master_seed)
     p.add_argument("--mode", choices=list(_MODES), default="emulated")
-    p.add_argument("--window", type=float, default=None,
-                   help="radius [m], at least rth, out to which interferers are sampled; "
-                   "the field beyond is added exactly (default: the whole plane)")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_simulate)
 
@@ -337,24 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series-values", dest="series_values",
                    help="comma-separated values, one curve per value")
     _add_param_flags(p, required=False)
-    p.add_argument("--trials", type=int, default=None,
-                   help="attach Monte Carlo columns with this many trials")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"master seed (default: config value, else {SimConfig.master_seed})")
-    p.add_argument("--window", type=float, default=None,
-                   help="interference window radius [m] (default: the whole plane)")
+    _add_sim_flags(p, None, None)
     p.add_argument("--out", default=".", help="output directory (default: current)")
     p.add_argument("--name", default=None, help="output basename (default: spec label)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("figure", help="run a canned figure-style sweep preset")
     p.add_argument("--fig", type=int, required=True, choices=FIGURE_NUMBERS)
-    p.add_argument("--seed", type=int, default=SimConfig.master_seed,
-                   help="master seed (default %(default)s)")
-    p.add_argument("--trials", type=int, default=None,
-                   help="attach Monte Carlo columns with this many trials")
-    p.add_argument("--window", type=float, default=None,
-                   help="interference window radius [m] (default: the whole plane)")
+    _add_sim_flags(p, None, SimConfig.master_seed)
     p.add_argument("--out", default=".", help="output directory (default: current)")
     p.set_defaults(func=cmd_figure)
 

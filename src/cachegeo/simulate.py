@@ -18,10 +18,10 @@ serving fade h0 ~ Exp(1), the one fade drawn, is below E = T_R + sum over
 candidates of -ln(1 - q/min(1, x)) = log1p(max(x, 1/x)): -ln of the
 coverage given the candidates. Candidates are sampled on the whole plane,
 or on a disc of radius R, the window, beyond which T_R adds the field in
-closed form (:func:`~cachegeo.analytic.interference_tail_exponent`), so
-the estimate is unbiased for the infinite plane at every window. As a
-term is at least ln 2, a trial with h0 < T_R + _FLOOR * N, N its count of
-candidates, is in outage wherever they lie; only the others place them.
+closed form (:func:`interference_tail_exponent`), so the estimate is
+unbiased for the infinite plane at every window. As a term is at least
+ln 2, a trial with h0 < T_R + _FLOOR * N, N its count of candidates, is
+in outage wherever they lie; only the others place them.
 
 Both associations run one block loop. Physical mode keeps the trials with
 a hit, Binomial(trials, hit probability) of them, and samples them given
@@ -41,7 +41,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .analytic import _serving_distance_law, cache_hit_prob, interference_tail_exponent
+from .analytic import _serving_distance_law, _tail_hypergeometric, cache_hit_prob
 from .model import ParameterError, SystemParams, checked
 
 __all__ = [
@@ -97,9 +97,7 @@ class Estimate:
 
     ``n`` is the effective sample size; ``n_discarded`` counts the trials
     without a caching SBS within r_th, which physical mode discards, so
-    that ``n`` is Binomial(trials, hit probability) there (0 when emulated);
-    ``window_radius`` is the radius of the disc the fields were sampled
-    on, None for the whole plane.
+    that ``n`` is Binomial(trials, hit probability) there (0 when emulated).
     """
 
     mean: float
@@ -108,7 +106,6 @@ class Estimate:
     confidence: float
     n: int
     n_discarded: int = 0
-    window_radius: float | None = None
 
     def contains(self, value: float) -> bool:
         return self.ci_low <= value <= self.ci_high
@@ -206,6 +203,28 @@ def outage_exponent(
     return exponent
 
 
+def interference_tail_exponent(
+    lambda_s: float, alpha: float, gamma: float, r0, radius: float
+):
+    """Tail exponent T_R of the faded interference from beyond ``radius``.
+
+    The probability generating functional of the Poisson field with
+    unit-mean exponential fading gives, at s = gamma * r0**alpha,
+    T_R(s) = 2*pi*lambda_s * int_R^inf r / (1 + r**alpha / s) dr
+           = -ln E[exp(-s * I_out)],
+    with I_out the interference from beyond R (Haenggi, *Stochastic
+    Geometry for Wireless Networks*, ch. 5), in the unit of
+    :func:`outage_exponent`. It is 2*pi*lambda_s * R**2 * v/(alpha - 2) * F(alpha, v)
+    (:func:`~cachegeo.analytic._tail_hypergeometric`), v = gamma * (r0/R)**alpha,
+    finite at any alpha and as gamma -> 0, because r0 <= R keeps v <= gamma.
+    ``r0`` is a float or an array of serving distances in [0, R]; the result has its shape.
+    """
+    alpha, radius = checked("alpha", alpha), checked("window_radius", radius)
+    v = gamma * (np.asarray(r0, dtype=float) / radius) ** alpha
+    scale = 2.0 * math.pi * lambda_s * (radius * radius) / (alpha - 2.0)
+    return scale * (v * _tail_hypergeometric(alpha, v))
+
+
 def _field_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sum of each field's run of ``values``, fields back to back; 0 for an empty field.
 
@@ -226,10 +245,10 @@ def _blocks(cfg: SimConfig):
         yield trial_stream(cfg.master_seed, index), min(_BLOCK_TRIALS, cfg.trials - start)
 
 
-def _capped(mean: float, subject: str, what: str) -> float:
-    """``mean`` if a count draw takes it; else the run is refused, naming the window."""
+def _capped(mean: float, field: str, subject: str, what: str) -> float:
+    """``mean`` if a count draw takes it; else the run is refused, naming the input ``field``."""
     if not mean <= _MAX_POINTS_PER_TRIAL:
-        raise ParameterError("window_radius", f"window_radius: {subject} has {mean:.3g} {what} "
+        raise ParameterError(field, f"{field}: {subject} has {mean:.3g} {what} "
                              f"on average, above the cap of {_MAX_POINTS_PER_TRIAL:.0e}")
     return mean
 
@@ -246,9 +265,10 @@ def _outage_blocks(params: SystemParams, cfg: SimConfig, physical=False):
     its trials have a hit, and only those go on; their fields are the SBSs
     without the content, none at pc = 1, and the caching ones beyond the
     server. Refused before any draw: an undefined serving-distance law, a
-    window that does not cover r_th, a link at r_th whose reach overflows,
-    and one whose candidate mean, which bounds every trial's, is above the
-    cap.
+    window that does not cover r_th, a link at r_th whose reach overflows
+    (naming r_th), and one whose candidate mean, which bounds every
+    trial's and is proportional to lambda_s, is above the cap (naming the
+    window if one is set, else lambda_s).
     """
     _serving_distance_law(params)
     window = math.inf if cfg.window_radius is None else cfg.window_radius
@@ -263,11 +283,12 @@ def _outage_blocks(params: SystemParams, cfg: SimConfig, physical=False):
     region = "the whole plane" if window == math.inf else f"a {window:g} m window"
     link = np.array([reach * params.r_th])
     if link[0] == math.inf:  # every share and mean would be NaN
-        raise ParameterError("window_radius", f"window_radius: the reach gamma**(1/alpha) * r_th "
+        raise ParameterError("r_th", f"r_th: the reach gamma**(1/alpha) * r_th "
                              f"= {reach:.3g} * {params.r_th:g} m overflows a float")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing mean is refused
         mean = _candidate_mean(lam, _candidate_shares(link, 0.0, window, alpha))[0]
-    _capped(mean, f"a link at r_th {params.r_th:g} m on {region} at lambda_s {lam:g}", "candidates")
+    _capped(mean, "lambda_s" if cfg.window_radius is None else "window_radius",
+            f"a link at r_th {params.r_th:g} m on {region} at lambda_s {lam:g}", "candidates")
     for rng, size in _blocks(cfg):
         served = rng.binomial(size, hit) if physical else size
         r0 = draw_serving_distance(params, rng, served)
@@ -382,15 +403,16 @@ def estimate_cache_hit(params: SystemParams, cfg: SimConfig) -> Estimate:
     trial draws one count, Poisson of mean lambda_s * pc * pi * r_th**2,
     of the caching SBSs on the disc of radius r_th, and a hit is a nonzero
     count; no distance is drawn. A disc whose mean SBS count exceeds the
-    per-trial cap is refused before any draw.
+    per-trial cap is refused before any draw, naming lambda_s, which that
+    mean is proportional to.
     """
     lam, r_th = params.lambda_s, params.r_th
-    mean = _capped(lam * math.pi * (r_th * r_th),
+    mean = _capped(lam * math.pi * (r_th * r_th), "lambda_s",
                    f"the disc of radius r_th {r_th:g} m at lambda_s {lam:g}", "SBSs")
     hits = 0
     for rng, size in _blocks(cfg):
         hits += int(np.count_nonzero(rng.poisson(mean * params.pc, size)))
-    return _binomial_estimate(hits, cfg.trials, window_radius=params.r_th)
+    return _binomial_estimate(hits, cfg.trials)
 
 
 def estimate_physical(params: SystemParams, cfg: SimConfig) -> Estimate:
@@ -419,10 +441,7 @@ def _estimate_outage(params: SystemParams, cfg: SimConfig, physical: bool) -> Es
             f"no caching SBS within r_th={params.r_th} in any of {cfg.trials} trials "
             "(effective sample size 0)"
         )
-    n_discarded = cfg.trials - served
-    return _binomial_estimate(
-        outages, served, n_discarded=n_discarded, window_radius=cfg.window_radius
-    )
+    return _binomial_estimate(outages, served, n_discarded=cfg.trials - served)
 
 
 def binomial_ci(successes: float, n: int, confidence: float = 0.99) -> tuple[float, float]:
@@ -456,8 +475,7 @@ def _wilson_z(confidence: float) -> float:
 
 
 def _binomial_estimate(
-    successes: int, n: int, confidence: float = 0.99, n_discarded: int = 0,
-    window_radius: float | None = None,
+    successes: int, n: int, confidence: float = 0.99, n_discarded: int = 0
 ) -> Estimate:
     low, high = binomial_ci(successes, n, confidence)
     return Estimate(
@@ -467,5 +485,4 @@ def _binomial_estimate(
         confidence=confidence,
         n=n,
         n_discarded=n_discarded,
-        window_radius=window_radius,
     )

@@ -33,7 +33,7 @@ from cachegeo.model import (
     db_to_linear,
     validate,
 )
-from cachegeo.simulate import Estimate
+from cachegeo.simulate import Estimate, SimConfig, estimate_cache_hit
 from cachegeo.sweep import FIGURE_NUMBERS, Axis, SweepSpec, read_json, spec_to_dict
 
 P_FLAGS = [
@@ -165,9 +165,10 @@ def _with_gamma_db(value):
         # a zero target needs no density, but the ratio must still be one
         (["plan", "--epsilon", "0", "--rth", "5", "--pc", "7"], "pc"),
         (["plan", "--epsilon", "0", "--rth", "5", "--pc", "nan"], "pc"),
-        # the candidate mean of a link at r_th on the whole plane overflows to inf
+        # the candidate mean of a link at r_th on the whole plane overflows to inf; it is
+        # proportional to lambda_s, the field a run without a window is refused in
         (["simulate", "--lambda", "1e-300", "--alpha", "3", "--gamma-db", "-10", "--rth", "1e308",
-          "--d", "2", "--library", "100", "--trials", "5"], "window_radius"),
+          "--d", "2", "--library", "100", "--trials", "5"], "lambda_s"),
     ],
     ids=["analytic-4000-dB", "analytic-minus-4000-dB", "sweep-to-4000-dB", "plan-pc-7",
          "plan-pc-nan", "simulate-default-window-overflows"],
@@ -191,7 +192,55 @@ def test_simulate_overflowing_reach_exits_2_naming_it(mode, window, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "reach gamma**(1/alpha) * r_th" in err and "overflows" in err
-    assert "nan" not in err and err.endswith("(field: window_radius)\n")
+    assert "nan" not in err and err.endswith("(field: r_th)\n")
+
+
+# above the point cap, 5.08e19 candidates on the whole plane and 1.26e19 on a 20 km window
+_CAP_FLAGS = ["--lambda", "1e10", "--alpha", "3", "--gamma-db", "80", "--rth", "50",
+              "--d", "2", "--library", "100"]
+# the reach gamma**(1/alpha) * r_th overflows a float
+_REACH_FLAGS = ["--lambda", "1e-300", "--alpha", "2.1", "--gamma-db", "3000", "--rth", "1e200",
+                "--d", "2", "--library", "100"]
+# lambda_s*pi*r_th**2 = 3.1e20 SBSs on the hit disc
+_HIT_CAP = {"lambda_s": 1.0, "alpha": 3.0, "gamma": 0.1, "r_th": 1e10, "cache_size_d": 2,
+            "library_size": 100}
+
+
+@pytest.mark.parametrize("command, flags, field", [
+    ("simulate", _CAP_FLAGS, "lambda_s"),
+    ("simulate", [*_CAP_FLAGS, "--mode", "physical"], "lambda_s"),
+    ("simulate", [*_CAP_FLAGS, "--window", "20000"], "window_radius"),
+    ("simulate", [*_CAP_FLAGS, "--window", "20000", "--mode", "physical"], "window_radius"),
+    ("simulate", _REACH_FLAGS, "r_th"),
+    ("simulate", [*_REACH_FLAGS, "--mode", "physical"], "r_th"),
+    ("simulate", [*_REACH_FLAGS, "--window", "1e201"], "r_th"),
+    ("simulate", [*_REACH_FLAGS, "--window", "1e201", "--mode", "physical"], "r_th"),
+    ("estimate_cache_hit", [], "lambda_s"),
+    ("sweep", ["--lambda", "1", "--alpha", "3", "--gamma-db", "-10", "--rth", "1e10", "--d", "2",
+               "--library", "100", "--quantity", "hit", "--axis", "pc", "--from", "0.02",
+               "--to", "1", "--steps", "2", "--trials", "10"], "lambda_s"),
+], ids=["plane-cap-emulated", "plane-cap-physical", "window-cap-emulated", "window-cap-physical",
+        "plane-reach-emulated", "plane-reach-physical", "window-reach-emulated",
+        "window-reach-physical", "hit-cap-estimator", "hit-cap-sweep-row"])
+def test_a_refusal_names_an_input_the_run_set(command, flags, field, tmp_path, monkeypatch,
+                                               capsys):
+    # only a run with --window is refused in its name, and every refusal
+    # comes before any block opens its stream
+    def no_draw(*args):
+        raise AssertionError("a block stream was opened")
+
+    monkeypatch.setattr("cachegeo.simulate.trial_stream", no_draw)
+    if command == "estimate_cache_hit":
+        with pytest.raises(ParameterError) as excinfo:
+            estimate_cache_hit(SystemParams(**_HIT_CAP), SimConfig(trials=10))
+        named = [excinfo.value.field]
+    elif command == "sweep":
+        assert main(["sweep", *flags, "--out", str(tmp_path), "--name", "capped"]) == 0
+        named = [row.error.split(":")[0] for row in read_json(tmp_path / "capped_0.json").rows]
+    else:
+        assert main(["simulate", *flags]) == 2
+        named = re.findall(r"\(field: (\w+)\)", capsys.readouterr().err)
+    assert named and set(named) == {field}
 
 
 # -- simulate ----------------------------------------------------------------
@@ -426,7 +475,19 @@ def test_sweep_records_oversized_fields_as_row_errors(tmp_path, capsys):
     assert rc == 0
     assert "3 cell(s) recorded errors" in capsys.readouterr().err
     rows = read_json(tmp_path / "huge_0.json").rows
-    assert all("window_radius" in row.error and row.sim_mean is None for row in rows)
+    assert all(row.error.startswith("lambda_s: the disc of radius r_th") and row.sim_mean is None
+               for row in rows)
+
+
+def test_table_into_a_regular_file_exits_2(tmp_path, capsys):
+    # --out names an existing file, where no output directory can be made:
+    # main turns the OSError into exit 2
+    target = tmp_path / "taken"
+    target.write_text("", encoding="utf-8")
+    assert main(["figure", "--fig", "2", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert (captured.out, target.read_text(encoding="utf-8")) == ("", "")
 
 
 def test_linear_grid_keeps_its_points_and_spans_the_float_range(tmp_path):
@@ -561,6 +622,15 @@ def test_sweep_config_physical_mode_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [config]  # no table written
 
 
+def test_sweep_config_with_a_partial_grid_exits_2(tmp_path, capsys):
+    # over a config's grid, --from without --to and --steps is refused
+    config = _sim_config(tmp_path)
+    rc = main(["sweep", "--config", str(config), "--from", "0.1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "(field: steps)" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_sweep_config_that_is_not_json_exits_2(tmp_path, capsys):
     config = tmp_path / "spec.json"
     config.write_text("{", encoding="utf-8")
@@ -599,17 +669,20 @@ _REAL_CONFIG_FIELDS = [
     (("values", 0), "gamma_db"), (("series_values", 1), "pc"),
     (("sim", "window_radius"), "window_radius"),
 ]
+_HUGE = 10**400  # a JSON integer beyond the float range
 
 
 @pytest.mark.parametrize(
     "path, field, value",
-    [pytest.param(path, field, value, id=f"{path[0]}.{path[1]}-{json.dumps(value)}")
-     for path, field in _REAL_CONFIG_FIELDS for value in (True, False, "0.1", None)
+    [pytest.param(path, field, value, id=f"{path[0]}.{path[1]}-"
+                  + ("10**400" if value is _HUGE else json.dumps(value)))
+     for path, field in _REAL_CONFIG_FIELDS for value in (True, False, "0.1", None, _HUGE)
      if not (field == "window_radius" and value is None)],  # a null window is the default
 )
 def test_sweep_config_with_non_number_exits_2(path, field, value, tmp_path, capsys):
     # a JSON boolean, string or null is no number, though Python's bool is an
-    # int and float("0.1") parses; it is refused by name before any table is written
+    # int and float("0.1") parses, and an integer beyond the float range is
+    # no real; each is refused by name before any table is written
     config = _sim_config(tmp_path)
     data = {**json.loads(config.read_text()), "series_axis": "pc", "series_values": [0.02, 0.1]}
     section, key = path
@@ -850,7 +923,7 @@ def test_no_refused_input_reaches_an_estimator(drawn):
         except ParameterError as exc:
             raise AssertionError(f"a refused input reached an estimator: {exc}") from exc
         calls.append(params)
-        return Estimate(0.5, 0.0, 1.0, 0.99, cfg.trials, window_radius=cfg.window_radius)
+        return Estimate(0.5, 0.0, 1.0, 0.99, cfg.trials)
 
     with tempfile.TemporaryDirectory() as out, \
             mock.patch.dict(cli._MODES, {mode: (estimator, closed_form)

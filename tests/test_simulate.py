@@ -305,7 +305,7 @@ def test_cache_hit_point_cap_refuses_before_any_draw(monkeypatch):
     monkeypatch.setattr("cachegeo.simulate.trial_stream", no_draw)
     with pytest.raises(ParameterError) as excinfo:
         estimate_cache_hit(make_params(lambda_s=1.0, r_th=1e10), SimConfig(trials=10))
-    assert excinfo.value.field == "window_radius"
+    assert excinfo.value.field == "lambda_s"
 
 
 def test_cache_hit_estimate_covers_half_at_log2_product():
@@ -502,7 +502,6 @@ def test_physical_mode_runs_on_an_empty_annulus():
     # it, and the caching SBSs beyond the server lie on r0 < r <= r_th
     p = make_params(cache_size_d=30)
     est = estimate_physical(p, SimConfig(trials=500, master_seed=6, window_radius=p.r_th))
-    assert est.window_radius == p.r_th
     assert est.n + est.n_discarded == 500
     assert est.n > 0 and 0.0 <= est.mean <= 1.0
 
@@ -675,7 +674,7 @@ def test_an_outage_trial_places_few_candidates_at_a_60_db_cell(monkeypatch):
     monkeypatch.setattr("cachegeo.simulate.outage_exponent", counting)
     p = make_params(gamma=db_to_linear(60.0), r_th=10.0)
     est = estimate_content_outage(p, SimConfig(trials=2000, master_seed=1))
-    assert est.window_radius is None and placed
+    assert placed
     assert sum(placed) < 2 * 2000
 
 
@@ -787,14 +786,26 @@ def test_estimate_interval_brackets_mean():
 # -- window policy ----------------------------------------------------------------------------------
 
 
-def test_default_samples_the_whole_plane():
-    # with no window the fields are sampled on the whole plane in both
-    # modes, reported as None; at pc = 1 a physical run of 64 trials has a
-    # hit with near certainty
+def test_default_samples_the_whole_plane(monkeypatch):
+    # with no window the candidates are sampled on the whole plane in both
+    # modes, so no far field is added; at pc = 1 a physical run of 64
+    # trials has a hit with near certainty
+    radii = []
+
+    def recording(s, inner, window_radius, alpha):
+        radii.append(window_radius)
+        return _candidate_shares(s, inner, window_radius, alpha)
+
+    def no_tail(*args):
+        raise AssertionError("a far field was added")
+
+    monkeypatch.setattr("cachegeo.simulate._candidate_shares", recording)
+    monkeypatch.setattr("cachegeo.simulate.interference_tail_exponent", no_tail)
     for p in (make_params(cache_size_d=100), make_params(alpha=6.0, r_th=2.0, cache_size_d=100)):
         cfg = SimConfig(trials=64, master_seed=0)
-        assert estimate_content_outage(p, cfg).window_radius is None
-        assert estimate_physical(p, cfg).window_radius is None
+        estimate_content_outage(p, cfg)
+        estimate_physical(p, cfg)
+    assert radii and set(radii) == {math.inf}
 
 
 def test_window_below_threshold_distance_rejected():
