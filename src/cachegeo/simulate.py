@@ -239,10 +239,10 @@ def _field_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _blocks(cfg: SimConfig):
-    """Yield the stream, keyed by its index, and the trial count of each block of the run."""
-    for index, start in enumerate(range(0, cfg.trials, _BLOCK_TRIALS)):
-        yield trial_stream(cfg.master_seed, index), min(_BLOCK_TRIALS, cfg.trials - start)
+def _blocks(master_seed: int, trials: int):
+    """Yield the stream, keyed by its index, and the trial count of each block of ``trials``."""
+    for index, start in enumerate(range(0, trials, _BLOCK_TRIALS)):
+        yield trial_stream(master_seed, index), min(_BLOCK_TRIALS, trials - start)
 
 
 def _capped(mean: float, field: str, subject: str, what: str) -> float:
@@ -289,7 +289,7 @@ def _outage_blocks(params: SystemParams, cfg: SimConfig, physical=False):
         mean = _candidate_mean(lam, _candidate_shares(link, 0.0, window, alpha))[0]
     _capped(mean, "lambda_s" if cfg.window_radius is None else "window_radius",
             f"a link at r_th {params.r_th:g} m on {region} at lambda_s {lam:g}", "candidates")
-    for rng, size in _blocks(cfg):
+    for rng, size in _blocks(cfg.master_seed, cfg.trials):
         served = rng.binomial(size, hit) if physical else size
         r0 = draw_serving_distance(params, rng, served)
         s = reach * r0
@@ -402,17 +402,66 @@ def estimate_cache_hit(params: SystemParams, cfg: SimConfig) -> Estimate:
     the caching SBSs are a Poisson field of density lambda_s * pc, so each
     trial draws one count, Poisson of mean lambda_s * pc * pi * r_th**2,
     of the caching SBSs on the disc of radius r_th, and a hit is a nonzero
-    count; no distance is drawn. A disc whose mean SBS count exceeds the
-    per-trial cap is refused before any draw, naming lambda_s, which that
-    mean is proportional to.
+    count; no distance is drawn. A disc whose mean count of caching SBSs
+    exceeds the per-trial cap is refused before any draw, naming lambda_s,
+    which that mean is proportional to. This is the one-cell case of
+    :func:`_cache_hit_estimates`.
     """
-    lam, r_th = params.lambda_s, params.r_th
-    mean = _capped(lam * math.pi * (r_th * r_th), "lambda_s",
-                   f"the disc of radius r_th {r_th:g} m at lambda_s {lam:g}", "SBSs")
-    hits = 0
-    for rng, size in _blocks(cfg):
-        hits += int(np.count_nonzero(rng.poisson(mean * params.pc, size)))
-    return _binomial_estimate(hits, cfg.trials)
+    (estimate,) = _cache_hit_estimates([params], cfg)
+    if isinstance(estimate, ParameterError):
+        raise estimate
+    return estimate
+
+
+def _cache_hit_estimates(cells, cfg: SimConfig) -> list:
+    """:func:`estimate_cache_hit` of each cell's params, every cell drawn in one pass.
+
+    Returns, per cell in order, its :class:`Estimate` over ``cfg.trials``
+    trials, or the :class:`~cachegeo.model.ParameterError` that refuses its
+    thinned mean; the refused cells draw nothing, and the others lie back
+    to back in the pass (:func:`_hit_counts`).
+    """
+    results, means = [], []
+    for params in cells:
+        lam, pc, r_th = params.lambda_s, params.pc, params.r_th
+        # 0 when nothing is cached, also where the disc's own mean overflows
+        mean = lam * math.pi * (r_th * r_th) * pc if pc else 0.0
+        try:
+            means.append(_capped(mean, "lambda_s",
+                                 f"the disc of radius r_th {r_th:g} m at lambda_s {lam:g} "
+                                 f"and pc {pc:.3g}", "caching SBSs"))
+            results.append(None)
+        except ParameterError as exc:
+            results.append(exc)
+    hits = iter(_hit_counts(means, cfg))
+    return [_binomial_estimate(next(hits), cfg.trials) if result is None else result
+            for result in results]
+
+
+def _hit_counts(means, cfg: SimConfig) -> list[int]:
+    """Each cell's number of trials with a caching SBS on its disc, all cells in one pass.
+
+    Cell k holds ``cfg.trials`` trials that follow those of cell k - 1, and
+    the pass's len(means) * cfg.trials trials lie over the blocks of
+    :func:`_blocks`, each drawn from ``trial_stream(cfg.master_seed, b)``.
+    Each run of one cell's trials within a block draws their counts at
+    once, Poisson of the cell's thinned mean ``means[k]``, and a hit is a
+    nonzero count. A one-cell pass draws as its blocks do, and memory
+    stays at one block's counts whatever the number of cells.
+    """
+    blocks = _blocks(cfg.master_seed, len(means) * cfg.trials)
+    rng, room, hits = None, 0, []
+    for mean in means:
+        left, hit = cfg.trials, 0
+        while left:
+            if room == 0:
+                rng, room = next(blocks)
+            size = min(left, room)
+            hit += int(np.count_nonzero(rng.poisson(mean, size)))
+            left -= size
+            room -= size
+        hits.append(hit)
+    return hits
 
 
 def estimate_physical(params: SystemParams, cfg: SimConfig) -> Estimate:

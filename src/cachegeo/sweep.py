@@ -24,7 +24,7 @@ from .model import (
     validate,
     with_replication_ratio,
 )
-from .simulate import SimConfig, estimate_cache_hit, estimate_content_outage
+from .simulate import SimConfig, _cache_hit_estimates, estimate_content_outage
 
 __all__ = [
     "Axis",
@@ -117,17 +117,32 @@ def _apply_axis(base: SystemParams, axis: Axis | None, value: float | None) -> S
     return base  # EPSILON lives outside SystemParams, and a sweep without series has no axis
 
 
+def _outage_estimates(cells, sim: SimConfig) -> list:
+    """Each cell's outage estimate, or its ParameterError, from seed master_seed + table index."""
+    results = []
+    for index, params in cells:
+        # distinct seeds per cell keep the trial streams unrelated
+        cfg = replace(sim, master_seed=(sim.master_seed + index) % 2**64)
+        try:
+            results.append(estimate_content_outage(params, cfg))
+        except ParameterError as exc:
+            results.append(exc)
+    return results
+
+
 # each quantity's closed form of (cell params, axis value) and its Monte Carlo
-# estimator, None where it has none; the lambdas look the functions up at call
-# time, so a rebound module global is the one called
+# estimator, None where it has none; an estimator takes the (table index,
+# params) of a sweep's estimable cells and the sweep's SimConfig, and returns
+# per cell an Estimate or the ParameterError that refuses it. The lambdas
+# look the functions up at call time, so a rebound module global is the one called
 _QUANTITIES = {
     Quantity.CONTENT_OUTAGE: (
         lambda params, axis_value: content_outage(params),
-        lambda params, cfg: estimate_content_outage(params, cfg),
+        lambda cells, sim: _outage_estimates(cells, sim),
     ),
     Quantity.CACHE_HIT: (
         lambda params, axis_value: cache_hit_prob(params),
-        lambda params, cfg: estimate_cache_hit(params, cfg),
+        lambda cells, sim: _cache_hit_estimates([params for _, params in cells], sim),
     ),
     Quantity.OPTIMAL_DENSITY: (
         lambda params, epsilon: optimal_density(epsilon, params.pc, params.r_th),
@@ -184,23 +199,23 @@ def _validated_cells(spec: SweepSpec) -> list:
     return cells
 
 
-def _cell_row(spec: SweepSpec, params: SystemParams, axis_value: float,
-              series_value: float | None, cell_index: int) -> SweepRow:
-    closed_form, estimator = _QUANTITIES[spec.quantity]
-    cell = (axis_value, series_value)
+def _closed_form(closed_form, params: SystemParams, axis_value: float):
+    """The cell's closed form as a float, or the ParameterError that refuses it."""
     try:
-        analytic = float(closed_form(params, axis_value))
+        return float(closed_form(params, axis_value))
     except ParameterError as exc:
-        return SweepRow(*cell, None, error=str(exc))
-    if spec.sim is None:
+        return exc
+
+
+def _row(cell: tuple, analytic, estimate) -> SweepRow:
+    """The row of a cell from its closed form and its estimate, each maybe a ParameterError."""
+    if isinstance(analytic, ParameterError):
+        return SweepRow(*cell, None, error=str(analytic))
+    if isinstance(estimate, ParameterError):
+        return SweepRow(*cell, analytic, error=str(estimate))
+    if estimate is None:
         return SweepRow(*cell, analytic)
-    # distinct seeds per cell keep the trial streams unrelated
-    cfg = replace(spec.sim, master_seed=(spec.sim.master_seed + cell_index) % 2**64)
-    try:
-        est = estimator(params, cfg)
-    except ParameterError as exc:
-        return SweepRow(*cell, analytic, error=str(exc))
-    return SweepRow(*cell, analytic, est.mean, est.ci_low, est.ci_high)
+    return SweepRow(*cell, analytic, estimate.mean, estimate.ci_low, estimate.ci_high)
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
@@ -208,12 +223,23 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
 
     Rows follow the axis order within each series curve. Cell-level domain
     errors (a pc = 0 cell, a field above the per-trial point cap) are
-    recorded in the row without aborting the sweep.
+    recorded in the row without aborting the sweep. The estimator gets
+    every cell whose closed form holds at once: content-outage cells draw
+    from seed master_seed + table index, one cell after another, and
+    cache-hit cells lie back to back over the master seed's blocks, in
+    one pass (:func:`cachegeo.simulate._hit_counts`).
     """
-    rows = [
-        _cell_row(spec, params, axis_value, series_value, cell_index)
-        for cell_index, (series_value, axis_value, params) in enumerate(_validated_cells(spec))
-    ]
+    closed_form, estimator = _QUANTITIES[spec.quantity]
+    cells = _validated_cells(spec)
+    analytic = [_closed_form(closed_form, params, axis_value) for _, axis_value, params in cells]
+    estimates = [None] * len(cells)
+    if spec.sim is not None:
+        estimable = [(index, params) for index, ((_, _, params), value)
+                     in enumerate(zip(cells, analytic)) if not isinstance(value, ParameterError)]
+        for (index, _), estimate in zip(estimable, estimator(estimable, spec.sim)):
+            estimates[index] = estimate
+    rows = [_row((axis_value, series_value), value, estimate)
+            for (series_value, axis_value, _), value, estimate in zip(cells, analytic, estimates)]
     return SweepTable(rows=rows, metadata=_metadata(spec))
 
 
@@ -383,12 +409,16 @@ def emit_csv(table: SweepTable, destination) -> None:
 
 
 def emit_json(table: SweepTable, destination) -> None:
-    """Write ``table`` as a single JSON object with stable key order."""
+    """Write ``table`` as one compact JSON object on one line, with stable key order.
+
+    No indentation keeps the encoding in json's C encoder; the CSV is the
+    table to read by eye.
+    """
     payload = {
         "metadata": table.metadata,
         "rows": [dict(zip(CSV_HEADER, _row_values(row)), error=row.error) for row in table.rows],
     }
-    _write_text(destination, json.dumps(payload, indent=2) + "\n")
+    _write_text(destination, json.dumps(payload) + "\n")
 
 
 def read_json(source) -> SweepTable:

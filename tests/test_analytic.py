@@ -17,6 +17,7 @@ from scipy.integrate import quad
 
 from cachegeo.analytic import (
     QuadratureError,
+    _one_minus_phi,
     _serving_distance_expectation,
     cache_hit_prob,
     replication_ratio_bounds,
@@ -290,6 +291,23 @@ def test_content_outage_keeps_its_digits_where_it_is_small(alpha, cache_size_d, 
                 assert outage == pytest.approx(reference, rel=1e-10)
             else:  # a subnormal outage has fewer digits than 1e-10 asks
                 assert outage < 2.0 * sys.float_info.min
+
+
+def test_one_minus_phi_on_both_branches():
+    # the closed form 1 + expm1(-x)/x from x = 1/2 up, the series below it;
+    # each within a few ulps of 1 - (1 - e**-x)/x in 50 digits, and the two
+    # meet at 1/2, where one step of x moves the value by ~1e-17
+    mpmath = pytest.importorskip("mpmath")
+
+    def exact(x):
+        with mpmath.workdps(50):
+            x = mpmath.mpf(x)
+            return float(1 - (1 - mpmath.exp(-x)) / x)
+
+    below = math.nextafter(0.5, 0.0)
+    for x in (below, 0.5, 1.0, 10.0, 1e3):
+        assert _one_minus_phi(x) == pytest.approx(exact(x), rel=4e-16, abs=0.0)
+    assert abs(_one_minus_phi(0.5) - _one_minus_phi(below)) <= 2 * math.ulp(_one_minus_phi(0.5))
 
 
 def test_content_outage_is_not_negative_where_ratio_cancels():

@@ -201,7 +201,7 @@ _CAP_FLAGS = ["--lambda", "1e10", "--alpha", "3", "--gamma-db", "80", "--rth", "
 # the reach gamma**(1/alpha) * r_th overflows a float
 _REACH_FLAGS = ["--lambda", "1e-300", "--alpha", "2.1", "--gamma-db", "3000", "--rth", "1e200",
                 "--d", "2", "--library", "100"]
-# lambda_s*pi*r_th**2 = 3.1e20 SBSs on the hit disc
+# lambda_s*pc*pi*r_th**2 = 6.3e18 caching SBSs on the hit disc at pc = 0.02
 _HIT_CAP = {"lambda_s": 1.0, "alpha": 3.0, "gamma": 0.1, "r_th": 1e10, "cache_size_d": 2,
             "library_size": 100}
 
@@ -475,7 +475,8 @@ def test_sweep_records_oversized_fields_as_row_errors(tmp_path, capsys):
     assert rc == 0
     assert "3 cell(s) recorded errors" in capsys.readouterr().err
     rows = read_json(tmp_path / "huge_0.json").rows
-    assert all(row.error.startswith("lambda_s: the disc of radius r_th") and row.sim_mean is None
+    assert all(row.error.startswith("lambda_s: the disc of radius r_th")
+               and "caching SBSs on average" in row.error and row.sim_mean is None
                for row in rows)
 
 
@@ -929,7 +930,8 @@ def test_no_refused_input_reaches_an_estimator(drawn):
             mock.patch.dict(cli._MODES, {mode: (estimator, closed_form)
                                          for mode, (_, closed_form) in cli._MODES.items()}), \
             mock.patch.object(sweep, "estimate_content_outage", estimator), \
-            mock.patch.object(sweep, "estimate_cache_hit", estimator):
+            mock.patch.object(sweep, "_cache_hit_estimates",
+                              lambda cells, cfg: [estimator(params, cfg) for params in cells]):
         argv = source
         if isinstance(source, dict):
             config = Path(out) / "spec.json"

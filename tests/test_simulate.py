@@ -31,7 +31,15 @@ from cachegeo.simulate import (
     outage_exponent,
     trial_stream,
 )
-from cachegeo.simulate import _FLOOR, _candidate_mean, _candidate_shares, _candidates, _place
+from cachegeo.simulate import (
+    _FLOOR,
+    _cache_hit_estimates,
+    _candidate_mean,
+    _candidate_shares,
+    _candidates,
+    _hit_counts,
+    _place,
+)
 
 WILSON_50_100_95 = (0.403831530366, 0.596168469634)  # direct-formula oracle
 
@@ -298,7 +306,7 @@ def test_cache_hit_estimate_zero_where_the_field_mean_underflows():
 
 
 def test_cache_hit_point_cap_refuses_before_any_draw(monkeypatch):
-    # lambda_s*pi*r_th**2 = 3.1e20 SBSs per disc on average, above the cap
+    # lambda_s*pc*pi*r_th**2 = 6.3e18 caching SBSs per disc on average, above the cap
     def no_draw(*args):
         raise AssertionError("a block stream was opened")
 
@@ -306,6 +314,79 @@ def test_cache_hit_point_cap_refuses_before_any_draw(monkeypatch):
     with pytest.raises(ParameterError) as excinfo:
         estimate_cache_hit(make_params(lambda_s=1.0, r_th=1e10), SimConfig(trials=10))
     assert excinfo.value.field == "lambda_s"
+
+
+def test_cache_hit_cap_is_on_the_thinned_mean():
+    # 3.1e20 SBSs on the disc, of which pc = 1e-6 cache: 3.1e14 caching
+    # SBSs on average, under the cap, so every trial has a hit; with nothing
+    # cached the mean is 0 also where the disc's own mean overflows
+    est = estimate_cache_hit(make_params(lambda_s=1.0, r_th=1e10, cache_size_d=1,
+                                         library_size=10**6), SimConfig(trials=10))
+    assert (est.mean, est.n) == (1.0, 10)
+    est = estimate_cache_hit(make_params(r_th=1e200, cache_size_d=0), SimConfig(trials=10))
+    assert (est.mean, est.n) == (0.0, 10)
+
+
+@pytest.mark.parametrize("trials", [1, 150, 4096, 4097, 9000])
+def test_cache_hit_estimate_is_the_pass_over_one_cell(trials):
+    # a one-cell pass draws one count per trial from each block's stream,
+    # one draw of the block's size, as a run over its own blocks does
+    p = make_params(lambda_s=0.03)
+    mean = p.lambda_s * math.pi * (p.r_th * p.r_th) * p.pc
+    for seed in (0, 11, 2**64 - 1):
+        cfg = SimConfig(trials=trials, master_seed=seed)
+        blocks = [trial_stream(seed, b).poisson(mean, min(4096, trials - 4096 * b))
+                  for b in range(-(-trials // 4096))]
+        hits = sum(int(np.count_nonzero(block)) for block in blocks)
+        assert _hit_counts([mean], cfg) == [hits]
+        assert estimate_cache_hit(p, cfg) == _cache_hit_estimates([p], cfg)[0]
+        assert estimate_cache_hit(p, cfg).mean == hits / trials
+
+
+def test_hit_pass_keeps_each_cell_on_its_own_trials(monkeypatch):
+    # 7 cells of 1500 trials fill blocks of 4096, 4096 and 2308 trials, so
+    # cells 2 and 5 straddle a block boundary; a mean of 0 never hits and
+    # one of 1e6 always does, so a trial drawn at its neighbour's mean shows
+    opened = []
+
+    def counted(master_seed, block_index):
+        opened.append(block_index)
+        return trial_stream(master_seed, block_index)
+
+    monkeypatch.setattr("cachegeo.simulate.trial_stream", counted)
+    means = [0.0, 1e6] * 3 + [0.0]
+    assert _hit_counts(means, SimConfig(trials=1500, master_seed=4)) == [0, 1500] * 3 + [0]
+    assert opened == [0, 1, 2]
+
+
+def test_hit_pass_memory_does_not_grow_with_cells():
+    # the pass holds one cell's run of a block at a time, never cells x trials
+    def peak(cells):
+        tracemalloc.start()
+        try:
+            _hit_counts([0.3] * cells, SimConfig(trials=4096, master_seed=1))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # first calls load and cache what later calls reuse
+    assert peak(64) <= 1.5 * peak(1)
+
+
+def test_hit_pass_covers_every_cell_of_a_grid():
+    # 10 replication ratios x 5 densities, 20000 trials each, back to back
+    # in one pass: each cell's Wilson interval at 1 - 1e-6 must cover
+    # 1 - exp(-lambda_s * pc * pi * r_th**2); a miss is reported, not re-drawn
+    trials = 20000
+    cells = [make_params(lambda_s=lam, cache_size_d=d, library_size=100)
+             for lam in (0.001, 0.01, 0.03, 0.1, 0.3) for d in (1, 2, 5, 10, 20, 30, 50, 70, 90, 100)]
+    estimates = _cache_hit_estimates(cells, SimConfig(trials=trials, master_seed=12))
+    misses = []
+    for params, est in zip(cells, estimates):
+        low, high = binomial_ci(round(est.mean * trials), trials, 1.0 - 1e-6)
+        if not low <= cache_hit_prob(params) <= high:
+            misses.append((params.lambda_s, params.pc, est.mean, cache_hit_prob(params)))
+    assert misses == []
 
 
 def test_cache_hit_estimate_covers_half_at_log2_product():

@@ -79,6 +79,20 @@ def test_sweep_with_sim_is_deterministic():
     assert all(row.ci_low <= row.sim_mean <= row.ci_high for row in table.rows)
 
 
+def test_hit_sweep_with_sim_is_deterministic():
+    # every cell of a hit sweep draws in one pass over the master seed's
+    # blocks: the table is a function of the spec, and the seed moves it
+    spec = SweepSpec(base=BASE, axis=Axis.PC, values=(0.02, 0.1, 0.5, 1.0),
+                     quantity=Quantity.CACHE_HIT, series_axis=Axis.LAMBDA_S,
+                     series_values=(0.01, 0.1), sim=SimConfig(trials=3000, master_seed=5))
+    table = run_sweep(spec)
+    assert run_sweep(spec) == table
+    assert all(row.ci_low <= row.sim_mean <= row.ci_high for row in table.rows)
+    reseeded = run_sweep(replace(spec, sim=SimConfig(trials=3000, master_seed=6)))
+    assert [row.sim_mean for row in reseeded.rows] != [row.sim_mean for row in table.rows]
+    assert [row.analytic for row in reseeded.rows] == [row.analytic for row in table.rows]
+
+
 def test_cell_domain_error_recorded_without_aborting():
     spec = SweepSpec(base=BASE, axis=Axis.PC, values=(0.0, 0.02, 0.1))
     table = run_sweep(spec)
@@ -274,6 +288,12 @@ def test_json_round_trip_is_identity(tmp_path):
     path = tmp_path / "table.json"
     emit_json(table, path)
     assert read_json(path) == table
+
+
+def test_json_table_is_one_compact_line():
+    table = run_sweep(gamma_spec(values=(-10.0, 0.0)))
+    text = _json_text(table)
+    assert text == json.dumps(json.loads(text)) + "\n"
 
 
 def test_json_key_order_is_stable(tmp_path):
