@@ -3,6 +3,11 @@
 Closed-form cache hit, outage and density-planning expressions over a
 Poisson field of cache-equipped small cell base stations, paired with an
 independent Monte Carlo engine that validates every formula.
+
+The Monte Carlo engine, :mod:`cachegeo.simulate`, is the one module that
+imports numpy. It loads on first use: its names below, and the submodule
+itself, are served by the module ``__getattr__`` (PEP 562), so importing
+the package, the CLI or the sweeps loads no numpy.
 """
 
 __version__ = "0.1.0"
@@ -22,25 +27,13 @@ from .analytic import (
     serving_distance_pdf,
 )
 from .model import (
+    DegenerateSampleError,
     ParameterError,
+    SimConfig,
     SystemParams,
     db_to_linear,
     validate,
     with_replication_ratio,
-)
-from .simulate import (
-    DegenerateSampleError,
-    Estimate,
-    PointSet,
-    SimConfig,
-    binomial_ci,
-    draw_serving_distance,
-    estimate_cache_hit,
-    estimate_content_outage,
-    estimate_physical,
-    interference_tail_exponent,
-    outage_exponent,
-    trial_stream,
 )
 from .sweep import (
     Axis,
@@ -97,3 +90,28 @@ __all__ = [
     "emit_json",
     "read_json",
 ]
+
+# the names of cachegeo.simulate that the package serves, importing it on first use
+_SIMULATE_NAMES = frozenset({
+    "Estimate",
+    "PointSet",
+    "trial_stream",
+    "draw_serving_distance",
+    "outage_exponent",
+    "interference_tail_exponent",
+    "estimate_content_outage",
+    "estimate_cache_hit",
+    "estimate_physical",
+    "binomial_ci",
+})
+
+
+def __getattr__(name: str):
+    if name == "simulate" or name in _SIMULATE_NAMES:
+        import importlib
+
+        # not "from . import simulate", which asks the package for the
+        # attribute first and so would call this function again
+        simulate = importlib.import_module(f"{__name__}.simulate")
+        return simulate if name == "simulate" else getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

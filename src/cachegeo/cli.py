@@ -6,6 +6,10 @@ JSON), ``plan`` (density or replication-ratio planning).
 
 Exit codes: 0 success, 2 validation failure, 3 degenerate simulation,
 4 infeasible planning target.
+
+Only the commands that sample import :mod:`cachegeo.simulate`, and with
+it numpy, when they run: building the parser, ``analytic``, ``plan`` and
+closed-form sweeps need neither.
 """
 
 from __future__ import annotations
@@ -28,12 +32,13 @@ from .analytic import (
     optimal_density,
     physical_content_outage,
 )
-from .model import ParameterError, SystemParams, db_to_linear, validate
-from .simulate import (
+from .model import (
     DegenerateSampleError,
+    ParameterError,
     SimConfig,
-    estimate_content_outage,
-    estimate_physical,
+    SystemParams,
+    db_to_linear,
+    validate,
 )
 from .sweep import (
     Axis,
@@ -59,10 +64,11 @@ _QUANTITY_NAMES = {
     "density": Quantity.OPTIMAL_DENSITY,
 }
 
-# each association mode's estimator and the closed form its verdict compares against
+# each association mode's estimator, named in cachegeo.simulate and looked up
+# there when a run samples, and the closed form its verdict compares against
 _MODES = {
-    "emulated": (estimate_content_outage, content_outage),
-    "physical": (estimate_physical, physical_content_outage),
+    "emulated": ("estimate_content_outage", content_outage),
+    "physical": ("estimate_physical", physical_content_outage),
 }
 
 _AXIS_NAMES = {
@@ -163,11 +169,13 @@ def cmd_analytic(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import simulate  # numpy loads here, at the first command that samples
+
     params = _params_from_args(args)
     cfg = SimConfig(trials=args.trials, master_seed=args.seed, window_radius=args.window)
     estimator, closed_form = _MODES[args.mode]
     analytic_value = closed_form(params)
-    estimate = estimator(params, cfg)
+    estimate = getattr(simulate, estimator)(params, cfg)
     out = {
         "params": {**asdict(params), "pc": params.pc},
         "mode": args.mode,

@@ -13,7 +13,9 @@ from numbers import Real
 
 __all__ = [
     "ParameterError",
+    "DegenerateSampleError",
     "SystemParams",
+    "SimConfig",
     "checked",
     "validate",
     "db_to_linear",
@@ -33,6 +35,10 @@ class ParameterError(ValueError):
         self.field = field
 
 
+class DegenerateSampleError(RuntimeError):
+    """No trial survived the conditioning event (effective sample size 0)."""
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Physical and model parameters consumed by every formula."""
@@ -48,6 +54,30 @@ class SystemParams:
     def pc(self) -> float:
         """Replication ratio: fraction of the library each SBS caches."""
         return self.cache_size_d / self.library_size
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Monte Carlo controls.
+
+    ``window_radius`` is the radius of the disc on which interferers are
+    sampled, through the candidates that may block; the field beyond it
+    enters in closed form, and a window must cover r_th. None, the
+    default, samples them on the whole plane. Each field is checked in its
+    domain, and a window is kept as a float. It is defined here, not in
+    :mod:`cachegeo.simulate`, which re-exports it, so that a config is
+    built without importing numpy.
+    """
+
+    trials: int = 5000
+    master_seed: int = 0
+    window_radius: float | None = None
+
+    def __post_init__(self):
+        checked("trials", self.trials)
+        checked("master_seed", self.master_seed)
+        if self.window_radius is not None:
+            object.__setattr__(self, "window_radius", checked("window_radius", self.window_radius))
 
 
 # a real number; isinstance tests float first, since the numbers.Real ABC is slow

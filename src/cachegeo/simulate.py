@@ -29,7 +29,11 @@ the hit: by independent thinning the SBSs with and without the content
 are independent Poisson fields, so given the server at r0 the interferers
 are the SBSs without the content and the caching SBSs beyond r0.
 
-This module imports no scipy; only T_R loads ``scipy.special``.
+This is the one cachegeo module that imports numpy: the CLI and the
+sweeps import it only in the functions that sample, so commands that
+sample nothing never load numpy. It imports no scipy; only T_R loads
+``scipy.special``. :class:`SimConfig` and :class:`DegenerateSampleError`
+are defined in :mod:`cachegeo.model` and re-exported here.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .analytic import _serving_distance_law, _tail_hypergeometric, cache_hit_prob
-from .model import ParameterError, SystemParams, checked
+from .model import DegenerateSampleError, ParameterError, SimConfig, SystemParams, checked
 
 __all__ = [
     "SimConfig",
@@ -63,32 +67,6 @@ __all__ = [
 _MAX_POINTS_PER_TRIAL = 10**18  # largest mean a count draw takes: candidates, or SBSs on a hit disc
 _BLOCK_TRIALS = 4096  # trials per block
 _FLOOR = 0.69  # below ln 2, the least term a candidate adds to an outage exponent
-
-
-class DegenerateSampleError(RuntimeError):
-    """No trial survived the conditioning event (effective sample size 0)."""
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Monte Carlo controls.
-
-    ``window_radius`` is the radius of the disc on which interferers are
-    sampled, through the candidates that may block; the field beyond it
-    enters in closed form, and a window must cover r_th. None, the
-    default, samples them on the whole plane. Each field is checked in its
-    domain, and a window is kept as a float.
-    """
-
-    trials: int = 5000
-    master_seed: int = 0
-    window_radius: float | None = None
-
-    def __post_init__(self):
-        checked("trials", self.trials)
-        checked("master_seed", self.master_seed)
-        if self.window_radius is not None:
-            object.__setattr__(self, "window_radius", checked("window_radius", self.window_radius))
 
 
 @dataclass(frozen=True)
@@ -245,12 +223,14 @@ def _blocks(master_seed: int, trials: int):
         yield trial_stream(master_seed, index), min(_BLOCK_TRIALS, trials - start)
 
 
-def _capped(mean: float, field: str, subject: str, what: str) -> float:
-    """``mean`` if a count draw takes it; else the run is refused, naming the input ``field``."""
-    if not mean <= _MAX_POINTS_PER_TRIAL:
-        raise ParameterError(field, f"{field}: {subject} has {mean:.3g} {what} "
-                             f"on average, above the cap of {_MAX_POINTS_PER_TRIAL:.0e}")
-    return mean
+def _over_cap(field: str, subject: str, mean: float, what: str) -> ParameterError:
+    """The refusal, naming the input ``field``, of a ``mean`` that no count draw takes.
+
+    Callers test ``mean <= _MAX_POINTS_PER_TRIAL`` (false also for NaN)
+    and build ``subject`` only when it fails.
+    """
+    return ParameterError(field, f"{field}: {subject} has {mean:.3g} {what} "
+                          f"on average, above the cap of {_MAX_POINTS_PER_TRIAL:.0e}")
 
 
 def _outage_blocks(params: SystemParams, cfg: SimConfig, physical=False):
@@ -280,15 +260,17 @@ def _outage_blocks(params: SystemParams, cfg: SimConfig, physical=False):
     hit, pc = (cache_hit_prob(params), params.pc) if physical else (1.0, 0.0)
     lam, alpha, gamma = params.lambda_s, params.alpha, params.gamma
     reach = gamma ** (1.0 / alpha)
-    region = "the whole plane" if window == math.inf else f"a {window:g} m window"
     link = np.array([reach * params.r_th])
     if link[0] == math.inf:  # every share and mean would be NaN
         raise ParameterError("r_th", f"r_th: the reach gamma**(1/alpha) * r_th "
                              f"= {reach:.3g} * {params.r_th:g} m overflows a float")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing mean is refused
         mean = _candidate_mean(lam, _candidate_shares(link, 0.0, window, alpha))[0]
-    _capped(mean, "lambda_s" if cfg.window_radius is None else "window_radius",
-            f"a link at r_th {params.r_th:g} m on {region} at lambda_s {lam:g}", "candidates")
+    if not mean <= _MAX_POINTS_PER_TRIAL:
+        region = "the whole plane" if window == math.inf else f"a {window:g} m window"
+        raise _over_cap("lambda_s" if cfg.window_radius is None else "window_radius",
+                        f"a link at r_th {params.r_th:g} m on {region} at lambda_s {lam:g}",
+                        mean, "candidates")
     for rng, size in _blocks(cfg.master_seed, cfg.trials):
         served = rng.binomial(size, hit) if physical else size
         r0 = draw_serving_distance(params, rng, served)
@@ -426,13 +408,12 @@ def _cache_hit_estimates(cells, cfg: SimConfig) -> list:
         lam, pc, r_th = params.lambda_s, params.pc, params.r_th
         # 0 when nothing is cached, also where the disc's own mean overflows
         mean = lam * math.pi * (r_th * r_th) * pc if pc else 0.0
-        try:
-            means.append(_capped(mean, "lambda_s",
-                                 f"the disc of radius r_th {r_th:g} m at lambda_s {lam:g} "
-                                 f"and pc {pc:.3g}", "caching SBSs"))
+        if mean <= _MAX_POINTS_PER_TRIAL:
+            means.append(mean)
             results.append(None)
-        except ParameterError as exc:
-            results.append(exc)
+        else:
+            results.append(_over_cap("lambda_s", f"the disc of radius r_th {r_th:g} m at "
+                                     f"lambda_s {lam:g} and pc {pc:.3g}", mean, "caching SBSs"))
     hits = iter(_hit_counts(means, cfg))
     return [_binomial_estimate(next(hits), cfg.trials) if result is None else result
             for result in results]

@@ -18,13 +18,13 @@ from . import __version__
 from .analytic import cache_hit_prob, content_outage, optimal_density
 from .model import (
     ParameterError,
+    SimConfig,
     SystemParams,
     checked,
     db_to_linear,
     validate,
     with_replication_ratio,
 )
-from .simulate import SimConfig, _cache_hit_estimates, estimate_content_outage
 
 __all__ = [
     "Axis",
@@ -119,30 +119,40 @@ def _apply_axis(base: SystemParams, axis: Axis | None, value: float | None) -> S
 
 def _outage_estimates(cells, sim: SimConfig) -> list:
     """Each cell's outage estimate, or its ParameterError, from seed master_seed + table index."""
+    from . import simulate
+
     results = []
     for index, params in cells:
         # distinct seeds per cell keep the trial streams unrelated
         cfg = replace(sim, master_seed=(sim.master_seed + index) % 2**64)
         try:
-            results.append(estimate_content_outage(params, cfg))
+            results.append(simulate.estimate_content_outage(params, cfg))
         except ParameterError as exc:
             results.append(exc)
     return results
 
 
+def _hit_estimates(cells, sim: SimConfig) -> list:
+    """Each cell's cache-hit estimate, or its ParameterError, all cells in one pass."""
+    from . import simulate
+
+    return simulate._cache_hit_estimates([params for _, params in cells], sim)
+
+
 # each quantity's closed form of (cell params, axis value) and its Monte Carlo
 # estimator, None where it has none; an estimator takes the (table index,
 # params) of a sweep's estimable cells and the sweep's SimConfig, and returns
-# per cell an Estimate or the ParameterError that refuses it. The lambdas
-# look the functions up at call time, so a rebound module global is the one called
+# per cell an Estimate or the ParameterError that refuses it. The estimators
+# import cachegeo.simulate, and with it numpy, only when a sweep samples, and
+# look its functions up at call time, so a rebound attribute there is the one called
 _QUANTITIES = {
     Quantity.CONTENT_OUTAGE: (
         lambda params, axis_value: content_outage(params),
-        lambda cells, sim: _outage_estimates(cells, sim),
+        _outage_estimates,
     ),
     Quantity.CACHE_HIT: (
         lambda params, axis_value: cache_hit_prob(params),
-        lambda cells, sim: _cache_hit_estimates([params for _, params in cells], sim),
+        _hit_estimates,
     ),
     Quantity.OPTIMAL_DENSITY: (
         lambda params, epsilon: optimal_density(epsilon, params.pc, params.r_th),

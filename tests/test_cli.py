@@ -25,7 +25,7 @@ from cachegeo.analytic import (
     optimal_density,
     physical_content_outage,
 )
-from cachegeo import cli, model, sweep
+from cachegeo import cli, model, simulate, sweep
 from cachegeo.cli import build_parser, main
 from cachegeo.model import (
     ParameterError,
@@ -927,10 +927,9 @@ def test_no_refused_input_reaches_an_estimator(drawn):
         return Estimate(0.5, 0.0, 1.0, 0.99, cfg.trials)
 
     with tempfile.TemporaryDirectory() as out, \
-            mock.patch.dict(cli._MODES, {mode: (estimator, closed_form)
-                                         for mode, (_, closed_form) in cli._MODES.items()}), \
-            mock.patch.object(sweep, "estimate_content_outage", estimator), \
-            mock.patch.object(sweep, "_cache_hit_estimates",
+            mock.patch.object(simulate, "estimate_content_outage", estimator), \
+            mock.patch.object(simulate, "estimate_physical", estimator), \
+            mock.patch.object(simulate, "_cache_hit_estimates",
                               lambda cells, cfg: [estimator(params, cfg) for params in cells]):
         argv = source
         if isinstance(source, dict):
@@ -1095,36 +1094,54 @@ def test_readme_python_block_prints_its_documented_values():
 
 # -- cold start -------------------------------------------------------------------
 
-# Runs in a fresh interpreter: after each step it records the exit code and
-# which of scipy and its special, integrate and optimize modules are loaded
-# (any scipy module loads scipy itself). Command output goes to a buffer, so
-# the record is all that reaches stdout.
+# Runs in a fresh interpreter: after the import and the parser, and after each
+# step, it records the exit code and which of numpy, scipy and scipy's special,
+# integrate and optimize modules are loaded (any scipy module loads scipy
+# itself). Command output goes to a buffer, so the record is all that reaches
+# stdout.
 COLD_START = """
 import contextlib, io, json, sys
 
-def scipy_loaded():
-    names = ("scipy", "scipy.special", "scipy.integrate", "scipy.optimize")
+def loaded_names():
+    names = ("numpy", "scipy", "scipy.special", "scipy.integrate", "scipy.optimize")
     return [name for name in names if name in sys.modules]
 
 import cachegeo, cachegeo.cli
-loaded = {"import": scipy_loaded()}
+cachegeo.cli.build_parser()
+loaded = {"import": loaded_names()}
 for label, argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         rc = cachegeo.cli.main(argv)
-    loaded[label] = (rc, scipy_loaded())
+    loaded[label] = (rc, loaded_names())
 print(json.dumps(loaded))
 """
 
 
+def _cold_start(steps) -> dict:
+    """The COLD_START record of ``steps``, run in order in one fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, "-c", COLD_START, json.dumps(steps)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return json.loads(result.stdout)
+
+
 def test_only_window_solves_load_scipy(tmp_path):
+    # numpy loads at the first step that samples, and stays loaded, so each
+    # interpreter runs the steps that sample nothing before its first sampling step
     out = str(tmp_path)
-    steps = [
+    closed = [
         ("analytic", ["analytic", *P_FLAGS]),
         ("plan --pc", ["plan", "--epsilon", "0.5", "--rth", "5", "--pc", "0.02"]),
         ("plan --lambda", ["plan", "--epsilon", "0.5", "--rth", "5", "--lambda", "0.1"]),
         ("figure 2", ["figure", "--fig", "2", "--out", out]),
-        ("sweep hit", ["sweep", *P_FLAGS, "--quantity", "hit", "--axis", "pc", "--from", "0.02",
-                       "--to", "1", "--steps", "5", "--trials", "20", "--out", out]),
+        # a density sweep has no Monte Carlo counterpart
+        ("figure 8", ["figure", "--fig", "8", "--out", out]),
+    ]
+    sampling = [
         # an emulated run on the whole plane has no far field, so it needs no
         # scipy.special; neither mode needs a quadrature or a root find
         ("simulate", ["simulate", *P_FLAGS, "--trials", "8"]),
@@ -1133,15 +1150,14 @@ def test_only_window_solves_load_scipy(tmp_path):
         ("simulate physical", ["simulate", *P_FLAGS, "--d", "50", "--trials", "8",
                                "--mode", "physical"]),
     ]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    result = subprocess.run(
-        [sys.executable, "-c", COLD_START, json.dumps(steps)],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    loaded = json.loads(result.stdout)
+    sweep_hit = [
+        ("sweep hit", ["sweep", *P_FLAGS, "--quantity", "hit", "--axis", "pc", "--from", "0.02",
+                       "--to", "1", "--steps", "5", "--trials", "20", "--out", out]),
+    ]
+    loaded = _cold_start(closed + sampling)
     assert loaded.pop("import") == []
     # the physical closed form's rho needs scipy.special's hyp2f1
-    assert loaded.pop("simulate physical") == [0, ["scipy", "scipy.special"]]
-    assert loaded == {label: [0, []] for label, _ in steps[:-1]}
+    assert loaded.pop("simulate physical") == [0, ["numpy", "scipy", "scipy.special"]]
+    assert loaded.pop("simulate") == [0, ["numpy"]]
+    assert loaded == {label: [0, []] for label, _ in closed}
+    assert _cold_start(sweep_hit) == {"import": [], "sweep hit": [0, ["numpy"]]}

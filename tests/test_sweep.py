@@ -136,7 +136,7 @@ def test_sweep_validates_every_cell_before_the_first_estimate(monkeypatch):
     def never(params, cfg):
         raise AssertionError("an estimator ran before every cell was validated")
 
-    monkeypatch.setattr(sweep, "estimate_content_outage", never)
+    monkeypatch.setattr("cachegeo.simulate.estimate_content_outage", never)
     spec = SweepSpec(base=BASE, axis=Axis.R_TH, values=(5.0, 10.0, math.inf),
                      sim=SimConfig(trials=10))
     with pytest.raises(ParameterError) as excinfo:
