@@ -2,9 +2,9 @@
 
 All functions are pure and operate on validated :class:`~cachegeo.model.SystemParams`.
 Probabilities are computed through ``expm1``/``log1p`` so that the small-exponent
-regimes that sweeps visit do not lose precision. scipy is imported only inside
-the functions that call it (:func:`_tail_hypergeometric`'s ``hyp2f1`` and the
-quadrature's ``quad``), so the emulated closed forms load without it.
+regimes that sweeps visit do not lose precision. The one 2F1 the physical
+closed form needs is summed by series (:func:`_tail_hypergeometric`), so only
+the quadrature reference imports scipy, inside the function, for ``quad``.
 """
 
 from __future__ import annotations
@@ -89,16 +89,85 @@ def outage_at_distance(params: SystemParams, r: float) -> float:
     return -math.expm1(-exponent)
 
 
-def _tail_hypergeometric(alpha: float, z):
-    """F(alpha, z) = 2F1(1, 1 - 2/alpha; 2 - 2/alpha; -z), of a float or an array ``z`` >= 0.
+# F(alpha, z) is summed by Pfaff's series at z <= _NEAR_Z and by the 1/z series
+# above; at the cut-over they take 150-175 (x = 0.8) and 25 (w = 0.25) terms
+_NEAR_Z = 4.0
+# a series stops once what it leaves out is below this share of its sum
+_SERIES_TOL = sys.float_info.epsilon / 4.0
+# (y - sin y)/y**3 = sum_k (-y**2)**k/(2k + 3)!, to double precision at y <= pi/2
+_SINE_EXCESS = [1.0 / math.factorial(2 * k + 3) for k in range(11)]
+
+
+def _tail_hypergeometric(alpha: float, z: float) -> float:
+    """F(alpha, z) = 2F1(1, 1 - 2/alpha; 2 - 2/alpha; -z) of a float z >= 0.
 
     2/(alpha - 2) * z * F(alpha, z) = 2 * int_1^inf t / (1 + t**alpha / z) dt
-    (DLMF 15.6.1), the faded interference from beyond a radius. It loads ``scipy.special``.
+    (DLMF 15.6.1), the faded interference from beyond a radius. It is summed
+    by :func:`_near_tail` at z <= _NEAR_Z and by :func:`_far_tail` above,
+    to a relative error below ~5e-15; both also take arrays, for T_R.
     """
-    from scipy.special import hyp2f1
+    return _near_tail(alpha, z, z) if z <= _NEAR_Z else _far_tail(alpha, z, z)
 
-    delta = 2.0 / alpha
-    return hyp2f1(1.0, 1.0 - delta, 2.0 - delta, -z)
+
+def _horner(coefficients: list[float], x):
+    """sum_n coefficients[n] * x**n, of a float or an array ``x``."""
+    total = 0.0 * x + coefficients[-1]
+    for c in reversed(coefficients[:-1]):
+        total *= x
+        total += c
+    return total
+
+
+def _near_tail(alpha: float, z, top: float):
+    """F(alpha, z) at 0 <= z <= top <= _NEAR_Z, a float or an array, by Pfaff (DLMF 15.8.1).
+
+    With b = 1 - 2/alpha and x = z/(1 + z) <= 0.8,
+    F = (1 + z)**-1 * sum_n c_n * x**n, c_n = n!/(b + 1)_n, a sum of at
+    least 1. The coefficients fall, c_{n+1} = c_n * (n + 1)/(n + 1 + b), so
+    past the term c_N * x**N the rest is below c_N * x**(N + 1)/(1 - x); the
+    sum stops once that is below _SERIES_TOL at x = top/(1 + top).
+    """
+    b, x = (alpha - 2.0) / alpha, top / (1.0 + top)
+    coefficients = [1.0]
+    while coefficients[-1] * x ** len(coefficients) > _SERIES_TOL * (1.0 - x):
+        n = len(coefficients)
+        coefficients.append(coefficients[-1] * n / (n + b))
+    grown = 1.0 + z
+    return _horner(coefficients, z / grown) / grown
+
+
+def _far_tail(alpha: float, z, bottom: float, xp=math):
+    """F(alpha, z) at z >= bottom > _NEAR_Z, a float or an array, by the 1/z series (DLMF 15.8.2).
+
+    With b = 1 - 2/alpha, d = 2/alpha, w = 1/z < 1/4 and P = pi/sin(pi*d),
+    int_0^z u**(b-1)/(1 + u) du = P - int_z^inf gives
+    F = b * w * (z**d * P - sum_n (-w)**n/(n + d)). As alpha grows, z**d * P
+    and the n = 0 term both near 1/d and cancel, so the bracket is summed
+    in three positive parts, (z**d - 1) * P + (P - 1/d) + w * S with
+    S = sum_m (-w)**m/(m + 1 + d), and it is at least ln(1 + z):
+    - b * w * (z**d - 1) * P is taken as z**-b * -expm1(-d * ln z) * b*P,
+      which neither cancels nor overflows;
+    - P - 1/d is pi * y**2 * (y - sin y)/y**3 / sin y at y = pi*d <= pi/2,
+      and is at least pi - 2 above;
+    - S alternates with falling terms, so it stops once the next term is
+      below _SERIES_TOL at w = 1/bottom.
+    b and d are each computed directly, and sin(pi*d) as sin(pi*min(b, d)),
+    so none loses digits as alpha nears 2 or grows. ``xp`` is the module
+    (math or numpy) whose log, exp and expm1 take ``z``.
+    """
+    b, d, w = (alpha - 2.0) / alpha, 2.0 / alpha, 1.0 / bottom
+    reflection = math.pi / math.sin(math.pi * min(b, d))
+    if d > 0.5:
+        excess = reflection - 1.0 / d
+    else:
+        y = math.pi * d
+        excess = math.pi * y * y * _horner(_SINE_EXCESS, -y * y) / math.sin(y)
+    coefficients = [1.0 / (1.0 + d)]
+    while coefficients[-1] * w ** len(coefficients) > _SERIES_TOL:
+        coefficients.append(1.0 / (len(coefficients) + 1.0 + d))
+    log_z, w = xp.log(z), 1.0 / z
+    head = xp.exp(-b * log_z) * (-xp.expm1(-d * log_z) * (b * reflection))
+    return head + b * w * (excess + w * _horner(coefficients, -w))
 
 
 def cache_hit_prob(params: SystemParams) -> float:
@@ -227,12 +296,11 @@ def physical_content_outage(params: SystemParams) -> float:
     the serving-distance law, the outage has the shape of
     :func:`content_outage` with that excess in place of
     kappa*gamma**(2/alpha), and since rho <= kappa*gamma**(2/alpha) it is
-    never above it. The 2F1 factor is :func:`_tail_hypergeometric`, so
-    this loads ``scipy.special``.
+    never above it. The 2F1 factor is :func:`_tail_hypergeometric`.
     """
     pc = _hit_ratio(params)
     alpha, gamma = params.alpha, params.gamma
-    rho = 2.0 / (alpha - 2.0) * (gamma * float(_tail_hypergeometric(alpha, gamma)))
+    rho = 2.0 / (alpha - 2.0) * (gamma * _tail_hypergeometric(alpha, gamma))
     excess = pc * rho + (1.0 - pc) * kappa(alpha) * gamma ** (2.0 / alpha)
     return _conditioned_outage(pc, excess, params.lambda_s * math.pi * (params.r_th * params.r_th))
 

@@ -31,8 +31,8 @@ are the SBSs without the content and the caching SBSs beyond r0.
 
 This is the one cachegeo module that imports numpy: the CLI and the
 sweeps import it only in the functions that sample, so commands that
-sample nothing never load numpy. It imports no scipy; only T_R loads
-``scipy.special``. :class:`SimConfig` and :class:`DegenerateSampleError`
+sample nothing never load numpy. It imports no scipy: T_R's 2F1 is a
+series. :class:`SimConfig` and :class:`DegenerateSampleError`
 are defined in :mod:`cachegeo.model` and re-exported here.
 """
 
@@ -45,7 +45,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .analytic import _serving_distance_law, _tail_hypergeometric, cache_hit_prob
+from .analytic import _NEAR_Z, _far_tail, _near_tail, _serving_distance_law, cache_hit_prob
 from .model import DegenerateSampleError, ParameterError, SimConfig, SystemParams, checked
 
 __all__ = [
@@ -193,14 +193,31 @@ def interference_tail_exponent(
     with I_out the interference from beyond R (Haenggi, *Stochastic
     Geometry for Wireless Networks*, ch. 5), in the unit of
     :func:`outage_exponent`. It is 2*pi*lambda_s * R**2 * v/(alpha - 2) * F(alpha, v)
-    (:func:`~cachegeo.analytic._tail_hypergeometric`), v = gamma * (r0/R)**alpha,
+    (:func:`_tail_series`), v = gamma * (r0/R)**alpha,
     finite at any alpha and as gamma -> 0, because r0 <= R keeps v <= gamma.
     ``r0`` is a float or an array of serving distances in [0, R]; the result has its shape.
     """
     alpha, radius = checked("alpha", alpha), checked("window_radius", radius)
     v = gamma * (np.asarray(r0, dtype=float) / radius) ** alpha
     scale = 2.0 * math.pi * lambda_s * (radius * radius) / (alpha - 2.0)
-    return scale * (v * _tail_hypergeometric(alpha, v))
+    return scale * (v * _tail_series(alpha, v))
+
+
+def _tail_series(alpha: float, z: np.ndarray) -> np.ndarray:
+    """F(alpha, z) of :func:`~cachegeo.analytic._tail_hypergeometric` over an array ``z`` >= 0.
+
+    Each of its two series takes the terms that its extreme element needs,
+    and the 1/z one runs only if some element is above _NEAR_Z.
+    """
+    top = z.max(initial=0.0)
+    if top <= _NEAR_Z:
+        return _near_tail(alpha, z, top)
+    far = z > _NEAR_Z
+    near, beyond = z[~far], z[far]
+    out = np.empty_like(z)
+    out[~far] = _near_tail(alpha, near, near.max(initial=0.0))
+    out[far] = _far_tail(alpha, beyond, beyond.min(), np)
+    return out
 
 
 def _field_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -1129,7 +1129,7 @@ def _cold_start(steps) -> dict:
     return json.loads(result.stdout)
 
 
-def test_only_window_solves_load_scipy(tmp_path):
+def test_only_the_quadrature_loads_scipy(tmp_path):
     # numpy loads at the first step that samples, and stays loaded, so each
     # interpreter runs the steps that sample nothing before its first sampling step
     out = str(tmp_path)
@@ -1142,13 +1142,16 @@ def test_only_window_solves_load_scipy(tmp_path):
         ("figure 8", ["figure", "--fig", "8", "--out", out]),
     ]
     sampling = [
-        # an emulated run on the whole plane has no far field, so it needs no
-        # scipy.special; neither mode needs a quadrature or a root find
+        # rho and the far field beyond a window are series, and no mode needs
+        # a quadrature or a root find
         ("simulate", ["simulate", *P_FLAGS, "--trials", "8"]),
         # at pc = 0.5 a trial has a hit with probability 0.98, so 8 trials
         # are never all discarded
         ("simulate physical", ["simulate", *P_FLAGS, "--d", "50", "--trials", "8",
                                "--mode", "physical"]),
+        # a window adds the far field's T_R to every block
+        ("simulate physical window", ["simulate", *P_FLAGS, "--mode", "physical",
+                                      "--window", "100", "--trials", "300"]),
     ]
     sweep_hit = [
         ("sweep hit", ["sweep", *P_FLAGS, "--quantity", "hit", "--axis", "pc", "--from", "0.02",
@@ -1156,8 +1159,8 @@ def test_only_window_solves_load_scipy(tmp_path):
     ]
     loaded = _cold_start(closed + sampling)
     assert loaded.pop("import") == []
-    # the physical closed form's rho needs scipy.special's hyp2f1
-    assert loaded.pop("simulate physical") == [0, ["numpy", "scipy", "scipy.special"]]
+    assert loaded.pop("simulate physical window") == [0, ["numpy"]]
+    assert loaded.pop("simulate physical") == [0, ["numpy"]]
     assert loaded.pop("simulate") == [0, ["numpy"]]
     assert loaded == {label: [0, []] for label, _ in closed}
     assert _cold_start(sweep_hit) == {"import": [], "sweep hit": [0, ["numpy"]]}
