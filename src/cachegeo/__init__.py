@@ -74,7 +74,6 @@ __all__ = [
     "trial_stream",
     "draw_serving_distance",
     "outage_exponent",
-    "interference_tail_exponent",
     "estimate_content_outage",
     "estimate_cache_hit",
     "estimate_physical",
@@ -91,19 +90,9 @@ __all__ = [
     "read_json",
 ]
 
-# the names of cachegeo.simulate that the package serves, importing it on first use
-_SIMULATE_NAMES = frozenset({
-    "Estimate",
-    "PointSet",
-    "trial_stream",
-    "draw_serving_distance",
-    "outage_exponent",
-    "interference_tail_exponent",
-    "estimate_content_outage",
-    "estimate_cache_hit",
-    "estimate_physical",
-    "binomial_ci",
-})
+# the names of cachegeo.simulate that the package serves, importing it on
+# first use: those of __all__ that the imports above did not bind
+_SIMULATE_NAMES = frozenset(__all__).difference(globals())
 
 
 def __getattr__(name: str):

@@ -102,42 +102,43 @@ def _tail_hypergeometric(alpha: float, z: float) -> float:
     """F(alpha, z) = 2F1(1, 1 - 2/alpha; 2 - 2/alpha; -z) of a float z >= 0.
 
     2/(alpha - 2) * z * F(alpha, z) = 2 * int_1^inf t / (1 + t**alpha / z) dt
-    (DLMF 15.6.1), the faded interference from beyond a radius. It is summed
-    by :func:`_near_tail` at z <= _NEAR_Z and by :func:`_far_tail` above,
-    to a relative error below ~5e-15; both also take arrays, for T_R.
+    (DLMF 15.6.1), the faded interference of the field beyond a radius,
+    which rho of :func:`physical_content_outage` takes at the server. It is
+    summed by :func:`_near_tail` at z <= _NEAR_Z and by :func:`_far_tail`
+    above, to a relative error below ~5e-15.
     """
-    return _near_tail(alpha, z, z) if z <= _NEAR_Z else _far_tail(alpha, z, z)
+    return _near_tail(alpha, z) if z <= _NEAR_Z else _far_tail(alpha, z)
 
 
-def _horner(coefficients: list[float], x):
-    """sum_n coefficients[n] * x**n, of a float or an array ``x``."""
-    total = 0.0 * x + coefficients[-1]
+def _horner(coefficients: list[float], x: float) -> float:
+    """sum_n coefficients[n] * x**n."""
+    total = coefficients[-1]
     for c in reversed(coefficients[:-1]):
         total *= x
         total += c
     return total
 
 
-def _near_tail(alpha: float, z, top: float):
-    """F(alpha, z) at 0 <= z <= top <= _NEAR_Z, a float or an array, by Pfaff (DLMF 15.8.1).
+def _near_tail(alpha: float, z: float) -> float:
+    """F(alpha, z) at 0 <= z <= _NEAR_Z, by Pfaff's transformation (DLMF 15.8.1).
 
     With b = 1 - 2/alpha and x = z/(1 + z) <= 0.8,
     F = (1 + z)**-1 * sum_n c_n * x**n, c_n = n!/(b + 1)_n, a sum of at
     least 1. The coefficients fall, c_{n+1} = c_n * (n + 1)/(n + 1 + b), so
     past the term c_N * x**N the rest is below c_N * x**(N + 1)/(1 - x); the
-    sum stops once that is below _SERIES_TOL at x = top/(1 + top).
+    sum stops once that is below _SERIES_TOL.
     """
-    b, x = (alpha - 2.0) / alpha, top / (1.0 + top)
+    b, grown = (alpha - 2.0) / alpha, 1.0 + z
+    x = z / grown
     coefficients = [1.0]
     while coefficients[-1] * x ** len(coefficients) > _SERIES_TOL * (1.0 - x):
         n = len(coefficients)
         coefficients.append(coefficients[-1] * n / (n + b))
-    grown = 1.0 + z
-    return _horner(coefficients, z / grown) / grown
+    return _horner(coefficients, x) / grown
 
 
-def _far_tail(alpha: float, z, bottom: float, xp=math):
-    """F(alpha, z) at z >= bottom > _NEAR_Z, a float or an array, by the 1/z series (DLMF 15.8.2).
+def _far_tail(alpha: float, z: float) -> float:
+    """F(alpha, z) at z > _NEAR_Z, by the 1/z series (DLMF 15.8.2).
 
     With b = 1 - 2/alpha, d = 2/alpha, w = 1/z < 1/4 and P = pi/sin(pi*d),
     int_0^z u**(b-1)/(1 + u) du = P - int_z^inf gives
@@ -150,12 +151,11 @@ def _far_tail(alpha: float, z, bottom: float, xp=math):
     - P - 1/d is pi * y**2 * (y - sin y)/y**3 / sin y at y = pi*d <= pi/2,
       and is at least pi - 2 above;
     - S alternates with falling terms, so it stops once the next term is
-      below _SERIES_TOL at w = 1/bottom.
+      below _SERIES_TOL.
     b and d are each computed directly, and sin(pi*d) as sin(pi*min(b, d)),
-    so none loses digits as alpha nears 2 or grows. ``xp`` is the module
-    (math or numpy) whose log, exp and expm1 take ``z``.
+    so none loses digits as alpha nears 2 or grows.
     """
-    b, d, w = (alpha - 2.0) / alpha, 2.0 / alpha, 1.0 / bottom
+    b, d, w = (alpha - 2.0) / alpha, 2.0 / alpha, 1.0 / z
     reflection = math.pi / math.sin(math.pi * min(b, d))
     if d > 0.5:
         excess = reflection - 1.0 / d
@@ -165,8 +165,8 @@ def _far_tail(alpha: float, z, bottom: float, xp=math):
     coefficients = [1.0 / (1.0 + d)]
     while coefficients[-1] * w ** len(coefficients) > _SERIES_TOL:
         coefficients.append(1.0 / (len(coefficients) + 1.0 + d))
-    log_z, w = xp.log(z), 1.0 / z
-    head = xp.exp(-b * log_z) * (-xp.expm1(-d * log_z) * (b * reflection))
+    log_z = math.log(z)
+    head = math.exp(-b * log_z) * (-math.expm1(-d * log_z) * (b * reflection))
     return head + b * w * (excess + w * _horner(coefficients, -w))
 
 

@@ -96,10 +96,10 @@ def _add_param_flags(parser: argparse.ArgumentParser, required: bool = True) -> 
 
 
 def _add_sim_flags(parser: argparse.ArgumentParser, trials: int | None, seed: int | None) -> None:
-    """Declare --trials, --seed and --window, the Monte Carlo flags, with these defaults.
+    """Declare --trials and --seed, the Monte Carlo flags, with these defaults.
 
-    A None ``trials`` attaches Monte Carlo columns only where --trials or
-    --window is given; a None ``seed`` takes the config's.
+    A None ``trials`` attaches Monte Carlo columns only where --trials is
+    given; a None ``seed`` takes the config's.
     """
     parser.add_argument("--trials", type=int, default=trials,
                         help="attach Monte Carlo columns with this many trials" if trials is None
@@ -107,9 +107,6 @@ def _add_sim_flags(parser: argparse.ArgumentParser, trials: int | None, seed: in
     parser.add_argument("--seed", type=int, default=seed,
                         help=f"master seed (default: config value, else {SimConfig.master_seed})"
                         if seed is None else "master seed (default %(default)s)")
-    parser.add_argument("--window", type=float, default=None,
-                        help="radius [m], at least rth, out to which interferers are sampled; "
-                        "the field beyond is added exactly (default: the whole plane)")
 
 
 def _param_fields(args: argparse.Namespace) -> dict:
@@ -172,7 +169,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from . import simulate  # numpy loads here, at the first command that samples
 
     params = _params_from_args(args)
-    cfg = SimConfig(trials=args.trials, master_seed=args.seed, window_radius=args.window)
+    cfg = SimConfig(trials=args.trials, master_seed=args.seed)
     estimator, closed_form = _MODES[args.mode]
     analytic_value = closed_form(params)
     estimate = getattr(simulate, estimator)(params, cfg)
@@ -181,7 +178,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "mode": args.mode,
         "trials": cfg.trials,
         "master_seed": cfg.master_seed,
-        "window_radius": cfg.window_radius,
         "analytic_content_outage": analytic_value,
         "estimate": asdict(estimate),
         "verdict": "PASS" if estimate.contains(analytic_value) else "FAIL",
@@ -191,16 +187,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _overlay_sim(data: dict, args: argparse.Namespace) -> dict:
-    """Spec dict with --trials/--window/--seed applied to its sim block.
+    """Spec dict with --trials/--seed applied to its sim block.
 
-    --trials or --window attaches Monte Carlo columns (unset fields take
-    the SimConfig defaults); --seed updates an attached sim block.
+    --trials attaches Monte Carlo columns (an unset seed takes the
+    SimConfig default); --seed updates an attached sim block.
     """
-    if data.get("sim") is None and args.trials is None and args.window is None:
+    if data.get("sim") is None and args.trials is None:
         return data
     sim = dict(data.get("sim") or {})
-    for key, value in (("trials", args.trials), ("window_radius", args.window),
-                       ("master_seed", args.seed)):
+    for key, value in (("trials", args.trials), ("master_seed", args.seed)):
         if value is not None:
             sim[key] = value
     return {**data, "sim": sim}
@@ -338,13 +333,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo estimate vs closed form")
     _add_param_flags(p)
     _add_sim_flags(p, SimConfig.trials, SimConfig.master_seed)
+    # accepted only because perfbench/workloads.py still passes --window 100
+    p.add_argument("--window", type=float, help="ignored: every run samples the whole plane")
     p.add_argument("--mode", choices=list(_MODES), default="emulated")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="run a parameter sweep, write CSV and JSON")
     p.add_argument("--config", help="JSON sweep spec; every flag given overrides "
-                   "its field, and --trials or --window attaches Monte Carlo columns")
+                   "its field, and --trials attaches Monte Carlo columns")
     p.add_argument("--axis", choices=sorted(_AXIS_NAMES), help="swept parameter")
     p.add_argument("--from", dest="start", type=float, help="first axis value")
     p.add_argument("--to", dest="stop", type=float, help="last axis value")

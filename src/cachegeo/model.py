@@ -58,26 +58,20 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Monte Carlo controls.
+    """Monte Carlo controls: the trial count and the master seed.
 
-    ``window_radius`` is the radius of the disc on which interferers are
-    sampled, through the candidates that may block; the field beyond it
-    enters in closed form, and a window must cover r_th. None, the
-    default, samples them on the whole plane. Each field is checked in its
-    domain, and a window is kept as a float. It is defined here, not in
-    :mod:`cachegeo.simulate`, which re-exports it, so that a config is
-    built without importing numpy.
+    Every run samples its interferers on the whole plane, so there is no
+    window to set. Each field is checked in its domain. It is defined
+    here, not in :mod:`cachegeo.simulate`, which re-exports it, so that a
+    config is built without importing numpy.
     """
 
     trials: int = 5000
     master_seed: int = 0
-    window_radius: float | None = None
 
     def __post_init__(self):
         checked("trials", self.trials)
         checked("master_seed", self.master_seed)
-        if self.window_radius is not None:
-            object.__setattr__(self, "window_radius", checked("window_radius", self.window_radius))
 
 
 # a real number; isinstance tests float first, since the numbers.Real ABC is slow
@@ -97,7 +91,6 @@ _DOMAINS = {
     "epsilon": (_REAL, 0, 1, "[)"),  # the hit probability is below 1 at any finite density
     "trials": (int, 1, math.inf, "[)"),
     "master_seed": (int, 0, 2**64, "[)"),
-    "window_radius": (_REAL, 0, math.inf, "()"),
     # db_to_linear also refuses a value whose linear value is no normal float
     "gamma_db": (_REAL, -math.inf, math.inf, "()"),
 }

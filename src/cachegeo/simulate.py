@@ -14,14 +14,13 @@ a trial samples it exactly by thinning (Lewis & Shedler 1979): it draws
 the candidates, a Poisson field of the dominating intensity
 lambda_s * min(1, x), whose mean count is finite on the whole plane, and
 each blocks with probability q / min(1, x). A trial is in outage iff its
-serving fade h0 ~ Exp(1), the one fade drawn, is below E = T_R + sum over
+serving fade h0 ~ Exp(1), the one fade drawn, is below E = sum over
 candidates of -ln(1 - q/min(1, x)) = log1p(max(x, 1/x)): -ln of the
 coverage given the candidates. Candidates are sampled on the whole plane,
-or on a disc of radius R, the window, beyond which T_R adds the field in
-closed form (:func:`interference_tail_exponent`), so the estimate is
-unbiased for the infinite plane at every window. As a term is at least
-ln 2, a trial with h0 < T_R + _FLOOR * N, N its count of candidates, is
-in outage wherever they lie; only the others place them.
+so the estimate is that of the infinite-plane model the closed forms
+describe. As a term is at least ln 2, a trial with h0 < _FLOOR * N, N its
+count of candidates, is in outage wherever they lie; only the others
+place them.
 
 Both associations run one block loop. Physical mode keeps the trials with
 a hit, Binomial(trials, hit probability) of them, and samples them given
@@ -31,9 +30,9 @@ are the SBSs without the content and the caching SBSs beyond r0.
 
 This is the one cachegeo module that imports numpy: the CLI and the
 sweeps import it only in the functions that sample, so commands that
-sample nothing never load numpy. It imports no scipy: T_R's 2F1 is a
-series. :class:`SimConfig` and :class:`DegenerateSampleError`
-are defined in :mod:`cachegeo.model` and re-exported here.
+sample nothing never load numpy. It imports no scipy.
+:class:`SimConfig` and :class:`DegenerateSampleError` are defined in
+:mod:`cachegeo.model` and re-exported here.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .analytic import _NEAR_Z, _far_tail, _near_tail, _serving_distance_law, cache_hit_prob
+from .analytic import _serving_distance_law, cache_hit_prob
 from .model import DegenerateSampleError, ParameterError, SimConfig, SystemParams, checked
 
 __all__ = [
@@ -56,7 +55,6 @@ __all__ = [
     "trial_stream",
     "draw_serving_distance",
     "outage_exponent",
-    "interference_tail_exponent",
     "content_outage_trials",
     "estimate_content_outage",
     "estimate_cache_hit",
@@ -142,9 +140,8 @@ def outage_exponent(
     interferers: PointSet | tuple[PointSet, ...],
     alpha: float,
     gamma: float,
-    tail: np.ndarray | float = 0.0,
 ) -> np.ndarray:
-    """-ln of each field's coverage given its candidates: tail + sum_i log1p(max(x_i, 1/x_i)).
+    """-ln of each field's coverage given its candidates: sum_i log1p(max(x_i, 1/x_i)).
 
     Field k is served over a link at ``serving_r[k]``, and x_i =
     (s/r_i)**alpha at the reach s = gamma**(1/alpha) * serving_r[k].
@@ -156,17 +153,15 @@ def outage_exponent(
     log1p(max(x, 1/x)), computed as a + log1p(exp(-a)) with
     a = alpha * |ln r_i - ln s|, which stays finite wherever r_i and s are
     positive: a term is ln 2 at r_i = s and grows both ways, so it is never
-    below _FLOOR. ``tail`` is each field's exponent from beyond the window
-    (:func:`interference_tail_exponent`), 0 on the whole plane.
-    Nothing is drawn: a trial is in outage iff its serving fade is below
-    its exponent. A field without candidates gives its tail; r_i = 0, or a
-    candidate of a field with s = 0 (where candidates have intensity 0),
-    gives inf, an outage, the limit of the exact term, as does a term or
-    sum that overflows at an extreme alpha; and r0 = r_i = 0 gives NaN,
-    which h0 < NaN counts as coverage.
+    below _FLOOR. Nothing is drawn: a trial is in outage iff its serving
+    fade is below its exponent. A field without candidates gives 0;
+    r_i = 0, or a candidate of a field with s = 0 (where candidates have
+    intensity 0), gives inf, an outage, the limit of the exact term, as
+    does a term or sum that overflows at an extreme alpha; and
+    r0 = r_i = 0 gives NaN, which h0 < NaN counts as coverage.
     """
     sets = (interferers,) if isinstance(interferers, PointSet) else interferers
-    exponent = np.zeros(serving_r.size) + tail
+    exponent = np.zeros(serving_r.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_reach = np.log(gamma ** (1.0 / alpha) * serving_r)
         for points in sets:
@@ -179,45 +174,6 @@ def outage_exponent(
             terms += a
             exponent += _field_sums(terms, points.counts)
     return exponent
-
-
-def interference_tail_exponent(
-    lambda_s: float, alpha: float, gamma: float, r0, radius: float
-):
-    """Tail exponent T_R of the faded interference from beyond ``radius``.
-
-    The probability generating functional of the Poisson field with
-    unit-mean exponential fading gives, at s = gamma * r0**alpha,
-    T_R(s) = 2*pi*lambda_s * int_R^inf r / (1 + r**alpha / s) dr
-           = -ln E[exp(-s * I_out)],
-    with I_out the interference from beyond R (Haenggi, *Stochastic
-    Geometry for Wireless Networks*, ch. 5), in the unit of
-    :func:`outage_exponent`. It is 2*pi*lambda_s * R**2 * v/(alpha - 2) * F(alpha, v)
-    (:func:`_tail_series`), v = gamma * (r0/R)**alpha,
-    finite at any alpha and as gamma -> 0, because r0 <= R keeps v <= gamma.
-    ``r0`` is a float or an array of serving distances in [0, R]; the result has its shape.
-    """
-    alpha, radius = checked("alpha", alpha), checked("window_radius", radius)
-    v = gamma * (np.asarray(r0, dtype=float) / radius) ** alpha
-    scale = 2.0 * math.pi * lambda_s * (radius * radius) / (alpha - 2.0)
-    return scale * (v * _tail_series(alpha, v))
-
-
-def _tail_series(alpha: float, z: np.ndarray) -> np.ndarray:
-    """F(alpha, z) of :func:`~cachegeo.analytic._tail_hypergeometric` over an array ``z`` >= 0.
-
-    Each of its two series takes the terms that its extreme element needs,
-    and the 1/z one runs only if some element is above _NEAR_Z.
-    """
-    top = z.max(initial=0.0)
-    if top <= _NEAR_Z:
-        return _near_tail(alpha, z, top)
-    far = z > _NEAR_Z
-    near, beyond = z[~far], z[far]
-    out = np.empty_like(z)
-    out[~far] = _near_tail(alpha, near, near.max(initial=0.0))
-    out[far] = _far_tail(alpha, beyond, beyond.min(), np)
-    return out
 
 
 def _field_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -254,26 +210,18 @@ def _outage_blocks(params: SystemParams, cfg: SimConfig, physical=False):
     """Yield each block's serving distances and outage indicators under either association.
 
     A block draws its trials' serving distances, then each field's
-    candidate count, then the serving fades h0. A candidate adds at least
-    _FLOOR to a trial's :func:`outage_exponent`, so a trial with N of them
-    and h0 < T + _FLOOR * N, T its exponent from beyond the window (0 on
-    the whole plane), is in outage; only the other trials' candidates are
-    placed (:func:`_place`). A physical block first draws how many of
-    its trials have a hit, and only those go on; their fields are the SBSs
-    without the content, none at pc = 1, and the caching ones beyond the
-    server. Refused before any draw: an undefined serving-distance law, a
-    window that does not cover r_th, a link at r_th whose reach overflows
-    (naming r_th), and one whose candidate mean, which bounds every
-    trial's and is proportional to lambda_s, is above the cap (naming the
-    window if one is set, else lambda_s).
+    candidate count on the whole plane, then the serving fades h0. A
+    candidate adds at least _FLOOR to a trial's :func:`outage_exponent`, so
+    a trial with N of them and h0 < _FLOOR * N is in outage; only the other
+    trials' candidates are placed (:func:`_place`). A physical block first
+    draws how many of its trials have a hit, and only those go on; their
+    fields are the SBSs without the content, none at pc = 1, and the
+    caching ones beyond the server. Refused before any draw: an undefined
+    serving-distance law, a link at r_th whose reach overflows (naming
+    r_th), and one whose candidate mean, which bounds every trial's and is
+    proportional to lambda_s, is above the cap (naming lambda_s).
     """
     _serving_distance_law(params)
-    window = math.inf if cfg.window_radius is None else cfg.window_radius
-    if window < params.r_th:
-        raise ParameterError(
-            "window_radius",
-            f"window_radius {window} must cover the threshold distance {params.r_th}",
-        )
     hit, pc = (cache_hit_prob(params), params.pc) if physical else (1.0, 0.0)
     lam, alpha, gamma = params.lambda_s, params.alpha, params.gamma
     reach = gamma ** (1.0 / alpha)
@@ -282,52 +230,41 @@ def _outage_blocks(params: SystemParams, cfg: SimConfig, physical=False):
         raise ParameterError("r_th", f"r_th: the reach gamma**(1/alpha) * r_th "
                              f"= {reach:.3g} * {params.r_th:g} m overflows a float")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing mean is refused
-        mean = _candidate_mean(lam, _candidate_shares(link, 0.0, window, alpha))[0]
+        mean = _candidate_mean(lam, _candidate_shares(link, 0.0, alpha))[0]
     if not mean <= _MAX_POINTS_PER_TRIAL:
-        region = "the whole plane" if window == math.inf else f"a {window:g} m window"
-        raise _over_cap("lambda_s" if cfg.window_radius is None else "window_radius",
-                        f"a link at r_th {params.r_th:g} m on {region} at lambda_s {lam:g}",
-                        mean, "candidates")
+        raise _over_cap("lambda_s", f"a link at r_th {params.r_th:g} m on the whole plane "
+                        f"at lambda_s {lam:g}", mean, "candidates")
     for rng, size in _blocks(cfg.master_seed, cfg.trials):
         served = rng.binomial(size, hit) if physical else size
         r0 = draw_serving_distance(params, rng, served)
         s = reach * r0
         # each field's density and shares: the SBSs without the content, the caching ones
-        fields = [] if pc == 1.0 else [(lam * (1.0 - pc), _candidate_shares(s, 0.0, window, alpha))]
+        fields = [] if pc == 1.0 else [(lam * (1.0 - pc), _candidate_shares(s, 0.0, alpha))]
         if physical:
-            fields.append((lam * pc, _candidate_shares(s, r0, window, alpha)))
+            fields.append((lam * pc, _candidate_shares(s, r0, alpha)))
         counts = [rng.poisson(_candidate_mean(density, shares)) for density, shares in fields]
         h0 = rng.standard_exponential(served)
-        tail = (np.zeros(served) if window == math.inf
-                else interference_tail_exponent(lam, alpha, gamma, r0, window))
-        out = h0 < tail + _FLOOR * sum(counts)
+        out = h0 < _FLOOR * sum(counts)
         # a decided trial places none of its candidates
-        sets = tuple(_place(shares, np.where(out, 0, n), window, alpha, rng)
+        sets = tuple(_place(shares, np.where(out, 0, n), alpha, rng)
                      for (_, shares), n in zip(fields, counts))
-        out |= h0 < outage_exponent(r0, sets, alpha, gamma, tail)
+        out |= h0 < outage_exponent(r0, sets, alpha, gamma)
         yield r0, out
 
 
-def _candidate_shares(s: np.ndarray, inner, window_radius: float, alpha: float):
+def _candidate_shares(s: np.ndarray, inner, alpha: float):
     """Per field, the candidate mean on either side of the reach, in units of pi * s**2.
 
-    With u = inner/s, w = R/s and b = max(u, 1), the dominating intensity
-    min(1, (s/r)**alpha) integrates over inner < r <= R to pi * s**2 times
-    disc + beyond: disc = max(min(w, 1)**2 - u**2, 0) where it is 1, and
-    beyond = 2/(alpha - 2) * b**(2 - alpha) * m past b. The share of that
-    power law within R, m = 1 - (b/w)**(alpha - 2), is computed as
-    -expm1((alpha - 2) * log(min(b/w, 1))): it keeps its digits as b nears
-    w and is 1 on the whole plane (w = inf). s = 0 takes u = 0. Returns
-    (s, disc, beyond, u, m), each over the fields.
+    With u = inner/s and b = max(u, 1), the dominating intensity
+    min(1, (s/r)**alpha) integrates over r > inner to pi * s**2 times
+    disc + beyond: disc = max(1 - u**2, 0) where it is 1, and
+    beyond = 2/(alpha - 2) * b**(2 - alpha) past b. s = 0 takes u = 0.
+    Returns (s, disc, beyond, u), each over the fields.
     """
     k = alpha - 2.0
-    with np.errstate(divide="ignore", over="ignore"):
-        u = np.divide(inner, s, out=np.zeros_like(s), where=s > 0)
-        b = np.maximum(u, 1.0)
-        w = window_radius / s
-        m = -np.expm1(k * np.log(np.minimum(b / w, 1.0)))
-    disc = np.maximum(np.minimum(w, 1.0) ** 2 - u * u, 0.0)
-    return s, disc, 2.0 / k * b**-k * m, u, m
+    u = np.divide(inner, s, out=np.zeros_like(s), where=s > 0)
+    b = np.maximum(u, 1.0)
+    return s, np.maximum(1.0 - u * u, 0.0), 2.0 / k * b**-k, u
 
 
 def _candidate_mean(density: float, shares) -> np.ndarray:
@@ -341,39 +278,37 @@ def _candidate_mean(density: float, shares) -> np.ndarray:
 
 
 def _candidates(
-    density: float, s: np.ndarray, inner, window_radius: float, alpha: float,
-    rng: np.random.Generator,
+    density: float, s: np.ndarray, inner, alpha: float, rng: np.random.Generator
 ) -> PointSet:
     """Per reach s[k], a Poisson field of intensity density * min(1, (s[k]/r)**alpha).
 
-    Field k's candidates lie on inner[k] < r <= R, R the window radius or
-    inf; ``inner`` is 0 or an array over the fields. Their counts are
-    Poisson of mean :func:`_candidate_mean`, and :func:`_place` places them.
+    Field k's candidates lie on r > inner[k]; ``inner`` is 0 or an array
+    over the fields. Their counts are Poisson of mean
+    :func:`_candidate_mean`, and :func:`_place` places them.
     """
-    shares = _candidate_shares(s, inner, window_radius, alpha)
-    return _place(shares, rng.poisson(_candidate_mean(density, shares)), window_radius, alpha, rng)
+    shares = _candidate_shares(s, inner, alpha)
+    return _place(shares, rng.poisson(_candidate_mean(density, shares)), alpha, rng)
 
 
-def _place(shares, counts, window_radius: float, alpha: float, rng) -> PointSet:
+def _place(shares, counts, alpha: float, rng) -> PointSet:
     """The distances of ``counts[k]`` candidates of field k, given its :func:`_candidate_shares`.
 
     With v uniform on [0, disc + beyond), a candidate lies at
     s * sqrt(u**2 + v), uniform in area, for v <= disc, and else at the
-    power law's inverse CDF, s * b * (1 - f * m)**(-1/(alpha - 2)) with
-    f = (v - disc)/beyond. A distance that rounds past R is held at R, and
-    one that overflows near alpha = 2 is inf, the exact limit.
+    power law's inverse CDF, s * b * (1 - f)**(-1/(alpha - 2)) with
+    f = (v - disc)/beyond. A distance that overflows near alpha = 2 is inf,
+    the exact limit.
     """
-    scale, first, far_share, near, mass = (np.repeat(x, counts) for x in shares)
+    scale, first, far_share, near = (np.repeat(x, counts) for x in shares)
     v = rng.random(int(counts.sum()))
     v *= first + far_share
     k = alpha - 2.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # only the candidates beyond the disc part use these; the others may give NaN
         f = (v - first) / far_share
-        far = np.maximum(near, 1.0) * np.exp(np.log1p(-f * mass) / -k)
+        far = np.maximum(near, 1.0) * np.exp(np.log1p(-f) / -k)
         r = np.where(v <= first, np.sqrt(near * near + v), far)
         r *= scale
-    np.minimum(r, window_radius, out=r)
     return PointSet(r=r, counts=counts)
 
 
@@ -470,8 +405,7 @@ def estimate_physical(params: SystemParams, cfg: SimConfig) -> Estimate:
     independently with probability pc, as in :func:`estimate_cache_hit`.
     Trials without a hit are discarded and counted in ``n_discarded``, so
     ``n`` is Binomial(trials, hit probability); the others are sampled
-    given the hit (module docstring), and beyond a window every SBS
-    interferes, in closed form as in emulated mode. Raises
+    given the hit, on the whole plane (module docstring). Raises
     :class:`DegenerateSampleError` when no trial has a hit.
     """
     return _estimate_outage(params, cfg, physical=True)

@@ -279,12 +279,19 @@ def spec_to_dict(spec: SweepSpec) -> dict:
     return data
 
 
+# the keys a spec dict may hold, at its top level, in base and in sim
+_SPEC_KEYS = frozenset(field.name for field in fields(SweepSpec))
+_BASE_KEYS = frozenset(field.name for field in fields(SystemParams))
+_SIM_KEYS = frozenset(field.name for field in fields(SimConfig)) | {"mode"}
+
+
 def spec_from_dict(data: dict) -> SweepSpec:
     """Inverse of :func:`spec_to_dict`; raises ParameterError on bad fields.
 
     Sweeps are emulated: a ``sim.mode`` other than ``"emulated"`` is refused.
-    Each base field is checked in its domain and a real one is kept as a
-    float; :class:`SimConfig` checks the sim fields, and
+    A key that is no field of the spec, of ``base`` or of ``sim`` is
+    refused by name. Each base field is checked in its domain and a real
+    one is kept as a float; :class:`SimConfig` checks the sim fields, and
     :func:`validate_spec` the axis and series values.
     """
     if not isinstance(data, dict):
@@ -299,6 +306,11 @@ def spec_from_dict(data: dict) -> SweepSpec:
                 "config",
                 f"malformed sweep spec: {key} must be an {name}, got {type(value).__name__}",
             )
+    for prefix, given, known in (("", data, _SPEC_KEYS), ("base.", data.get("base"), _BASE_KEYS),
+                                 ("sim.", data.get("sim"), _SIM_KEYS)):
+        unknown = [key for key in given or () if key not in known]
+        if unknown:
+            raise ParameterError("config", f"malformed sweep spec: unknown key {prefix}{unknown[0]}")
     try:
         base = SystemParams(**{field.name: checked(field.name, data["base"][field.name])
                                for field in fields(SystemParams)})
@@ -319,7 +331,6 @@ def spec_from_dict(data: dict) -> SweepSpec:
             else SimConfig(
                 trials=sim.get("trials", SimConfig.trials),
                 master_seed=sim.get("master_seed", SimConfig.master_seed),
-                window_radius=sim.get("window_radius"),
             ),
             label=str(data.get("label", "sweep")),
             note=str(data.get("note", "")),

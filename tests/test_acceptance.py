@@ -89,13 +89,8 @@ def test_criterion_2_monte_carlo_covers_closed_form_on_figure_grid():
                             library_size=100,
                         )
                     )
-                    # interferers are sampled out to 20 threshold
-                    # distances and the field beyond is added exactly
-                    cfg = SimConfig(
-                        trials=5000,
-                        master_seed=20_000 + index,
-                        window_radius=20.0 * r_th,
-                    )
+                    # interferers are sampled on the whole plane
+                    cfg = SimConfig(trials=5000, master_seed=20_000 + index)
                     est = estimate_content_outage(params, cfg)
                     target = content_outage(params)
                     hit = est.ci_low <= target <= est.ci_high
@@ -221,7 +216,7 @@ def test_criterion_7_cli_determinism(tmp_path):
             sys.executable, "-m", "cachegeo", "simulate",
             "--lambda", "0.1", "--alpha", "3", "--gamma-db", "-10",
             "--rth", "5", "--d", "2", "--library", "100",
-            "--trials", "500", "--seed", "31", "--window", "60", "--json",
+            "--trials", "500", "--seed", "31", "--json",
         ]
 
         def run():

@@ -37,7 +37,6 @@ from cachegeo.model import (
     db_to_linear,
     validate,
 )
-from cachegeo.simulate import _tail_series
 
 # 40-digit oracle values
 KAPPA_3 = 2.4183991523122905
@@ -406,7 +405,7 @@ def test_physical_outage_rejects_empty_caches():
         physical_content_outage(make_params(cache_size_d=0))
 
 
-# -- the 2F1 of rho and of the far field ------------------------------------------------
+# -- the 2F1 of rho ---------------------------------------------------------------------
 
 # F(alpha, z) = 2F1(1, 1 - 2/alpha; 2 - 2/alpha; -z), summed by two series that
 # meet at z = 4, where as alpha grows the 1/z series would cancel if it were
@@ -419,17 +418,14 @@ _TAIL_ARGUMENTS = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(log_excess=st.floats(-6.0, 3.0), zs=st.lists(_TAIL_ARGUMENTS, min_size=1, max_size=6))
 def test_tail_hypergeometric_matches_mpmath(log_excess, zs):
-    # alpha - 2 is log-uniform in [1e-6, 1e3]; the scalar form serves rho and
-    # the array form T_R, which sums each series to the terms its extreme element needs
+    # alpha - 2 is log-uniform in [1e-6, 1e3]
     mpmath = pytest.importorskip("mpmath")
     alpha = 2.0 + 10.0**log_excess
-    block = _tail_series(alpha, np.array(zs))
     with mpmath.workdps(40):
         b = 1 - 2 / mpmath.mpf(alpha)
-        for z, value in zip(zs, block):
+        for z in zs:
             exact = mpmath.hyp2f1(1, b, b + 1, -mpmath.mpf(z))
-            for form in (_tail_hypergeometric(alpha, z), value):
-                assert abs(form - exact) <= 1e-12 * exact
+            assert abs(_tail_hypergeometric(alpha, z) - exact) <= 1e-12 * exact
 
 
 @pytest.mark.parametrize("alpha", [1e6, 1e8])
@@ -441,8 +437,7 @@ def test_tail_hypergeometric_keeps_its_digits_at_large_alpha(alpha, z):
     with mpmath.workdps(40):
         b = 1 - 2 / mpmath.mpf(alpha)
         exact = mpmath.hyp2f1(1, b, b + 1, -mpmath.mpf(z))
-    for form in (_tail_hypergeometric(alpha, z), _tail_series(alpha, np.array([z]))[0]):
-        assert abs(form - exact) <= 1e-14 * exact
+    assert abs(_tail_hypergeometric(alpha, z) - exact) <= 1e-14 * exact
 
 
 @pytest.mark.parametrize(
@@ -452,12 +447,9 @@ def test_tail_hypergeometric_keeps_its_digits_at_large_alpha(alpha, z):
      (1e308, lambda z: math.log1p(z) / z)],
 )
 def test_tail_hypergeometric_closed_forms(alpha, closed_form):
-    zs = [1e-10, 0.01, 1.0, 3.999, 4.0, 4.001, 11.5, 1e3, 1e12]
-    block = _tail_series(alpha, np.array([0.0, *zs]))
-    assert _tail_hypergeometric(alpha, 0.0) == block[0] == 1.0
-    for z, value in zip(zs, block[1:]):
-        for form in (_tail_hypergeometric(alpha, z), value):
-            assert form == pytest.approx(closed_form(z), rel=1e-14, abs=0.0)
+    assert _tail_hypergeometric(alpha, 0.0) == 1.0
+    for z in [1e-10, 0.01, 1.0, 3.999, 4.0, 4.001, 11.5, 1e3, 1e12]:
+        assert _tail_hypergeometric(alpha, z) == pytest.approx(closed_form(z), rel=1e-14, abs=0.0)
 
 
 # -- optimal density ----------------------------------------------------------------------

@@ -86,8 +86,8 @@ def _dotted_leaves(payload: dict, prefix: str = ""):
 REPORTS = {
     "analytic": ["analytic", *P_FLAGS],
     "analytic-epsilon": ["analytic", *P_FLAGS, "--epsilon", "0.5"],
-    "simulate-emulated": ["simulate", *P_FLAGS, "--trials", "200", "--seed", "4", "--window", "20"],
-    "simulate-physical": ["simulate", *P_FLAGS, "--trials", "200", "--seed", "4", "--window", "20",
+    "simulate-emulated": ["simulate", *P_FLAGS, "--trials", "200", "--seed", "4"],
+    "simulate-physical": ["simulate", *P_FLAGS, "--trials", "200", "--seed", "4",
                           "--mode", "physical"],
     "plan-pc": ["plan", "--epsilon", "0.9", "--pc", "0.1", "--rth", "10"],
     "plan-lambda": ["plan", "--epsilon", "0.9", "--lambda", "0.1", "--rth", "10"],
@@ -166,7 +166,7 @@ def _with_gamma_db(value):
         (["plan", "--epsilon", "0", "--rth", "5", "--pc", "7"], "pc"),
         (["plan", "--epsilon", "0", "--rth", "5", "--pc", "nan"], "pc"),
         # the candidate mean of a link at r_th on the whole plane overflows to inf; it is
-        # proportional to lambda_s, the field a run without a window is refused in
+        # proportional to lambda_s, the field the run is refused in
         (["simulate", "--lambda", "1e-300", "--alpha", "3", "--gamma-db", "-10", "--rth", "1e308",
           "--d", "2", "--library", "100", "--trials", "5"], "lambda_s"),
     ],
@@ -182,12 +182,12 @@ def test_out_of_domain_input_exits_2_naming_its_field(argv, field, tmp_path, cap
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("mode", ["emulated", "physical"])
-@pytest.mark.parametrize("window", [["--window", "1e201"], []], ids=["window", "plane"])
-def test_simulate_overflowing_reach_exits_2_naming_it(mode, window, capsys):
+@pytest.mark.parametrize("mode", [pytest.param(mode, id=f"plane-{mode}")
+                                  for mode in ("emulated", "physical")])
+def test_simulate_overflowing_reach_exits_2_naming_it(mode, capsys):
     # gamma**(1/alpha) * r_th = 7.2e142 * 1e200 m overflows a float
     argv = ["simulate", "--lambda", "1e-300", "--alpha", "2.1", "--gamma-db", "3000",
-            "--rth", "1e200", *window, "--d", "2", "--library", "100", "--trials", "50",
+            "--rth", "1e200", "--d", "2", "--library", "100", "--trials", "50",
             "--mode", mode]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -195,7 +195,7 @@ def test_simulate_overflowing_reach_exits_2_naming_it(mode, window, capsys):
     assert "nan" not in err and err.endswith("(field: r_th)\n")
 
 
-# above the point cap, 5.08e19 candidates on the whole plane and 1.26e19 on a 20 km window
+# above the point cap, 5.08e19 candidates on the whole plane
 _CAP_FLAGS = ["--lambda", "1e10", "--alpha", "3", "--gamma-db", "80", "--rth", "50",
               "--d", "2", "--library", "100"]
 # the reach gamma**(1/alpha) * r_th overflows a float
@@ -209,23 +209,18 @@ _HIT_CAP = {"lambda_s": 1.0, "alpha": 3.0, "gamma": 0.1, "r_th": 1e10, "cache_si
 @pytest.mark.parametrize("command, flags, field", [
     ("simulate", _CAP_FLAGS, "lambda_s"),
     ("simulate", [*_CAP_FLAGS, "--mode", "physical"], "lambda_s"),
-    ("simulate", [*_CAP_FLAGS, "--window", "20000"], "window_radius"),
-    ("simulate", [*_CAP_FLAGS, "--window", "20000", "--mode", "physical"], "window_radius"),
     ("simulate", _REACH_FLAGS, "r_th"),
     ("simulate", [*_REACH_FLAGS, "--mode", "physical"], "r_th"),
-    ("simulate", [*_REACH_FLAGS, "--window", "1e201"], "r_th"),
-    ("simulate", [*_REACH_FLAGS, "--window", "1e201", "--mode", "physical"], "r_th"),
     ("estimate_cache_hit", [], "lambda_s"),
     ("sweep", ["--lambda", "1", "--alpha", "3", "--gamma-db", "-10", "--rth", "1e10", "--d", "2",
                "--library", "100", "--quantity", "hit", "--axis", "pc", "--from", "0.02",
                "--to", "1", "--steps", "2", "--trials", "10"], "lambda_s"),
-], ids=["plane-cap-emulated", "plane-cap-physical", "window-cap-emulated", "window-cap-physical",
-        "plane-reach-emulated", "plane-reach-physical", "window-reach-emulated",
-        "window-reach-physical", "hit-cap-estimator", "hit-cap-sweep-row"])
+], ids=["plane-cap-emulated", "plane-cap-physical", "plane-reach-emulated",
+        "plane-reach-physical", "hit-cap-estimator", "hit-cap-sweep-row"])
 def test_a_refusal_names_an_input_the_run_set(command, flags, field, tmp_path, monkeypatch,
                                                capsys):
-    # only a run with --window is refused in its name, and every refusal
-    # comes before any block opens its stream
+    # a cap is refused naming lambda_s, which the mean it caps is
+    # proportional to, and every refusal comes before any block opens its stream
     def no_draw(*args):
         raise AssertionError("a block stream was opened")
 
@@ -260,8 +255,7 @@ def test_simulate_default_trial_count_is_echoed(capsys):
 
 
 def test_simulate_same_seed_twice_is_byte_identical(capsys):
-    argv = ["simulate", *P_FLAGS, "--trials", "300", "--seed", "12",
-            "--window", "60", "--json"]
+    argv = ["simulate", *P_FLAGS, "--trials", "300", "--seed", "12", "--json"]
     assert main(argv) == 0
     first = capsys.readouterr().out
     assert main(argv) == 0
@@ -272,18 +266,17 @@ def test_simulate_same_seed_twice_is_byte_identical(capsys):
 @pytest.mark.parametrize("mode", ["emulated", "physical"])
 def test_simulate_json_key_layout_is_pinned(mode, capsys):
     # the benchmark's output checks (perfbench/checks.py) read these keys
-    argv = ["simulate", *P_FLAGS, "--trials", "100", "--window", "20", "--mode", mode, "--json"]
+    argv = ["simulate", *P_FLAGS, "--trials", "100", "--mode", mode, "--json"]
     assert main(argv) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert list(payload) == ["params", "mode", "trials", "master_seed", "window_radius",
+    assert list(payload) == ["params", "mode", "trials", "master_seed",
                              "analytic_content_outage", "estimate", "verdict"]
     assert list(payload["estimate"]) == ["mean", "ci_low", "ci_high", "confidence", "n",
                                          "n_discarded"]
 
 
 def test_simulate_emulated_agrees_with_closed_form(capsys):
-    rc = main(["simulate", *P_FLAGS, "--trials", "2000", "--seed", "3",
-               "--window", "100", "--json"])
+    rc = main(["simulate", *P_FLAGS, "--trials", "2000", "--seed", "3", "--json"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "PASS"
@@ -295,7 +288,7 @@ def test_simulate_emulated_agrees_with_closed_form(capsys):
 def test_simulate_physical_mode_reports_effective_samples(capsys):
     rc = main(["simulate", "--lambda", "0.3", "--alpha", "3", "--gamma-db", "-10",
                "--rth", "3", "--d", "4", "--library", "4", "--mode", "physical",
-               "--trials", "300", "--seed", "2", "--window", "40", "--json"])
+               "--trials", "300", "--seed", "2", "--json"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["estimate"]["n"] + payload["estimate"]["n_discarded"] == 300
@@ -306,8 +299,8 @@ def test_simulate_physical_verdict_uses_the_physical_law(capsys):
     # its mean 0.4378 and interval [0.4198, 0.4559] miss it
     flags = ["--lambda", "0.1", "--alpha", "4", "--gamma-db", "0", "--rth", "5",
              "--d", "100", "--library", "100"]
-    rc = main(["simulate", *flags, "--mode", "physical", "--window", "80", "--trials", "5000",
-               "--seed", "3", "--json"])
+    rc = main(["simulate", *flags, "--mode", "physical", "--trials", "5000", "--seed", "3",
+               "--json"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     params = validate(SystemParams(lambda_s=0.1, alpha=4.0, gamma=1.0, r_th=5.0,
@@ -321,75 +314,65 @@ def test_simulate_degenerate_physical_exits_3(capsys):
     # hit probability 3.1e-11: a hit in 40 trials has probability 1.3e-9
     rc = main(["simulate", "--lambda", "1e-9", "--alpha", "3", "--gamma-db", "-10",
                "--rth", "1", "--d", "1", "--library", "100", "--mode", "physical",
-               "--trials", "40", "--seed", "5", "--window", "12"])
+               "--trials", "40", "--seed", "5"])
     assert rc == 3
     assert "effective sample size 0" in capsys.readouterr().err
 
 
-def test_simulate_physical_runs_at_a_20_km_window(capsys):
-    # a 20 km window holds 1.26e8 SBSs at the reference point, yet a trial
-    # samples about 5 candidates: the point cap counts the candidates
-    rc = main(["simulate", *P_FLAGS, "--mode", "physical", "--window", "20000", "--json"])
-    assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert (payload["window_radius"], payload["verdict"]) == (20000.0, "PASS")
-
-
-def _assert_above_the_candidate_cap_exits_2_before_any_draw(mode, monkeypatch, capsys):
-    # at 80 dB the reach 464 * r_th passes a 20 km window, so every SBS on
-    # it is a candidate: 1.26e19 per trial at lambda_s = 1e10, above what a
-    # count draw takes, refused before any block opens its stream
+def test_simulate_emulated_above_the_candidate_cap_exits_2_before_any_draw(monkeypatch, capsys):
+    # at 80 dB the reach of a link at r_th is 464 * r_th: 5.08e19 candidates
+    # per trial on the whole plane at lambda_s = 1e10, above what a count
+    # draw takes, refused before any block opens its stream
     def no_draw(*args):
         raise AssertionError("a block stream was opened")
 
     monkeypatch.setattr("cachegeo.simulate.trial_stream", no_draw)
-    rc = main(["simulate", "--lambda", "1e10", "--alpha", "3", "--gamma-db", "80", "--rth", "50",
-               "--d", "2", "--library", "100", "--mode", mode, "--window", "20000"])
+    rc = main(["simulate", *_CAP_FLAGS])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "1.26e+19 candidates" in err and "(field: window_radius)" in err
-
-
-def test_simulate_physical_oversized_window_exits_2_before_any_draw(monkeypatch, capsys):
-    _assert_above_the_candidate_cap_exits_2_before_any_draw("physical", monkeypatch, capsys)
-
-
-def test_simulate_emulated_above_the_candidate_cap_exits_2_before_any_draw(monkeypatch, capsys):
-    _assert_above_the_candidate_cap_exits_2_before_any_draw("emulated", monkeypatch, capsys)
+    assert "5.08e+19 candidates" in err and "(field: lambda_s)" in err
 
 
 @pytest.mark.parametrize("alpha", ["2.005", "2.1", "2.3"])
 def test_simulate_near_pole_runs_at_a_50_m_window(alpha, capsys):
-    # near alpha = 2 most of the interference comes from far away; the field
-    # beyond the window is added in closed form, so a 50 m window suffices
-    rc = main(["simulate", "--lambda", "0.1", "--alpha", alpha, "--gamma-db", "-10",
-               "--rth", "5", "--d", "2", "--library", "100", "--window", "50", "--json"])
-    assert rc == 0
-    assert json.loads(capsys.readouterr().out)["window_radius"] == 50.0
+    # near alpha = 2 most of the interference comes from far away, and a
+    # trial's candidates are drawn out to any distance; a 50 m window is
+    # still accepted, and ignored
+    argv = ["simulate", "--lambda", "0.1", "--alpha", alpha, "--gamma-db", "-10",
+            "--rth", "5", "--d", "2", "--library", "100", "--json"]
+    assert main([*argv, "--window", "50"]) == 0
+    windowed = capsys.readouterr().out
+    assert json.loads(windowed)["estimate"]["n"] == 5000
+    assert main(argv) == 0
+    assert capsys.readouterr().out == windowed
 
 
 def test_simulate_near_pole_default_window_fits_a_small_run(capsys):
-    # alpha = 2.5 runs on the whole plane by default, reported as null
+    # alpha = 2.5 runs on the whole plane, and reports no window
     rc = main(["simulate", "--lambda", "0.1", "--alpha", "2.5", "--gamma-db", "-10",
                "--rth", "5", "--d", "2", "--library", "100", "--trials", "5", "--json"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["window_radius"] is None
+    assert "window_radius" not in payload
     assert "truncation_bias" not in payload
 
 
 @pytest.mark.parametrize("mode", ["emulated", "physical"])
-def test_simulate_window_below_threshold_distance_exits_2(mode, capsys):
-    rc = main(["simulate", *P_FLAGS, "--trials", "5", "--mode", mode, "--window", "4.9"])
-    assert rc == 2
-    assert "(field: window_radius)" in capsys.readouterr().err
+def test_simulate_ignores_the_window_flag(mode, capsys):
+    # every run samples the whole plane; --window is still accepted, and a
+    # run with it prints the same bytes as the run without it
+    argv = ["simulate", *P_FLAGS, "--trials", "300", "--seed", "9", "--mode", mode, "--json"]
+    assert main(argv) == 0
+    plane = capsys.readouterr()
+    assert main([*argv, "--window", "100"]) == 0
+    assert capsys.readouterr() == plane
 
 
 @pytest.mark.parametrize(
     "extra",
     [["--alpha", "400"],
-     ["--alpha", "400", "--mode", "physical", "--window", "60"],
-     ["--alpha", "500", "--mode", "physical", "--window", "60"],
+     ["--alpha", "400", "--mode", "physical"],
+     ["--alpha", "500", "--mode", "physical"],
      ["--alpha", "1e308", "--gamma-db", "0", "--d", "1", "--library", "2"],
      ["--alpha", "1e308", "--gamma-db", "0", "--d", "1", "--library", "2", "--mode", "physical"]],
     ids=["emulated-400", "physical-400", "physical-500", "emulated-1e308", "physical-1e308"],
@@ -436,12 +419,9 @@ def model_flags(draw):
 def simulate_argv(draw):
     params, flags = draw(model_flags())
     trials = draw(st.integers(1, 200))
-    # a trial's work does not grow with its field, so any field may be drawn
-    window = draw(st.none() | st.floats(0.5, 50.0).map(lambda k: k * params.r_th))
-    argv = ["simulate", *flags, "--trials", str(trials),
+    return ["simulate", *flags, "--trials", str(trials),
             "--seed", str(draw(st.integers(0, 2**64 - 1))),
             "--mode", draw(st.sampled_from(["emulated", "physical"]))]
-    return argv if window is None else [*argv, "--window", repr(window)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -600,7 +580,7 @@ def _sim_config(tmp_path, **sim):
         "base": {"lambda_s": 0.1, "alpha": 3.0, "gamma": 0.1, "r_th": 5.0,
                  "cache_size_d": 2, "library_size": 100},
         "axis": "gamma_db", "values": [-10.0, 0.0], "label": "mc",
-        "sim": {"trials": 20, "master_seed": 3, "window_radius": 50.0, **sim},
+        "sim": {"trials": 20, "master_seed": 3, **sim},
     }), encoding="utf-8")
     return config
 
@@ -612,7 +592,7 @@ def test_sweep_config_replays_emulated_or_modeless_sim(mode, tmp_path, capsys):
     assert rc == 0
     table = read_json(tmp_path / "mc_3.json")
     assert all(row.sim_mean is not None for row in table.rows)
-    assert table.metadata["sim"] == {"trials": 20, "master_seed": 3, "window_radius": 50.0}
+    assert table.metadata["sim"] == {"trials": 20, "master_seed": 3}
 
 
 def test_sweep_config_physical_mode_exits_2(tmp_path, capsys):
@@ -668,7 +648,6 @@ _REAL_CONFIG_FIELDS = [
     (("base", "lambda_s"), "lambda_s"), (("base", "alpha"), "alpha"),
     (("base", "gamma"), "gamma"), (("base", "r_th"), "r_th"),
     (("values", 0), "gamma_db"), (("series_values", 1), "pc"),
-    (("sim", "window_radius"), "window_radius"),
 ]
 _HUGE = 10**400  # a JSON integer beyond the float range
 
@@ -677,8 +656,7 @@ _HUGE = 10**400  # a JSON integer beyond the float range
     "path, field, value",
     [pytest.param(path, field, value, id=f"{path[0]}.{path[1]}-"
                   + ("10**400" if value is _HUGE else json.dumps(value)))
-     for path, field in _REAL_CONFIG_FIELDS for value in (True, False, "0.1", None, _HUGE)
-     if not (field == "window_radius" and value is None)],  # a null window is the default
+     for path, field in _REAL_CONFIG_FIELDS for value in (True, False, "0.1", None, _HUGE)],
 )
 def test_sweep_config_with_non_number_exits_2(path, field, value, tmp_path, capsys):
     # a JSON boolean, string or null is no number, though Python's bool is an
@@ -707,6 +685,26 @@ def test_sweep_config_with_non_object_fields_exits_2(edit, tmp_path, capsys):
     rc = main(["sweep", "--config", str(config), "--out", str(tmp_path)])
     assert rc == 2
     assert "(field: config)" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [(lambda c: {**c, "quantiy": "cache_hit"}, "quantiy"),
+     (lambda c: {**c, "base": {**c["base"], "pc": 0.5}}, "base.pc"),
+     (lambda c: {**c, "sim": {**c["sim"], "trails": 10}}, "sim.trails"),
+     (lambda c: {**c, "sim": {**c["sim"], "window_radius": 50.0}}, "sim.window_radius")],
+    ids=["top-level", "base", "sim", "sim-window-radius"],
+)
+def test_sweep_config_with_an_unknown_key_exits_2(edit, key, tmp_path, capsys):
+    # a misspelt or retired key is refused by name, never dropped: with
+    # sim.trails dropped the sweep would run the default 5000 trials a cell
+    config = _sim_config(tmp_path)
+    config.write_text(json.dumps(edit(json.loads(config.read_text()))), encoding="utf-8")
+    rc = main(["sweep", "--config", str(config), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"unknown key {key} " in err and err.endswith("(field: config)\n")
     assert list(tmp_path.iterdir()) == [config]
 
 
@@ -747,13 +745,6 @@ def test_figure_preset_with_trials_attaches_sim(tmp_path, capsys):
     assert rc == 2  # density presets have no Monte Carlo counterpart
 
 
-def test_figure_preset_with_window_alone_attaches_sim(tmp_path, capsys):
-    # --window attaches Monte Carlo columns as --trials does
-    rc = main(["figure", "--fig", "8", "--window", "100", "--out", str(tmp_path)])
-    assert rc == 2
-    assert "(field: sim)" in capsys.readouterr().err
-
-
 # flag value -> the range the generator draws its values from
 _SWEEP_AXES = {
     "lambda-s": st.floats(1e-4, 1.0) | _TINY_EXPONENTS.map(lambda e: 10.0**e),
@@ -782,10 +773,8 @@ def sweep_argv(draw):
                     | st.sampled_from(["", "abc", "0.1,abc"]))
         argv += ["--series-axis", series_axis, f"--series-values={text}"]
     trials = draw(st.none() | st.integers(1, 20))
-    window = draw(st.none() | st.floats(0.5, 50.0).map(lambda k: k * params.r_th))
     seed = draw(st.none() | st.integers(0, 2**64 - 1))
     argv += [*(["--trials", str(trials)] if trials else []),
-             *(["--window", repr(window)] if window else []),
              *(["--seed", str(seed)] if seed is not None else [])]
     return argv
 
@@ -795,13 +784,7 @@ def figure_argv(draw):
     fig = draw(st.sampled_from(FIGURE_NUMBERS))
     argv = ["figure", "--fig", str(fig), "--seed", str(draw(st.integers(0, 2**64 - 1)))]
     trials = draw(st.none() | st.integers(1, 2))
-    if trials is not None:
-        argv += ["--trials", str(trials)]
-    # a window alone would attach 5000 trials per cell; the density presets refuse it
-    if trials is not None or fig in (8, 9):
-        window = draw(st.none() | st.floats(0.5, 100.0))
-        argv += [] if window is None else ["--window", repr(window)]
-    return argv
+    return argv if trials is None else [*argv, "--trials", str(trials)]
 
 
 @st.composite
@@ -863,14 +846,13 @@ def fuzzed_config(draw):
         config.update(series_axis=series_axis, series_values=list(_GRIDS[series_axis]))
         slots.append(("series_values", 0))
     if axis != "epsilon" and draw(st.booleans()):
-        config["sim"] = {"trials": 10, "master_seed": 3, "window_radius": 50.0}
+        config["sim"] = {"trials": 10, "master_seed": 3}
         slots += [("sim", key) for key in config["sim"]]
     refused = False
     for section, key in draw(st.lists(st.sampled_from(slots), max_size=3, unique=True)):
         value = config[section][key] = draw(_CONFIG_VALUES)
-        # a null window is the default one; identity keeps 1 and True apart
-        refused |= any(value is never for never in _NEVER_NUMBERS) and not (
-            key == "window_radius" and value is None)
+        # identity keeps 1 and True apart
+        refused |= any(value is never for never in _NEVER_NUMBERS)
     return config, refused
 
 
@@ -882,7 +864,7 @@ def fuzzed_argv(draw):
     """
     model_flags = {"--lambda": "0.1", "--alpha": "3", "--gamma-db": "-10", "--rth": "5",
                    "--d": "2", "--library": "100"}
-    sim_flags = {"--trials": "10", "--seed": "3", "--window": "50"}
+    sim_flags = {"--trials": "10", "--seed": "3"}
     command = draw(st.sampled_from(["analytic", "simulate", "plan", "sweep", "figure"]))
     unknown = draw(st.sampled_from(["--pc", "--lambda"]))
     flags = {
@@ -900,7 +882,7 @@ def fuzzed_argv(draw):
         flags["--from"], flags["--to"] = map(repr, _GRIDS[_FLAG_AXES[axis]])
         extra = ["--axis", axis, "--quantity", "density" if axis == "epsilon" else "hit"]
         if axis == "epsilon":
-            del flags["--trials"], flags["--window"]
+            del flags["--trials"]
     refused = False
     for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3, unique=True)):
         flags[flag] = draw(_FLAG_VALUES)
@@ -1142,16 +1124,15 @@ def test_only_the_quadrature_loads_scipy(tmp_path):
         ("figure 8", ["figure", "--fig", "8", "--out", out]),
     ]
     sampling = [
-        # rho and the far field beyond a window are series, and no mode needs
-        # a quadrature or a root find
+        # rho is a series, and no mode needs a quadrature or a root find
         ("simulate", ["simulate", *P_FLAGS, "--trials", "8"]),
         # at pc = 0.5 a trial has a hit with probability 0.98, so 8 trials
         # are never all discarded
         ("simulate physical", ["simulate", *P_FLAGS, "--d", "50", "--trials", "8",
                                "--mode", "physical"]),
-        # a window adds the far field's T_R to every block
-        ("simulate physical window", ["simulate", *P_FLAGS, "--mode", "physical",
-                                      "--window", "100", "--trials", "300"]),
+        # the benchmark's physical run, at the reference point
+        ("simulate physical reference", ["simulate", *P_FLAGS, "--mode", "physical",
+                                         "--trials", "300"]),
     ]
     sweep_hit = [
         ("sweep hit", ["sweep", *P_FLAGS, "--quantity", "hit", "--axis", "pc", "--from", "0.02",
@@ -1159,7 +1140,7 @@ def test_only_the_quadrature_loads_scipy(tmp_path):
     ]
     loaded = _cold_start(closed + sampling)
     assert loaded.pop("import") == []
-    assert loaded.pop("simulate physical window") == [0, ["numpy"]]
+    assert loaded.pop("simulate physical reference") == [0, ["numpy"]]
     assert loaded.pop("simulate physical") == [0, ["numpy"]]
     assert loaded.pop("simulate") == [0, ["numpy"]]
     assert loaded == {label: [0, []] for label, _ in closed}

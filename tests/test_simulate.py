@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from cachegeo.analytic import (
     cache_hit_prob,
@@ -27,7 +27,6 @@ from cachegeo.simulate import (
     estimate_cache_hit,
     estimate_content_outage,
     estimate_physical,
-    interference_tail_exponent,
     outage_exponent,
     trial_stream,
 )
@@ -122,12 +121,6 @@ def test_outage_exponent_of_one_interferer_at_the_serving_distance():
     assert exponent == pytest.approx([math.log1p(10.0), math.log1p(1.0)], rel=1e-15)
 
 
-def test_outage_exponent_of_an_empty_field_is_its_tail():
-    empty = PointSet(r=np.empty(0), counts=np.array([0, 0]))
-    exponent = outage_exponent(np.array([2.0, 3.0]), empty, 3.0, 0.1, np.array([0.0, 0.25]))
-    assert exponent.tolist() == [0.0, 0.25]
-
-
 def test_sir_per_field_symmetric_interferer_and_empty_field():
     # one block of two fields: a single interferer at the serving distance
     # gives log1p(1/gamma), and the empty second field must not see that interferer
@@ -141,7 +134,7 @@ def test_sir_block_matches_per_field_loop():
     # at a time, with each candidate's term log1p(max(x, 1/x))
     rng = trial_stream(9, 0)
     r0 = draw_serving_distance(make_params(), rng, 50)
-    block = _candidates(0.5, 0.1 ** (1.0 / 3.5) * r0, 0.0, 12.0, 3.5, rng)
+    block = _candidates(0.5, 0.1 ** (1.0 / 3.5) * r0, 0.0, 3.5, rng)
     exponent = outage_exponent(r0, block, 3.5, 0.1)
     radii = np.split(block.r, np.cumsum(block.counts)[:-1])
     for k in range(50):
@@ -150,13 +143,12 @@ def test_sir_block_matches_per_field_loop():
         assert exponent[k] == pytest.approx(reference, rel=1e-12)
 
 
-def _per_field_exponent(r0, tail, fields):
+def _per_field_exponent(r0, fields):
     """Reference exponents, one field at a time; ``fields`` holds each field's distances."""
     def term(x):
         return math.log1p(max(x, 1.0 / x))
 
-    return [tail[k] + sum(term(0.1 * (r0[k] / r) ** 3.0) for r in radii)
-            for k, radii in enumerate(fields)]
+    return [sum(term(0.1 * (r0[k] / r) ** 3.0) for r in radii) for k, radii in enumerate(fields)]
 
 
 @pytest.mark.parametrize(
@@ -166,16 +158,15 @@ def _per_field_exponent(r0, tail, fields):
          "runs-of-empties"],
 )
 def test_sir_sums_each_field_alone(counts):
-    # the per-field sums must give an empty field nothing but its tail (not
-    # its neighbour's first term) and a one-point field exactly its own term
+    # the per-field sums must give an empty field nothing (not its
+    # neighbour's first term) and a one-point field exactly its own term
     counts = np.array(counts)
     rng = np.random.default_rng(41)
     r = rng.uniform(1.0, 9.0, int(counts.sum()))
     r0 = rng.uniform(0.5, 5.0, counts.size)
-    tail = rng.uniform(0.0, 0.5, counts.size)
-    exponent = outage_exponent(r0, PointSet(r=r, counts=counts), 3.0, 0.1, tail)
+    exponent = outage_exponent(r0, PointSet(r=r, counts=counts), 3.0, 0.1)
     fields = np.split(r, np.cumsum(counts)[:-1])
-    assert exponent == pytest.approx(_per_field_exponent(r0, tail, fields), rel=1e-12)
+    assert exponent == pytest.approx(_per_field_exponent(r0, fields), rel=1e-12)
 
 
 def test_sir_of_several_point_sets_equals_their_join():
@@ -196,36 +187,33 @@ def test_sir_of_several_point_sets_equals_their_join():
 
 def test_outage_exponent_limits_at_zero_distances_and_overflow():
     # a RuntimeWarning fails the suite (pyproject.toml). r0 = 0 without
-    # candidates leaves the tail, 0 there, so a coverage; r_i = 0 gives inf,
+    # candidates gives 0, a coverage; r_i = 0 gives inf,
     # an outage; r0 = r_i = 0 gives NaN, which h0 < NaN counts as coverage.
     # At alpha = 400 a candidate 5000 times nearer or farther than the reach
     # has x or 1/x far beyond a float, yet its term alpha*|ln(r_i/s)| +
     # log1p(exp(-alpha*|ln(r_i/s)|)) stays finite
     block = PointSet(r=np.array([0.0, 0.0, 1e-3, 1e3]), counts=np.array([0, 1, 1, 1, 1]))
     r0 = np.array([0.0, 3.0, 0.0, 5.0, 0.2])
-    tail = interference_tail_exponent(0.1, 400.0, 0.1, r0, 1e4)
-    exponent = outage_exponent(r0, block, 400.0, 0.1, tail)
-    assert exponent[0] == tail[0] == 0.0
+    exponent = outage_exponent(r0, block, 400.0, 0.1)
+    assert exponent[0] == 0.0
     assert exponent[1] == math.inf
     assert math.isnan(exponent[2])
     a = 400.0 * abs(math.log(1e-3) - math.log(0.1 ** (1.0 / 400.0) * 5.0))
-    assert exponent[3] == pytest.approx(tail[3] + a, rel=1e-12) and math.isfinite(exponent[3])
+    assert exponent[3] == pytest.approx(a, rel=1e-12) and math.isfinite(exponent[3])
     a = 400.0 * abs(math.log(1e3) - math.log(0.1 ** (1.0 / 400.0) * 0.2))
-    assert exponent[4] == pytest.approx(tail[4] + a, rel=1e-12) and math.isfinite(exponent[4])
+    assert exponent[4] == pytest.approx(a, rel=1e-12) and math.isfinite(exponent[4])
     assert (np.full(5, 0.5) < exponent).tolist() == [False, True, False, True, True]
 
 
 def test_sir_outage_fraction_matches_fixed_distance_law():
-    # the window's candidates thinned by the kernel, and the field beyond
-    # the window through its tail exponent: the fraction estimates the
-    # outage at r0 on the infinite plane
-    lam, alpha, gamma_lin, r0, window = 0.01, 4.0, 1.0, 3.0, 60.0
+    # the plane's candidates thinned by the kernel: the fraction estimates
+    # the outage at r0 on the infinite plane
+    lam, alpha, gamma_lin, r0 = 0.01, 4.0, 1.0, 3.0
     trials = 20_000
     rng = trial_stream(6, 0)
     serving = np.full(trials, r0)
-    fields = _candidates(lam, gamma_lin ** (1.0 / alpha) * serving, 0.0, window, alpha, rng)
-    tail = interference_tail_exponent(lam, alpha, gamma_lin, serving, window)
-    exponent = outage_exponent(serving, fields, alpha, gamma_lin, tail)
+    fields = _candidates(lam, gamma_lin ** (1.0 / alpha) * serving, 0.0, alpha, rng)
+    exponent = outage_exponent(serving, fields, alpha, gamma_lin)
     outages = int(np.count_nonzero(rng.standard_exponential(trials) < exponent))
     p_ref = outage_at_distance(
         make_params(lambda_s=lam, alpha=alpha, gamma=gamma_lin, r_th=10.0), r0
@@ -239,7 +227,7 @@ def test_sir_outage_fraction_matches_fixed_distance_law():
 
 def test_content_outage_estimate_covers_closed_form():
     p = make_params()
-    cfg = SimConfig(trials=5000, master_seed=42, window_radius=100.0)
+    cfg = SimConfig(trials=5000, master_seed=42)
     est = estimate_content_outage(p, cfg)
     assert est.ci_low <= content_outage(p) <= est.ci_high
     assert est.n == 5000
@@ -247,21 +235,21 @@ def test_content_outage_estimate_covers_closed_form():
 
 def test_content_outage_estimate_zero_for_tiny_threshold():
     p = make_params(gamma=1e-12)
-    est = estimate_content_outage(p, SimConfig(trials=400, master_seed=1, window_radius=60.0))
+    est = estimate_content_outage(p, SimConfig(trials=400, master_seed=1))
     assert est.mean == 0.0
 
 
 def test_ci_width_shrinks_with_trial_count():
     p = make_params(lambda_s=0.01)
-    small = estimate_content_outage(p, SimConfig(trials=1200, master_seed=9, window_radius=100.0))
-    large = estimate_content_outage(p, SimConfig(trials=4800, master_seed=9, window_radius=100.0))
+    small = estimate_content_outage(p, SimConfig(trials=1200, master_seed=9))
+    large = estimate_content_outage(p, SimConfig(trials=4800, master_seed=9))
     ratio = (large.ci_high - large.ci_low) / (small.ci_high - small.ci_low)
     assert 0.4 <= ratio <= 0.6  # quadrupling trials halves the width
 
 
 def test_conditional_outage_by_distance_bin_matches_fixed_distance_law():
     p = make_params()
-    cfg = SimConfig(trials=5000, master_seed=13, window_radius=100.0)
+    cfg = SimConfig(trials=5000, master_seed=13)
     distances, outages = content_outage_trials(p, cfg)
     edges = np.quantile(distances, [0.0, 0.25, 0.5, 0.75, 1.0])
     edges[-1] += 1e-9
@@ -426,10 +414,10 @@ def test_physical_mode_outage_below_emulated_at_full_replication():
     # excluding the serving SBS from the interference dominates
     p = make_params(lambda_s=0.3, r_th=3.0, cache_size_d=4, library_size=4)
     emulated = estimate_content_outage(
-        p, SimConfig(trials=1500, master_seed=11, window_radius=60.0)
+        p, SimConfig(trials=1500, master_seed=11)
     )
     physical = estimate_physical(
-        p, SimConfig(trials=1500, master_seed=11, window_radius=60.0)
+        p, SimConfig(trials=1500, master_seed=11)
     )
     # 1500 * (1 - hit probability) = 0.31 discards are expected, and more
     # than 5 has probability below 1e-5
@@ -441,7 +429,7 @@ def test_physical_mode_outage_below_emulated_at_full_replication():
 def test_physical_mode_zero_outage_for_tiny_threshold():
     p = make_params(lambda_s=0.3, r_th=3.0, cache_size_d=4, library_size=4, gamma=1e-12)
     est = estimate_physical(
-        p, SimConfig(trials=300, master_seed=3, window_radius=40.0)
+        p, SimConfig(trials=300, master_seed=3)
     )
     assert est.mean == 0.0
 
@@ -449,7 +437,7 @@ def test_physical_mode_zero_outage_for_tiny_threshold():
 def test_physical_mode_reports_discards():
     p = make_params(lambda_s=0.05, r_th=2.0, cache_size_d=5, library_size=100)
     est = estimate_physical(
-        p, SimConfig(trials=800, master_seed=17, window_radius=30.0)
+        p, SimConfig(trials=800, master_seed=17)
     )
     assert est.n + est.n_discarded == 800
     assert est.n_discarded > 0  # hit probability is ~3% here
@@ -458,7 +446,7 @@ def test_physical_mode_reports_discards():
 def test_physical_mode_degenerate_conditioning_raises():
     # hit probability 3.1e-11: a hit in 40 trials has probability 1.3e-9
     p = make_params(lambda_s=1e-9, r_th=1.0, cache_size_d=1, library_size=100)
-    cfg = SimConfig(trials=40, master_seed=5, window_radius=12.0)
+    cfg = SimConfig(trials=40, master_seed=5)
     with pytest.raises(DegenerateSampleError):
         estimate_physical(p, cfg)
 
@@ -467,11 +455,10 @@ def test_physical_mode_degenerate_conditioning_raises():
 def test_physical_mode_hit_share_follows_cache_hit_law(cache_size_d):
     # a trial survives exactly when some SBS within r_th caches the content,
     # so the effective count is binomial in the closed-form hit probability;
-    # the full-window reference below checks that law geometrically
+    # the drawn-fade reference below checks that law geometrically
     p = make_params(cache_size_d=cache_size_d)
     trials = 3000
-    # the hit law does not depend on the window, so a small one is enough
-    est = estimate_physical(p, SimConfig(trials=trials, master_seed=12, window_radius=20.0))
+    est = estimate_physical(p, SimConfig(trials=trials, master_seed=12))
     low, high = stats.binom.interval(1.0 - 1e-6, trials, cache_hit_prob(p))
     assert low <= est.n <= high
 
@@ -486,38 +473,58 @@ def test_physical_mode_outage_follows_nearest_server_law():
     rho = math.sqrt(p.gamma) * (math.pi / 2.0 - math.atan(1.0 / math.sqrt(p.gamma)))
     a = math.pi * p.lambda_s * p.r_th**2
     law = 1.0 - math.expm1(-a * (1.0 + rho)) / ((1.0 + rho) * math.expm1(-a))
-    est = estimate_physical(p, SimConfig(trials=20_000, master_seed=3, window_radius=80.0))
+    est = estimate_physical(p, SimConfig(trials=20_000, master_seed=3))
     low, high = stats.binom.interval(1.0 - 1e-6, est.n, law)
     assert low <= est.mean * est.n <= high
 
 
-def _full_window_physical(p, window, trials, rng):
-    """Reference: whole-window fields, one trial at a time; (outages, hits)."""
+def _beyond_disc_exponent(p, r0, radius):
+    """T_R = -ln E[exp(-gamma * r0**alpha * I)], I the faded interference from beyond ``radius``.
+
+    The Poisson field's generating functional with unit-mean exponential
+    fades gives T_R = 2*pi*lambda_s * int_R^inf r / (1 + r**alpha / s) dr,
+    s = gamma * r0**alpha (Haenggi, *Stochastic Geometry for Wireless
+    Networks*, ch. 5), which is 2*pi*lambda_s * R**2 / (alpha - 2) * v * F,
+    v = s / R**alpha and F = 2F1(1, 1 - 2/alpha; 2 - 2/alpha; -v). F is
+    taken from scipy, so the reference shares no code with cachegeo's series.
+    """
+    v = p.gamma * (r0 / radius) ** p.alpha
+    b = 1.0 - 2.0 / p.alpha
+    scale = 2.0 * math.pi * p.lambda_s * radius**2 / (p.alpha - 2.0)
+    return scale * v * special.hyp2f1(1.0, b, 1.0 + b, -v)
+
+
+def _full_window_physical(p, disc, trials, rng):
+    """Reference: every SBS on a disc of radius ``disc`` and every fade drawn, one trial at a time.
+
+    The field beyond the disc enters through :func:`_beyond_disc_exponent`,
+    so the reference is of the whole plane. Returns (outages, hits).
+    """
     outages = hits = 0
     for _ in range(trials):
-        r = window * np.sqrt(rng.random(rng.poisson(p.lambda_s * math.pi * window**2)))
+        r = disc * np.sqrt(rng.random(rng.poisson(p.lambda_s * math.pi * disc**2)))
         caching = np.flatnonzero((r <= p.r_th) & (rng.random(r.size) < p.pc))
         if caching.size == 0:
             continue
         hits += 1
         server = caching[np.argmin(r[caching])]
         gains = rng.exponential(size=r.size) * r**-p.alpha
-        tail = interference_tail_exponent(p.lambda_s, p.alpha, p.gamma, r[server], window)
+        tail = _beyond_disc_exponent(p, r[server], disc)
         # h0 < gamma * X + T_R times r0**-alpha: SIR < gamma with the field
-        # beyond the window averaged out, and no division by an empty sum
+        # beyond the disc averaged out, and no division by an empty sum
         interference = gains.sum() - gains[server]
         outages += gains[server] < p.gamma * interference + tail * r[server] ** -p.alpha
     return outages, hits
 
 
-def _full_window_emulated(p, window, trials, rng):
-    """Reference: whole-window fields and every fade drawn, one trial at a time; outages."""
+def _full_window_emulated(p, disc, trials, rng):
+    """Reference: as :func:`_full_window_physical` under emulated association; outages."""
     outages = 0
     for _ in range(trials):
-        r = window * np.sqrt(rng.random(rng.poisson(p.lambda_s * math.pi * window**2)))
+        r = disc * np.sqrt(rng.random(rng.poisson(p.lambda_s * math.pi * disc**2)))
         r0 = draw_serving_distance(p, rng)
         interference = np.sum(rng.exponential(size=r.size) * (r0 / r) ** p.alpha)
-        tail = interference_tail_exponent(p.lambda_s, p.alpha, p.gamma, r0, window)
+        tail = _beyond_disc_exponent(p, r0, disc)
         outages += rng.exponential() < p.gamma * interference + tail
     return outages
 
@@ -528,13 +535,14 @@ def _two_proportion_z(k1, n1, k2, n2):
 
 
 def test_physical_mode_matches_full_window_reference():
-    # sampling given the hit, two independent thinned fields, must give the
-    # whole-window field's law, hit share included; both samplers add the
-    # field beyond the same 20 m window in closed form
+    # sampling given the hit, two independent thinned fields on the whole
+    # plane, must give the law of the field with every fade drawn, hit
+    # share included; the reference draws the SBSs of a 20 m disc and adds
+    # the field beyond it in closed form
     p = make_params(cache_size_d=30)  # pc = 0.3, hit probability 0.905
-    trials, window = 20_000, 20.0
-    est = estimate_physical(p, SimConfig(trials=trials, master_seed=31, window_radius=window))
-    outages, hits = _full_window_physical(p, window, trials, np.random.default_rng(32))
+    trials, disc = 20_000, 20.0
+    est = estimate_physical(p, SimConfig(trials=trials, master_seed=31))
+    outages, hits = _full_window_physical(p, disc, trials, np.random.default_rng(32))
     assert abs(_two_proportion_z(est.n, trials, hits, trials)) <= 4.5
     assert abs(_two_proportion_z(round(est.mean * est.n), est.n, outages, hits)) <= 4.5
 
@@ -543,10 +551,10 @@ def test_emulated_mode_matches_drawn_fade_reference():
     # the estimator integrates the interferers' fades out; a reference that
     # draws every fade must have the same outage law
     p = make_params()
-    trials, window = 20_000, 20.0
-    cfg = SimConfig(trials=trials, master_seed=33, window_radius=window)
+    trials, disc = 20_000, 20.0
+    cfg = SimConfig(trials=trials, master_seed=33)
     est = estimate_content_outage(p, cfg)
-    outages = _full_window_emulated(p, window, trials, np.random.default_rng(34))
+    outages = _full_window_emulated(p, disc, trials, np.random.default_rng(34))
     assert abs(_two_proportion_z(round(est.mean * trials), trials, outages, trials)) <= 4.5
 
 
@@ -572,19 +580,10 @@ FIVE_POINTS = {
 @pytest.mark.parametrize("point", FIVE_POINTS)
 def test_outage_estimate_meets_its_closed_form_at_five_points(point, estimate, closed_form, seed):
     p = make_params(**FIVE_POINTS[point])
-    est = estimate(p, SimConfig(trials=40_000, master_seed=seed, window_radius=4.0 * p.r_th))
+    est = estimate(p, SimConfig(trials=40_000, master_seed=seed))
     target = closed_form(p)
     z = (est.mean - target) / math.sqrt(target * (1.0 - target) / est.n)
     assert abs(z) <= 4.5
-
-
-def test_physical_mode_runs_on_an_empty_annulus():
-    # window == r_th, the smallest window: nothing lies beyond r_th inside
-    # it, and the caching SBSs beyond the server lie on r0 < r <= r_th
-    p = make_params(cache_size_d=30)
-    est = estimate_physical(p, SimConfig(trials=500, master_seed=6, window_radius=p.r_th))
-    assert est.n + est.n_discarded == 500
-    assert est.n > 0 and 0.0 <= est.mean <= 1.0
 
 
 # -- candidate sampler ------------------------------------------------------------------------------
@@ -597,39 +596,39 @@ def _dominating_intensity(s, alpha):
 
 CANDIDATE_CASES = {
     # (reach s, inner radius): a disc part from 0 and a power law beyond s;
-    # the power law alone from inner = r0 > s; a disc part from inner = r0
-    # < s, then the power law; and s >= R, where the candidates are the
-    # whole field on inner < r <= R
+    # the power law alone from inner = r0 > s; and a disc part from inner =
+    # r0 < s, then the power law
     "inner-zero": (2.0, 0.0),
     "inner-beyond-reach": (4.0 * 0.1 ** (1.0 / 3.0), 4.0),
     "reach-beyond-inner": (2.0 * 3.16 ** (1.0 / 3.0), 2.0),
-    "reach-beyond-window": (12.0, 3.0),
 }
 
 
 @pytest.mark.parametrize("case", CANDIDATE_CASES)
 def test_candidates_follow_the_dominating_law_with_poisson_counts(case):
     # the distances against the CDF of min(1, (s/r)**alpha) * 2*pi*r on
-    # inner < r <= R, integrated numerically, and the counts against the
-    # Poisson law of its integral: total within 4.5 sigma, variance equal to
-    # the mean (dispersion index within 4.5 of its standard error)
+    # r > inner, the whole plane, integrated numerically, and the counts
+    # against the Poisson law of its integral: total within 4.5 sigma,
+    # variance equal to the mean (dispersion index within 4.5 of its
+    # standard error)
     s, inner = CANDIDATE_CASES[case]
-    lam, alpha, window, fields = 0.05, 3.0, 10.0, 4000
+    lam, alpha, fields = 0.05, 3.0, 4000
     density = _dominating_intensity(s, alpha)
-    kink = [s] if inner < s < window else []
-    per_field = lam * integrate.quad(density, inner, window, points=kink or None)[0]
+    knee = max(s, inner)  # where the power law starts
+    total = integrate.quad(density, inner, knee)[0] + integrate.quad(density, knee, math.inf)[0]
     reach = np.full(fields, s)
     inners = np.full(fields, inner) if inner > 0 else 0.0
-    cands = _candidates(lam, reach, inners, window, alpha, trial_stream(13, 0))
+    cands = _candidates(lam, reach, inners, alpha, trial_stream(13, 0))
     assert cands.counts.shape == (fields,) and cands.counts.sum() == cands.r.size
-    assert ((cands.r >= inner) & (cands.r <= window)).all()
-    mean = fields * per_field
+    assert ((cands.r >= inner) & np.isfinite(cands.r)).all()
+    mean = fields * lam * total
     assert abs(cands.r.size - mean) <= 4.5 * math.sqrt(mean)
     dispersion = cands.counts.var(ddof=1) / cands.counts.mean()
     assert abs(dispersion - 1.0) <= 4.5 * math.sqrt(2.0 / (fields - 1))
-    grid = np.union1d(np.linspace(inner, window, 20_001), kink)
+    # the grid ends at 1e4 * knee, beyond which lies 1e-4 of the power law's mass
+    grid = np.union1d(np.linspace(inner, knee, 2_001), np.geomspace(knee, 1e4 * knee, 20_001))
     cdf = integrate.cumulative_trapezoid([density(r) for r in grid], grid, initial=0.0)
-    result = stats.kstest(cands.r, lambda x: np.interp(x, grid, cdf / cdf[-1]))
+    result = stats.kstest(cands.r, lambda x: np.interp(x, grid, cdf / total))
     assert result.statistic < stats.kstwobign.ppf(0.999) / math.sqrt(cands.r.size)
 
 
@@ -638,22 +637,23 @@ def test_candidates_follow_the_dominating_law_with_poisson_counts(case):
 @pytest.mark.parametrize("inner", ["zero", "server"])
 def test_thinned_candidates_give_the_window_coverage_at_fixed_distance(alpha, gamma, inner):
     # given r0, E[exp(-E)] over the candidates must be the coverage of the
-    # whole field on inner < r <= R, exp(-lambda * int q(r) 2*pi*r dr) with
-    # q = x/(1 + x), x = gamma*(r0/r)**alpha, the probability that an SBS at
-    # r blocks the link once its fade is integrated out
-    lam, r0, window, trials = 0.05, 1.0, 20.0, 100_000
+    # whole field on r > inner, the whole plane, exp(-lambda * int q(r)
+    # 2*pi*r dr) with q = x/(1 + x), x = gamma*(r0/r)**alpha, the
+    # probability that an SBS at r blocks the link once its fade is
+    # integrated out
+    lam, r0, trials = 0.05, 1.0, 100_000
     lower = 0.0 if inner == "zero" else r0
     serving = np.full(trials, r0)
     cands = _candidates(lam, gamma ** (1.0 / alpha) * serving,
-                        0.0 if inner == "zero" else serving, window, alpha, trial_stream(14, 0))
+                        0.0 if inner == "zero" else serving, alpha, trial_stream(14, 0))
     coverage = np.exp(-outage_exponent(serving, cands, alpha, gamma))
 
     def blocked(r):
         return 2.0 * math.pi * r / (1.0 + (r / r0) ** alpha / gamma)
 
-    reach = gamma ** (1.0 / alpha) * r0
-    kink = [reach] if lower < reach else None
-    target = math.exp(-lam * integrate.quad(blocked, lower, window, points=kink)[0])
+    knee = max(lower, gamma ** (1.0 / alpha) * r0)  # the reach, or the server beyond it
+    mean = integrate.quad(blocked, lower, knee)[0] + integrate.quad(blocked, knee, math.inf)[0]
+    target = math.exp(-lam * mean)
     assert abs(coverage.mean() - target) <= 4.5 * coverage.std() / math.sqrt(trials)
 
 
@@ -663,23 +663,21 @@ def test_thinned_candidates_give_the_window_coverage_at_fixed_distance(alpha, ga
     alpha=st.floats(2.0001, 400.0),
     log_gamma=st.floats(-8.0, 8.0),
     spread=st.floats(1.0, 100.0),
-    plane=st.booleans(),
     at=st.floats(0.0, 1.0),
     from_server=st.booleans(),
 )
 def test_candidate_mean_is_bounded_and_sampling_stays_finite(
-    log_r_th, alpha, log_gamma, spread, plane, at, from_server
+    log_r_th, alpha, log_gamma, spread, at, from_server
 ):
-    # the candidate mean is finite and never exceeds the field's on
-    # inner < r <= R, and sampling, with about 20 SBSs per spread * r_th
-    # disc where the density is a float, gives distances in [inner, R] and
-    # finite or inf exponents without a warning, from r_th = 1e-300 to
-    # alpha = 400, on a window and on the whole plane (R = inf). There a
+    # the candidate mean on the whole plane is finite and never exceeds
+    # lambda * pi * s**2 * alpha/(alpha - 2), its value from inner = 0, and
+    # sampling, with about 20 SBSs per spread * r_th disc where the density
+    # is a float, gives distances of at least inner and finite or inf
+    # exponents without a warning, from r_th = 1e-300 to alpha = 400. A
     # distance may overflow to inf near alpha = 2, the exact limit; the
     # counts are held to 100, as a block places few candidates per trial
     r_th = 10.0 ** log_r_th
     scale, gamma = spread * r_th, 10.0 ** log_gamma
-    window = math.inf if plane else scale
     r0 = np.full(50, at * r_th)
     lower = at * r_th if from_server else 0.0
     inner = r0 if from_server else 0.0
@@ -688,17 +686,16 @@ def test_candidate_mean_is_bounded_and_sampling_stays_finite(
     rng = trial_stream(15, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        shares = _candidate_shares(s, inner, window, alpha)
+        shares = _candidate_shares(s, inner, alpha)
         mean = _candidate_mean(lam, shares)
-        # (R - lower) * (R + lower) keeps its digits where R nears lower
-        bound = lam * math.pi * (window - lower) * (window + lower)
+        bound = (lam * s[0]) * s[0] * math.pi * (alpha / (alpha - 2.0))
         assert 0.0 <= mean[0] <= bound * (1.0 + 1e-12)
         assert math.isfinite(mean[0])
         counts = rng.poisson(np.minimum(mean, 100.0))
-        cands = _place(shares, counts, window, alpha, rng)
+        cands = _place(shares, counts, alpha, rng)
         exponent = outage_exponent(r0, cands, alpha, gamma)
-    assert not np.isnan(cands.r).any() and (plane or np.isfinite(cands.r).all())
-    assert ((cands.r >= lower * (1.0 - 1e-12)) & (cands.r <= window)).all()
+    assert not np.isnan(cands.r).any()
+    assert (cands.r >= lower * (1.0 - 1e-12)).all()
     assert not np.isnan(exponent).any() or at == 0.0
 
 
@@ -718,11 +715,11 @@ def test_every_candidate_term_is_at_least_the_floor(alpha, r, reach, at_reach):
     assert outage_exponent(np.array([s]), one, alpha, 1.0)[0] >= _FLOOR
 
 
-@pytest.mark.parametrize("window", [math.inf, 20.0], ids=["plane", "window"])
-@pytest.mark.parametrize("gamma", [0.1, 10.0])
-def test_count_first_decision_matches_the_full_kernel(window, gamma):
+@pytest.mark.parametrize("gamma", [pytest.param(gamma, id=f"{gamma}-plane")
+                                   for gamma in (0.1, 10.0)])
+def test_count_first_decision_matches_the_full_kernel(gamma):
     # one block of physical fields with every candidate placed: each trial
-    # that h0 < T + _FLOOR * N decides by its count is an outage under the
+    # that h0 < _FLOOR * N decides by its count is an outage under the
     # full kernel, so deciding those by count and the others by the kernel
     # gives the full kernel's indicators
     p = make_params(gamma=gamma, cache_size_d=50)
@@ -730,13 +727,11 @@ def test_count_first_decision_matches_the_full_kernel(window, gamma):
     rng = trial_stream(21, 0)
     r0 = draw_serving_distance(p, rng, 4096)
     s = gamma ** (1.0 / alpha) * r0
-    sets = tuple(_candidates(density, s, inner, window, alpha, rng)
+    sets = tuple(_candidates(density, s, inner, alpha, rng)
                  for density, inner in ((lam * (1.0 - pc), 0.0), (lam * pc, r0)))
     h0 = rng.standard_exponential(r0.size)
-    tail = (np.zeros(r0.size) if window == math.inf
-            else interference_tail_exponent(lam, alpha, gamma, r0, window))
-    full = h0 < outage_exponent(r0, sets, alpha, gamma, tail)
-    by_count = h0 < tail + _FLOOR * sum(points.counts for points in sets)
+    full = h0 < outage_exponent(r0, sets, alpha, gamma)
+    by_count = h0 < _FLOOR * sum(points.counts for points in sets)
     assert 0 < by_count.sum() < full.sum()
     assert full[by_count].all()
 
@@ -807,20 +802,12 @@ def test_trial_stream_layout_is_pinned():
     # cache-hit block of up to 4096 trials draws one count per trial, of the
     # caching SBSs on the disc: Poisson(lambda_s * pc * pi * r_th**2)
     p = make_params()
-    distances, outages = content_outage_trials(
-        p, SimConfig(trials=1000, master_seed=7, window_radius=100.0)
-    )
-    assert int(outages.sum()) == 776
-    assert np.flatnonzero(~outages)[:6].tolist() == [5, 10, 13, 19, 22, 41]
+    distances, outages = content_outage_trials(p, SimConfig(trials=1000, master_seed=7))
     assert distances[:4].tolist() == [
         2.7549555292430346, 2.961879642313583, 4.117415195113489, 4.013469186020196
     ]
-    plane_distances, plane_outages = content_outage_trials(
-        p, SimConfig(trials=1000, master_seed=7)
-    )
-    assert np.array_equal(plane_distances, distances)
-    assert int(plane_outages.sum()) == 758
-    assert np.flatnonzero(~plane_outages)[:6].tolist() == [10, 13, 19, 22, 27, 36]
+    assert int(outages.sum()) == 758
+    assert np.flatnonzero(~outages)[:6].tolist() == [10, 13, 19, 22, 27, 36]
     hit = estimate_cache_hit(p, SimConfig(trials=3000, master_seed=8))
     assert (hit.mean, hit.n, hit.n_discarded) == (461 / 3000, 3000, 0)
     assert (hit.ci_low, hit.ci_high) == (0.13747277576974629, 0.1713891008920447)
@@ -833,17 +820,13 @@ def test_physical_trial_stream_is_pinned():
     # the servers, the serving fades and the distances of the candidates of
     # the trials that their counts leave undecided, so a change to any draw
     # after the first moves the outage count but not n
-    est = estimate_physical(
-        make_params(), SimConfig(trials=2000, master_seed=8, window_radius=100.0)
-    )
-    assert (est.mean, est.n, est.n_discarded) == (230 / 293, 293, 1707)
-    plane = estimate_physical(make_params(), SimConfig(trials=2000, master_seed=8))
-    assert (plane.mean, plane.n, plane.n_discarded) == (214 / 293, 293, 1707)
+    est = estimate_physical(make_params(), SimConfig(trials=2000, master_seed=8))
+    assert (est.mean, est.n, est.n_discarded) == (214 / 293, 293, 1707)
 
 
 def test_estimate_repeats_bit_identically():
     p = make_params()
-    cfg = SimConfig(trials=500, master_seed=4, window_radius=80.0)
+    cfg = SimConfig(trials=500, master_seed=4)
     assert estimate_content_outage(p, cfg) == estimate_content_outage(p, cfg)
 
 
@@ -854,8 +837,6 @@ def test_sim_config_validation():
         SimConfig(master_seed=-1)
     with pytest.raises(ParameterError):
         SimConfig(master_seed=2**64)
-    with pytest.raises(ParameterError):
-        SimConfig(window_radius=0.0)
 
 
 def test_estimate_interval_brackets_mean():
@@ -864,35 +845,30 @@ def test_estimate_interval_brackets_mean():
     assert not est.contains(0.7)
 
 
-# -- window policy ----------------------------------------------------------------------------------
-
-
 def test_default_samples_the_whole_plane(monkeypatch):
-    # with no window the candidates are sampled on the whole plane in both
-    # modes, so no far field is added; at pc = 1 a physical run of 64
+    # in both modes each field's candidates are sampled on the whole plane:
+    # its share of pi * s**2 is the dominating intensity min(1, (s/r)**alpha)
+    # integrated over r > inner out to infinity, checked by quadrature on
+    # the first fields of each block; at pc = 1 a physical run of 64
     # trials has a hit with near certainty
-    radii = []
+    calls = []
 
-    def recording(s, inner, window_radius, alpha):
-        radii.append(window_radius)
-        return _candidate_shares(s, inner, window_radius, alpha)
-
-    def no_tail(*args):
-        raise AssertionError("a far field was added")
+    def recording(s, inner, alpha):
+        shares = _candidate_shares(s, inner, alpha)
+        calls.append((s, np.broadcast_to(inner, s.shape), alpha, shares))
+        return shares
 
     monkeypatch.setattr("cachegeo.simulate._candidate_shares", recording)
-    monkeypatch.setattr("cachegeo.simulate.interference_tail_exponent", no_tail)
     for p in (make_params(cache_size_d=100), make_params(alpha=6.0, r_th=2.0, cache_size_d=100)):
         cfg = SimConfig(trials=64, master_seed=0)
         estimate_content_outage(p, cfg)
         estimate_physical(p, cfg)
-    assert radii and set(radii) == {math.inf}
-
-
-def test_window_below_threshold_distance_rejected():
-    p = make_params()
-    cfg = SimConfig(trials=8, master_seed=0, window_radius=4.0)
-    for estimate in (estimate_content_outage, estimate_physical):
-        with pytest.raises(ParameterError) as excinfo:
-            estimate(p, cfg)
-        assert excinfo.value.field == "window_radius"
+    fields = [(s[k], inner[k], alpha, disc[k] + beyond[k])
+              for s, inner, alpha, (_, disc, beyond, _) in calls
+              for k in range(min(3, s.size)) if s[k] > 0]
+    assert len(fields) >= 6
+    for s, inner, alpha, share in fields:
+        density = _dominating_intensity(s, alpha)
+        knee = max(s, inner)
+        total = integrate.quad(density, inner, knee)[0] + integrate.quad(density, knee, math.inf)[0]
+        assert share * math.pi * s * s == pytest.approx(total, rel=1e-9)

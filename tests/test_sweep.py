@@ -71,7 +71,7 @@ def test_sweep_rows_follow_axis_order_per_series():
 def test_sweep_with_sim_is_deterministic():
     spec = gamma_spec(
         values=(-10.0, 0.0),
-        sim=SimConfig(trials=150, master_seed=5, window_radius=60.0),
+        sim=SimConfig(trials=150, master_seed=5),
     )
     assert run_sweep(spec) == run_sweep(spec)
     table = run_sweep(spec)
@@ -282,7 +282,7 @@ def test_json_round_trip_is_identity(tmp_path):
         values=(-10.0, 0.0, 10.0),
         series_axis=Axis.PC,
         series_values=(0.02, 0.1),
-        sim=SimConfig(trials=60, master_seed=3, window_radius=60.0),
+        sim=SimConfig(trials=60, master_seed=3),
     )
     table = run_sweep(spec)
     path = tmp_path / "table.json"
@@ -309,7 +309,7 @@ def test_spec_dict_round_trip():
     spec = gamma_spec(
         series_axis=Axis.PC,
         series_values=(0.02, 0.1),
-        sim=SimConfig(trials=100, master_seed=9, window_radius=50.0),
+        sim=SimConfig(trials=100, master_seed=9),
         label="demo",
         note="round trip",
     )
